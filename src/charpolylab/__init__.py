@@ -5,7 +5,7 @@ experiments, all cross-checked against independent oracles.
 """
 
 from .ensemble import (EquilibriumModel, Spectrum, gue_model, make_model,
-                       sample_spectrum_gue, sample_spectrum_mcmc)
+                       sample_spectrum_gue)
 from .gaussfield import (BiasSpec, FieldSample, GaussKernel, cov_g, cov_t,
                          exp_moment_g, biased_mean, kernel_g, kernel_t,
                          sample_gauss)
@@ -20,8 +20,8 @@ from .extremes import (MaxRecord, cheb_grid, empirical_centering,
                        factor14_check, field_q, max_experiment,
                        regularized_max)
 from .momentlab import (BiasClassParams, LowerBoundParams, PairConfiguration,
-                        barrier_indicator, lower_bound_mc, matching_ratio,
-                        mem_ratio, midpoint, omega_grid, pair_config_validate,
-                        validate_paired_bias, validate_separated_bias)
+                        in_tube, lower_bound_mc, matching_ratio, mem_ratio,
+                        omega_grid, pair_config_validate, validate_paired_bias,
+                        validate_separated_bias)
 
 __version__ = "0.1.0"

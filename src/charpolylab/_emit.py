@@ -1,0 +1,37 @@
+"""The package's one file writer."""
+
+import csv
+import io
+import json
+import os
+
+
+def _fmt(v):
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def emit(records, path, format, header=None):
+    """Write records atomically (temp file + rename); floats carry 17
+    significant digits.
+
+    csv: records is a list of rows, header a list of column names.
+    json: records is a JSON-serializable object.
+    """
+    if format == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        if header:
+            w.writerow(header)
+        for row in records:
+            w.writerow([_fmt(v) for v in row])
+        text = buf.getvalue()
+    elif format == "json":
+        text = json.dumps(records, indent=1, sort_keys=True, default=_fmt) + "\n"
+    else:
+        raise ValueError(f"unknown format {format!r}")
+    tmp = str(path) + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)

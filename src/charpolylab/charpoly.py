@@ -14,16 +14,17 @@ the ratio formulas hold as printed for arguments in either half-plane
 (verified against quadrature at N = 1, 2 and Monte Carlo at N = 4).
 """
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._emit import emit
 from ._rng import substream
 from .hyperbolic import joukowsky
-from .orthopoly import LogComplex, lc_exp, _pi_chain, _h_chain, _tilde_factor
+from .orthopoly import (LogComplex, lc_exp, m_cells, _pi_chain, _h_chain,
+                        _tilde_factor)
 
 __all__ = [
     "vandermonde_det",
@@ -126,21 +127,11 @@ def fs_balanced(table, p, q, model=None):
     return (det / (_vandermonde_lc(q) * _vandermonde_lc(p))).value()
 
 
-def _fs_sign(k):
-    """Oracle-locked global sign multiplying the general-ratio prefactor.
-
-    With the conjugate-antisymmetric Cauchy transforms the formula holds as
-    printed; the hook stays so future recalibration is one line.
-    """
-    return 1.0
-
-
 def fs_general(table, p, q, model=None):
     """General ratio E[prod_{i<=l} det(p_i-A) / prod_{j<=k} det(q_j-A)].
 
     The (k+l) x (k+l) determinant over columns N-k .. N+l-1 with the
-    prod(-2 pi i gamma_{N-j}^2) / ((-1)^C(k,2) Delta(q) Delta(p)) prefactor,
-    times the calibrated sign _fs_sign(k).
+    prod(-2 pi i gamma_{N-j}^2) / ((-1)^C(k,2) Delta(q) Delta(p)) prefactor.
     """
     p = [complex(v) for v in p]
     q = [complex(v) for v in q]
@@ -170,7 +161,7 @@ def fs_general(table, p, q, model=None):
     pref = LogComplex.one()
     for j in range(1, k + 1):
         pref = pref * LogComplex(math.log(2.0 * math.pi) + table.log_gamma_sq[N - j], -1j)
-    sign = _fs_sign(k) * (-1.0) ** (k * (k - 1) // 2)
+    sign = (-1.0) ** (k * (k - 1) // 2)
     num = det * pref
     den = _vandermonde_lc(q) * _vandermonde_lc(p)
     return sign * (num / den).value()
@@ -218,28 +209,6 @@ def laplace_split(A, B, C, D, p, q):
     return total
 
 
-def _m_entries(table, model, q):
-    """LogComplex entries (M11, M12, M21, M22) of the normalized matrix at q.
-
-    The unit-determinant identity is asserted here, so any recurrence or
-    quadrature breakdown surfaces before it can corrupt a moment.
-    """
-    N = table.N
-    g = model.g(q)
-    ell = model.ell_v
-    pis = _pi_chain(table, N, q)
-    hs = _h_chain(table, N, q, model=model)
-    t = _tilde_factor(table)
-    m11 = pis[N] * lc_exp(-N * g)
-    m12 = hs[N] * lc_exp(N * (g - ell))
-    m21 = t * pis[N - 1] * lc_exp(-N * (g - ell))
-    m22 = t * hs[N - 1] * lc_exp(N * g)
-    det = (m11 * m22 - m12 * m21).value()
-    if abs(det - 1.0) > 1e-6:
-        raise ArithmeticError(f"normalized-matrix determinant {det} at q={q}")
-    return m11, m12, m21, m22
-
-
 def exp_moment_field(table, model, bias, imag_tol=1e-8):
     """E exp(B(Z)) for the matrix field Z = Q_N o J, by the scaled determinant.
 
@@ -266,10 +235,11 @@ def exp_moment_field(table, model, bias, imag_tol=1e-8):
         # sign of M12, M21 (the Cauchy transforms are conjugate-antisymmetric)
         if v not in m_cache:
             if v.imag >= 0:
-                m_cache[v] = _m_entries(table, model, v)
+                (m11, m12), (m21, m22) = m_cells(table, model, v)[0]
             else:
-                m11, m12, m21, m22 = _m_entries(table, model, np.conj(v))
-                m_cache[v] = (m11.conj(), -m12.conj(), -m21.conj(), m22.conj())
+                (m11, m12), (m21, m22) = m_cells(table, model, np.conj(v))[0]
+                m11, m12, m21, m22 = m11.conj(), -m12.conj(), -m21.conj(), m22.conj()
+            m_cache[v] = m11, m12, m21, m22
         return m_cache[v]
 
     cells = []
@@ -445,10 +415,6 @@ class VerificationCase:
 
 def write_verification_report(cases, path):
     """CSV report: case_id, N, formula_value, mc_value, mc_stderr, z_score."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["case_id", "N", "formula_value", "mc_value", "mc_stderr", "z_score"])
-        for c in cases:
-            w.writerow([c.case_id, c.N, f"{c.formula_value:.17g}",
-                        f"{c.mc_value:.17g}", f"{c.mc_stderr:.17g}",
-                        f"{c.z_score:.17g}"])
+    emit([[c.case_id, c.N, c.formula_value, c.mc_value, c.mc_stderr, c.z_score]
+          for c in cases], path, "csv",
+         header=["case_id", "N", "formula_value", "mc_value", "mc_stderr", "z_score"])

@@ -8,7 +8,6 @@ written atomically (temp file + rename).  Exit codes: 0 success, 1 a
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -17,6 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._emit import emit
 from ._rng import substream, task_seed
 from . import charpoly, ensemble, extremes, gaussfield, momentlab, orthopoly
 from .gaussfield import BiasSpec
@@ -32,7 +32,6 @@ COMMANDS = ("gen-spectrum", "max-experiment", "fs-verify", "mem-verify",
 @dataclass
 class RunConfig:
     command: str
-    model: str = "gue"
     N: int = 64
     n: int = 8
     n_samples: int = 100
@@ -44,62 +43,28 @@ class RunConfig:
     eta: int = 3
     y: float = 2.0
     epsilon: float = 0.3
-    k: int = 1
-    ell: int = 1
     stride: int = 1
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.model != "gue":
-            raise ConfigError(f"unknown model {self.model!r}")
         if self.threads == 0:
             self.threads = int(os.environ.get("CHARPOLY_THREADS", "1"))
         for name, lo in (("N", 1), ("n", 2), ("n_samples", 1), ("threads", 1),
-                         ("eta", 1), ("k", 0), ("ell", 0), ("stride", 1)):
+                         ("eta", 1), ("stride", 1), ("y", 1)):
             if getattr(self, name) < lo:
                 raise ConfigError(f"{name} must be >= {lo}")
         if not 0.0 < self.delta < 0.5:
             raise ConfigError("delta must lie in (0, 1/2)")
+        if self.command == "lowerbound-sim":
+            try:
+                _lower_bound_params(self)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def _atomic_write(path, text):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def emit(records, path, format, header=None):
-    """Write records atomically; floats carry 17 significant digits.
-
-    csv: records is a list of rows, header a list of column names.
-    json: records is a JSON-serializable object.
-    """
-    if format == "csv":
-        import io
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        if header:
-            w.writerow(header)
-        for row in records:
-            w.writerow([_fmt(v) for v in row])
-        _atomic_write(path, buf.getvalue())
-    elif format == "json":
-        _atomic_write(path, json.dumps(records, indent=1, sort_keys=True,
-                                       default=_fmt) + "\n")
-    else:
-        raise ConfigError(f"unknown format {format!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +123,10 @@ def _cmd_gen_spectrum(cfg):
     checks = [("sorted", bool(np.all(np.diff(spec.eigenvalues) >= 0))),
               ("length", len(spec.eigenvalues) == cfg.N)]
     if cfg.out_path:
-        ensemble.save_spectrum(spec, cfg.out_path)
+        emit(enumerate(spec.eigenvalues), cfg.out_path, "csv",
+             header=["index", "eigenvalue"])
+        emit({"N": spec.N, "model": spec.model, "seed": spec.seed,
+              "sampler": spec.sampler}, str(cfg.out_path) + ".json", "json")
     return None, checks
 
 
@@ -266,9 +234,13 @@ def _cmd_matching_verify(cfg):
     return {"sup_first_half": float(half), "sup_full": float(full)}, checks
 
 
+def _lower_bound_params(cfg):
+    return momentlab.LowerBoundParams(n=cfg.n, delta=cfg.delta, eta=cfg.eta,
+                                      stride=cfg.stride)
+
+
 def _cmd_lowerbound_sim(cfg):
-    params = momentlab.LowerBoundParams(n=cfg.n, delta=cfg.delta, eta=cfg.eta,
-                                        stride=cfg.stride)
+    params = _lower_bound_params(cfg)
     res = momentlab.lower_bound_mc(params, cfg.n_samples, cfg.seed)
     doc = res.to_json_dict()
     if cfg.out_path:
@@ -386,10 +358,10 @@ def _parse_config_file(path):
     return values
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"N", "n", "n_samples", "seed", "threads", "eta", "k", "ell", "stride"}
+_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+_INT_KEYS = {"N", "n", "n_samples", "seed", "threads", "eta", "stride"}
 _FLOAT_KEYS = {"delta", "y", "epsilon"}
-_ALIAS = {"samples": "n_samples", "l": "ell", "out": "out_path"}
+_ALIAS = {"samples": "n_samples", "out": "out_path"}
 
 
 def _coerce(key, val):
@@ -407,7 +379,7 @@ def build_config(command, file_values, flag_values):
             key = _ALIAS.get(key, key)
             if key == "command":
                 continue
-            if key not in _FIELD_TYPES:
+            if key not in _FIELD_NAMES:
                 raise ConfigError(f"unknown configuration key {key!r}")
             kwargs[key] = _coerce(key, val) if isinstance(val, str) else val
     return RunConfig(**kwargs)
@@ -418,7 +390,6 @@ def main(argv=None):
                                      description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key-value config file")
-    parser.add_argument("--model", default=None)
     parser.add_argument("--N", type=int, default=None)
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--samples", type=int, default=None, dest="n_samples")
@@ -430,8 +401,6 @@ def main(argv=None):
     parser.add_argument("--eta", type=int, default=None)
     parser.add_argument("--y", type=float, default=None)
     parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--l", type=int, default=None, dest="ell")
     parser.add_argument("--stride", type=int, default=None)
     args = parser.parse_args(argv)
 

@@ -2,15 +2,11 @@
 
 The packaged model is the quadratic potential V(x) = 2 x^2, normalized so
 the limiting density is the semicircle on [-1, 1]; general one-cut models
-can be built from a user-supplied density.  Spectra are drawn either from
-the exact tridiagonal realization (quadratic V only) or by Metropolis
-sweeps on the log-gas density.
+can be built from a user-supplied density.  Spectra are drawn from the exact
+tridiagonal realization (quadratic V only).
 """
 
-import csv
-import json
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,11 +22,6 @@ __all__ = [
     "gue_model",
     "make_model",
     "sample_spectrum_gue",
-    "sample_spectrum_mcmc",
-    "sample_spectra_mcmc",
-    "mcmc_energy",
-    "save_spectrum",
-    "load_spectrum",
 ]
 
 
@@ -38,7 +29,7 @@ def _quad_tilde_g(rho, support, x):
     """-integral of log|x-u| rho(u) du by adaptive quadrature."""
     total = 0.0
     for a, b in support:
-        # u = midpoint + halfwidth*cos(phi) absorbs the square-root edge factor
+        # u = mid + hw*cos(phi) absorbs the square-root edge factor
         mid, hw = 0.5 * (a + b), 0.5 * (b - a)
 
         def integrand(phi):
@@ -302,109 +293,3 @@ def sample_spectrum_gue(N, seed):
         raise RuntimeError("eigensolver failed on 4 perturbed seeds")
     return Spectrum(N=N, eigenvalues=eigs, model="gue", seed=int(seed),
                     sampler="tridiagonal")
-
-
-def mcmc_energy(model, state):
-    """Log-gas energy N sum V(x_i) - 2 sum_{i<j} log|x_i - x_j| (per chain)."""
-    state = np.atleast_2d(state)
-    n_chains, N = state.shape
-    v = model.V(state).sum(axis=1) * N
-    inter = np.zeros(n_chains)
-    for i in range(N):
-        for j in range(i + 1, N):
-            inter += np.log(np.abs(state[:, i] - state[:, j]))
-    return v - 2.0 * inter
-
-
-def _initial_state(model, N):
-    """Spread starting points over the support, weighted roughly by rho."""
-    a = min(s[0] for s in model.support)
-    b = max(s[1] for s in model.support)
-    pad = 0.02 * (b - a)
-    return np.linspace(a + pad, b - pad, N)
-
-
-def sample_spectra_mcmc(model, N, n_chains, sweeps, step, seed, sweep_block=64):
-    """Vectorized Metropolis chains on the log-gas density.
-
-    Each chain c draws all its randomness from substream (seed, c); chains
-    are updated in lockstep but remain statistically independent and
-    reproducible individually.  Returns (states, diagnostics) where states
-    has shape (n_chains, N) with each row sorted.
-    """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    if step < 0:
-        raise ValueError("step must be >= 0")
-    state = np.tile(_initial_state(model, N), (n_chains, 1))
-    gens = [substream(seed, c) for c in range(n_chains)]
-    accepted = 0
-    proposed = 0
-    energy_trace = []
-    rows = np.arange(n_chains)
-    done = 0
-    while done < sweeps:
-        block = min(sweep_block, sweeps - done)
-        normals = np.empty((n_chains, block, N))
-        uniforms = np.empty((n_chains, block, N))
-        for c, g in enumerate(gens):
-            normals[c] = g.standard_normal((block, N))
-            uniforms[c] = g.random((block, N))
-        for s in range(block):
-            for i in range(N):
-                prop = state[:, i] + step * normals[:, s, i]
-                delta = -N * (model.V(prop) - model.V(state[:, i]))
-                others = np.delete(np.arange(N), i)
-                with np.errstate(divide="ignore"):
-                    delta += 2.0 * (
-                        np.log(np.abs(prop[:, None] - state[:, others]))
-                        - np.log(np.abs(state[:, i, None] - state[:, others]))
-                    ).sum(axis=1)
-                accept = np.log(uniforms[:, s, i]) < delta
-                state[accept, i] = prop[accept]
-                accepted += int(accept.sum())
-                proposed += n_chains
-            energy_trace.append(mcmc_energy(model, state).mean())
-        done += block
-    rate = accepted / proposed if proposed else 0.0
-    diagnostics = {
-        "acceptance_rate": rate,
-        "energy_trace": np.array(energy_trace),
-        "acceptance_flag": bool(0.1 <= rate <= 0.9) if step > 0 else True,
-    }
-    state.sort(axis=1)
-    return state, diagnostics
-
-
-def sample_spectrum_mcmc(model, N, sweeps, step, seed):
-    """Single Metropolis chain; returns (Spectrum, diagnostics)."""
-    states, diag = sample_spectra_mcmc(model, N, 1, sweeps, step, seed)
-    spec = Spectrum(N=N, eigenvalues=states[0], model=model.name, seed=int(seed),
-                    sampler="mcmc")
-    return spec, diag
-
-
-def save_spectrum(spectrum, csv_path):
-    """CSV of index, eigenvalue plus a JSON sidecar; both written atomically."""
-    tmp = str(csv_path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["index", "eigenvalue"])
-        for i, lam in enumerate(spectrum.eigenvalues):
-            w.writerow([i, f"{lam:.17g}"])
-    os.replace(tmp, csv_path)
-    sidecar = str(csv_path) + ".json"
-    with open(sidecar + ".tmp", "w") as fh:
-        json.dump({"N": spectrum.N, "model": spectrum.model,
-                   "seed": spectrum.seed, "sampler": spectrum.sampler}, fh)
-    os.replace(sidecar + ".tmp", sidecar)
-
-
-def load_spectrum(csv_path):
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    eigs = np.array([float(r[1]) for r in rows[1:]])
-    with open(str(csv_path) + ".json") as fh:
-        meta = json.load(fh)
-    return Spectrum(N=meta["N"], eigenvalues=eigs, model=meta["model"],
-                    seed=meta["seed"], sampler=meta["sampler"])

@@ -8,7 +8,6 @@ signed point biases, the change of mean under biasing, reproducible
 sampling at finite point sets, and branching-covariance diagnostics.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +29,6 @@ __all__ = [
     "biased_mean",
     "sample_gauss",
     "brw_check",
-    "field_sample_to_csv",
 ]
 
 # covariance offset of the branching form for the G kernel: -log(2)/2
@@ -38,13 +36,19 @@ K_OFFSET_G = -0.5 * math.log(2.0)
 
 
 def cov_g(z, w):
-    """Covariance -(1/2) log|1 - z*conj(w)| of the conformally invariant field."""
-    return -0.5 * math.log(abs(1.0 - z * np.conj(w)))
+    """Covariance -(1/2) log|1 - z*conj(w)| of the conformally invariant field.
+
+    z and w may be scalars or arrays; arrays broadcast against each other.
+    """
+    return -0.5 * np.log(np.abs(1.0 - z * np.conj(w)))
 
 
 def cov_t(z, w):
-    """Covariance -(1/2) log|1-z*w| - (1/2) log|1-z*conj(w)| (symmetrized field)."""
-    return -0.5 * math.log(abs(1.0 - z * w)) - 0.5 * math.log(abs(1.0 - z * np.conj(w)))
+    """Covariance -(1/2) log|1-z*w| - (1/2) log|1-z*conj(w)| (symmetrized field).
+
+    z and w may be scalars or arrays; arrays broadcast against each other.
+    """
+    return -0.5 * np.log(np.abs(1.0 - z * w)) - 0.5 * np.log(np.abs(1.0 - z * np.conj(w)))
 
 
 @dataclass(frozen=True)
@@ -52,16 +56,11 @@ class GaussKernel:
     """A named covariance kernel on the open disk."""
 
     kind: str
-    cov: object  # callable (z, w) -> float
+    cov: object  # broadcasting callable (z, w) -> covariance
 
     def matrix(self, points):
         pts = np.asarray(points, dtype=complex)
-        n = len(pts)
-        out = np.empty((n, n))
-        for i in range(n):
-            for k in range(i, n):
-                out[i, k] = out[k, i] = self.cov(pts[i], pts[k])
-        return out
+        return self.cov(pts[:, None], pts[None, :])
 
 
 def kernel_g():
@@ -162,15 +161,6 @@ class FieldSample:
     kind: str
     factorization: str
 
-    def __post_init__(self):
-        self._index = {complex(z): i for i, z in enumerate(self.points)}
-
-    def point_index(self, z):
-        try:
-            return self._index[complex(z)]
-        except KeyError:
-            raise KeyError(f"point {z} not in the sampled set") from None
-
 
 def _factor_covariance(cov):
     """Cholesky factor of cov, falling back to clipped eigendecomposition."""
@@ -189,7 +179,7 @@ def _factor_covariance(cov):
     return vecs * np.sqrt(np.clip(vals, 0.0, None)), "eigen"
 
 
-def sample_gauss(points, kernel, n_samples, seed, row_block=4096):
+def sample_gauss(points, kernel, n_samples, seed):
     """Draw i.i.d. centered Gaussian vectors with the kernel covariance.
 
     Row i is generated from the Philox substream keyed by (seed, i), so any
@@ -209,17 +199,6 @@ def sample_gauss(points, kernel, n_samples, seed, row_block=4096):
         values[i] = L @ x
     return FieldSample(points=pts, values=values, seed=int(seed), kind=kernel.kind,
                        factorization=fact)
-
-
-def field_sample_to_csv(sample, path):
-    """Write a FieldSample as sample_index, point_index, re_z, im_z, value rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_index", "point_index", "re_z", "im_z", "value"])
-        for i in range(sample.values.shape[0]):
-            for k, z in enumerate(sample.points):
-                w.writerow([i, k, f"{z.real:.17g}", f"{z.imag:.17g}",
-                            f"{sample.values[i, k]:.17g}"])
 
 
 def brw_check(grid, kernel):

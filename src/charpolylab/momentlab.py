@@ -27,8 +27,7 @@ __all__ = [
     "pair_config_validate",
     "random_pair_configuration",
     "random_separated_bias",
-    "barrier_indicator",
-    "midpoint",
+    "in_tube",
     "branch_depth",
     "lower_bound_mc",
 ]
@@ -306,20 +305,12 @@ def omega_grid(params):
     return np.exp(1j * (math.pi / 2.0 + hs * math.exp(-params.n0)))
 
 
-def midpoint(omega1, omega2, n0):
-    """The integer closest to -log|omega1 - omega2|, floored at n0."""
-    d = abs(complex(omega1) - complex(omega2))
-    if d == 0.0:
-        raise ValueError("midpoint undefined for coincident points")
-    return max(round(-math.log(d)), n0)
-
-
 def branch_depth(omega1, omega2, n0):
     """Branching height of the two rays: -log|omega1 - omega2| capped at n0.
 
-    This is the quantity the two-point estimates are binned by; the capped
-    version (rather than the floored midpoint) is what makes the
-    well-separated and nearly-parallel regimes distinguishable.
+    This is the quantity the two-point estimates are binned by; capping at n0
+    (rather than flooring there) is what makes the well-separated and
+    nearly-parallel regimes distinguishable.
     """
     d = abs(complex(omega1) - complex(omega2))
     if d == 0.0:
@@ -327,28 +318,14 @@ def branch_depth(omega1, omega2, n0):
     return min(max(round(-math.log(d)), 0), n0)
 
 
-def barrier_points(params, omega):
-    """The ray points omega zeta_{b_k} for the barrier window r < k <= eta."""
-    return [omega * ray_point(params.b[k]) for k in range(params.r + 1, params.eta + 1)]
-
-
-def barrier_indicator(sample, row_index, omega, params, reference="ray"):
-    """True iff the sampled field row stays in the tube around the linear
-    profile along the omega ray (vacuously true when the window is empty).
-
-    reference selects the recentering point: "ray" uses omega zeta_{b_r}
-    (the version whose two-point estimates factorize and that the simulator
-    uses); "center" uses i zeta_{b_r} as displayed in the event definition.
+def in_tube(barrier_vals, ref_vals, params):
+    """True where the field at omega zeta_{b_k}, r < k <= eta (last axis of
+    barrier_vals), stays in the tube around the linear profile b_k - b_r above
+    ref_vals, the field at the recentering point; vacuous for an empty window.
     """
-    row = sample.values[row_index]
-    ref_omega = 1j if reference == "center" else omega
-    ref = row[sample.point_index(ref_omega * ray_point(params.b[params.r]))]
-    half = params.tube_halfwidth()
-    for k in range(params.r + 1, params.eta + 1):
-        v = row[sample.point_index(omega * ray_point(params.b[k]))]
-        if abs(v - ref - (params.b[k] - params.b[params.r])) > half:
-            return False
-    return True
+    rise = np.array(params.b[params.r + 1:]) - params.b[params.r]
+    dev = barrier_vals - ref_vals[..., None] - rise
+    return (np.abs(dev) <= params.tube_halfwidth()).all(axis=-1)
 
 
 @dataclass
@@ -422,10 +399,9 @@ def lower_bound_mc(params, n_samples, seed):
         return index_of[p]
 
     ray_ref_idx = np.array([intern(w * zeta_ref) for w in omegas])
-    barrier_idx = {}
-    for wi, w in enumerate(omegas):
-        for k in range(params.r + 1, params.eta + 1):
-            barrier_idx[(wi, k)] = intern(w * ray_point(params.b[k]))
+    barrier_idx = np.array([[intern(w * ray_point(params.b[k]))
+                             for k in range(params.r + 1, params.eta + 1)]
+                            for w in omegas], dtype=int)
     center_idx = intern(center_pt)
 
     sample = sample_gauss(points, kern, n_samples, seed)
@@ -433,12 +409,7 @@ def lower_bound_mc(params, n_samples, seed):
     leaf = vals[:, :m]
     rayref = vals[:, ray_ref_idx]
     expo = 2.0 * (leaf - rayref)
-    ok = np.ones((n_samples, m), dtype=bool)
-    half = params.tube_halfwidth()
-    for (wi, k), idx in barrier_idx.items():
-        dev = vals[:, idx] - rayref[:, wi] - (params.b[k] - params.b[params.r])
-        ok[:, wi] &= np.abs(dev) <= half
-    Y = np.exp(expo) * ok
+    Y = np.exp(expo) * in_tube(vals[:, barrier_idx], rayref, params)
 
     Z = Y.sum(axis=1)
     p_z = float((Z > 0).mean())

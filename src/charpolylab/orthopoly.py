@@ -11,9 +11,8 @@ backward recurrence anchored at the closed-form h_0.
 """
 
 import cmath
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -32,11 +31,10 @@ __all__ = [
     "h0_closed",
     "h0_quadrature",
     "y_matrix",
+    "m_cells",
     "m_matrix",
     "global_parametrix_onecut",
     "r_weight",
-    "save_table",
-    "load_table",
 ]
 
 _NEG_INF = float("-inf")
@@ -159,7 +157,6 @@ class OPTable:
     a2: np.ndarray
     gamma0: float
     model: str
-    inner_grid: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
@@ -277,7 +274,7 @@ def _stieltjes_table(model, N, n_max, residual_tol=1e-8):
                 "n_max too large for the grid resolution"
             )
     return OPTable(N=N, n_max=n_max, beta=beta, a2=a2, gamma0=h0 ** -0.5,
-                   model=model.name, inner_grid=(x, w))
+                   model=model.name)
 
 
 def _pi_chain(table, n, x):
@@ -431,16 +428,23 @@ class RHMatrix:
             )
 
 
-def _pack_rh(cells, kind, q, det_tol=1e-6):
-    det_lc = cells[0][0] * cells[1][1] - cells[0][1] * cells[1][0]
-    det = det_lc.value()
+def _unit_det(cells, kind, q, det_tol=1e-6):
+    """Determinant of 2x2 LogComplex cells, which must sit at 1; formed before
+    any exponentiation so a breakdown surfaces before it corrupts a moment."""
+    det = (cells[0][0] * cells[1][1] - cells[0][1] * cells[1][0]).value()
+    if abs(det - 1.0) > det_tol:
+        raise DeterminantError(
+            f"det {kind} = {det} at q={complex(q)} deviates from 1 beyond {det_tol:g}"
+        )
+    return det
+
+
+def _pack_rh(cells, det, kind, q):
     scale = max(c.log_mag for row in cells for c in row)
     if scale == _NEG_INF:
         scale = 0.0
     entries = np.array([[c.scaled(-scale).value() for c in row] for row in cells])
-    mat = RHMatrix(entries=entries, kind=kind, q=complex(q), log_scale=scale, det=det)
-    mat.check_det(det_tol)
-    return mat
+    return RHMatrix(entries=entries, kind=kind, q=complex(q), log_scale=scale, det=det)
 
 
 def _tilde_factor(table):
@@ -456,14 +460,16 @@ def y_matrix(table, q, model=None):
     hs = _h_chain(table, N, q, model=model)
     t = _tilde_factor(table)
     cells = [[pis[N], hs[N]], [t * pis[N - 1], t * hs[N - 1]]]
-    return _pack_rh(cells, "Y", q)
+    return _pack_rh(cells, _unit_det(cells, "Y", q), "Y", q)
 
 
-def m_matrix(table, model, q):
-    """Y_N conjugated by e^{-N ell_V sigma3/2} ... e^{-N(g-ell_V/2) sigma3}.
+def m_cells(table, model, q):
+    """LogComplex cells [[M11, M12], [M21, M22]] of M_N at q and their
+    determinant, checked to sit at 1 within 1e-6.
 
-    Entries are O(1) in the bulk; the e^{+-N g} factors are applied in log
-    space so they never appear as raw exponentials.
+    M is Y_N conjugated by e^{-N ell_V sigma3/2} ... e^{-N(g-ell_V/2) sigma3};
+    the e^{+-N g} factors are applied in log space so they never appear as
+    raw exponentials.
     """
     N = table.N
     table.ensure(N)
@@ -478,7 +484,12 @@ def m_matrix(table, model, q):
     e_g = lc_exp(N * g)                      # e^{+N g}
     cells = [[pis[N] * e_mg, hs[N] * e_gl],
              [t * pis[N - 1] * e_lg, t * hs[N - 1] * e_g]]
-    return _pack_rh(cells, "M", q)
+    return cells, _unit_det(cells, "M", q)
+
+
+def m_matrix(table, model, q):
+    """The normalized matrix M_N at q; entries are O(1) in the bulk."""
+    return _pack_rh(*m_cells(table, model, q), "M", q)
 
 
 def _gamma_onecut(q):
@@ -522,23 +533,3 @@ def r_weight(model, q):
                 raise ZeroDivisionError("r_weight is infinite at a support edge")
             out *= d ** -0.25
     return out
-
-
-def save_table(table, path):
-    """JSON cache {model, N, n_max, beta[], a2[], gamma0}."""
-    with open(path, "w") as fh:
-        json.dump({
-            "model": table.model,
-            "N": table.N,
-            "n_max": table.n_max,
-            "beta": table.beta[:table.n_max + 1].tolist(),
-            "a2": table.a2[:table.n_max + 1].tolist(),
-            "gamma0": table.gamma0,
-        }, fh)
-
-
-def load_table(path):
-    with open(path) as fh:
-        d = json.load(fh)
-    return OPTable(N=d["N"], n_max=d["n_max"], beta=np.array(d["beta"]),
-                   a2=np.array(d["a2"]), gamma0=d["gamma0"], model=d["model"])

@@ -7,7 +7,6 @@ import pytest
 from charpolylab import cli
 from charpolylab.cli import (ConfigError, RunConfig, build_config, emit, main,
                              run, summary_schema, validate_against_schema)
-from charpolylab.ensemble import load_spectrum
 
 
 def test_emit_csv_roundtrip(tmp_path):
@@ -61,8 +60,20 @@ def test_config_file_and_overrides(tmp_path):
 
 def test_unknown_config_key_rejected(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("frobnicate 3\n")
-    assert main(["max-experiment", "--config", str(cfgfile)]) == 2
+    for text in ("frobnicate 3\n", "model gue\n"):
+        cfgfile.write_text(text)
+        assert main(["max-experiment", "--config", str(cfgfile)]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["lowerbound-sim", "--n", "13"],
+    ["lowerbound-sim", "--n", "10", "--eta", "9"],
+    ["max-experiment", "--y", "0.5"],
+], ids=["depth_over_cap", "eta_over_depth", "shift_below_one"])
+def test_out_of_range_parameters_exit_2(args, capsys):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and len(err.splitlines()) == 1
 
 
 def test_unknown_command_rejected():
@@ -83,8 +94,21 @@ def test_gen_spectrum_roundtrip(tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["gen-spectrum", "--N", "16", "--seed", "4",
                  "--out", str(out)]) == 0
-    spec = load_spectrum(out)
-    assert spec.N == 16 and spec.seed == 4
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 16
+    meta = json.loads((tmp_path / "spec.csv.json").read_text())
+    assert meta["N"] == 16 and meta["seed"] == 4
+
+
+def test_fs_verify_report_is_lf_and_atomic(tmp_path):
+    out = tmp_path / "fs.csv"
+    assert main(["fs-verify", "--N", "8", "--samples", "200", "--seed", "1",
+                 "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    assert data.startswith(b"case_id,N,formula_value,mc_value,mc_stderr,z_score\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["fs.csv"]
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -1,12 +1,13 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from charpolylab.ensemble import (gue_model, load_spectrum, make_model,
-                                  sample_spectra_mcmc, sample_spectrum_gue,
-                                  sample_spectrum_mcmc, save_spectrum)
+from charpolylab.cli import main
+from charpolylab.ensemble import make_model, sample_spectrum_gue
 
 
 def test_density_values(model):
@@ -93,55 +94,18 @@ def test_sampler_determinism():
     assert not np.array_equal(a.eigenvalues, c.eigenvalues)
 
 
-def test_mcmc_zero_step_is_frozen(model):
-    spec, diag = sample_spectrum_mcmc(model, 8, sweeps=25, step=0.0, seed=3)
-    start, _ = sample_spectrum_mcmc(model, 8, sweeps=1, step=0.0, seed=3)
-    assert np.array_equal(spec.eigenvalues, start.eigenvalues)
-
-
-def test_mcmc_matches_tridiagonal_moments(model):
-    N = 32
-    states, diag = sample_spectra_mcmc(model, N, n_chains=200, sweeps=2000,
-                                       step=0.12, seed=17)
-    assert 0.1 <= diag["acceptance_rate"] <= 0.9
-    tri = np.array([sample_spectrum_gue(N, s).eigenvalues for s in range(200)])
-    for p in (1, 2, 3, 4):
-        m_mc = (states ** p).mean(axis=1)
-        m_tri = (tri ** p).mean(axis=1)
-        se = math.hypot(m_mc.std(ddof=1) / math.sqrt(len(m_mc)),
-                        m_tri.std(ddof=1) / math.sqrt(len(m_tri)))
-        assert abs(m_mc.mean() - m_tri.mean()) < 3.0 * se, f"moment {p}"
-
-
-def test_mcmc_n2_sum_marginal(model):
-    # E[(l1+l2)^2] against 2-d quadrature of the exact density
-    def dens(l1, l2):
-        return (l1 - l2) ** 2 * math.exp(-4.0 * (l1 * l1 + l2 * l2))
-
-    Z, _ = integrate.dblquad(dens, -6, 6, -6, 6)
-    num, _ = integrate.dblquad(lambda a, b: (a + b) ** 2 * dens(a, b), -6, 6, -6, 6)
-    target = num / Z
-
-    states, _ = sample_spectra_mcmc(model, 2, n_chains=20000, sweeps=300,
-                                    step=0.45, seed=23)
-    est = (states.sum(axis=1) ** 2).mean()
-    assert abs(est - target) / target < 0.01
-
-
-def test_energy_decreases_from_spread_start(model):
-    _, diag = sample_spectra_mcmc(model, 16, n_chains=20, sweeps=200,
-                                  step=0.1, seed=5)
-    trace = diag["energy_trace"]
-    assert trace[-1] <= trace[0] + 1.0
-
-
 def test_spectrum_roundtrip(tmp_path):
+    # gen-spectrum's CSV carries the sampled eigenvalues bit for bit
     spec = sample_spectrum_gue(16, 9)
     path = tmp_path / "spec.csv"
-    save_spectrum(spec, path)
-    back = load_spectrum(path)
-    assert back.N == 16 and back.seed == 9 and back.sampler == "tridiagonal"
-    assert np.array_equal(back.eigenvalues, spec.eigenvalues)
+    assert main(["gen-spectrum", "--N", "16", "--seed", "9", "--out", str(path)]) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "eigenvalue"]
+    back = np.array([float(r[1]) for r in rows[1:]])
+    assert np.array_equal(back, spec.eigenvalues)
+    meta = json.loads((tmp_path / "spec.csv.json").read_text())
+    assert meta["sampler"] == "tridiagonal" and meta["model"] == "gue"
 
 
 def test_make_model_rejects_wrong_density():

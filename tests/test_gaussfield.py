@@ -5,8 +5,7 @@ import pytest
 
 from charpolylab.gaussfield import (BiasSpec, bias_variance, biased_mean,
                                     brw_check, cov_g, cov_t, exp_moment_g,
-                                    field_sample_to_csv, kernel_g, kernel_t,
-                                    sample_gauss)
+                                    kernel_g, kernel_t, sample_gauss)
 from charpolylab.hyperbolic import hyp_dist, mobius_to_zero, ray_point
 
 
@@ -43,6 +42,14 @@ def test_cov_t_representation(rng):
         rep = 0.5 * (cov_g(z, w) + cov_g(z, np.conj(w))
                      + cov_g(np.conj(z), w) + cov_g(np.conj(z), np.conj(w)))
         assert cov_t(z, w) == pytest.approx(rep, abs=1e-12)
+
+
+def test_kernel_matrix_matches_pointwise_cov(rng):
+    pts = random_disk_points(rng, 30)
+    for kern in (kernel_g(), kernel_t()):
+        mat = kern.matrix(pts)
+        ref = np.array([[kern.cov(z, w) for w in pts] for z in pts])
+        assert np.allclose(mat, ref, rtol=1e-13, atol=1e-15)
 
 
 def test_bias_spec_validation():
@@ -191,15 +198,3 @@ def test_brw_check_g_kernel():
              for h in range(2, 9) for th in np.linspace(-0.5, 0.5, 17)]
     res2 = brw_check(grid2, kernel_g())
     assert res2["c_b"] <= 2.0 * res["c_b"] + 1.0
-
-
-def test_field_sample_csv(tmp_path):
-    pts = [0.1, 0.5j]
-    sample = sample_gauss(pts, kernel_g(), 3, seed=2)
-    path = tmp_path / "field.csv"
-    field_sample_to_csv(sample, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "sample_index,point_index,re_z,im_z,value"
-    assert len(lines) == 1 + 3 * 2
-    first = lines[1].split(",")
-    assert float(first[4]) == sample.values[0, 0]

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from charpolylab._rng import substream
-from charpolylab.gaussfield import BiasSpec, FieldSample, kernel_g, sample_gauss
+from charpolylab.gaussfield import BiasSpec, kernel_g, sample_gauss
 from charpolylab.hyperbolic import hyp_dist, ray_point
 from charpolylab.momentlab import (BiasClassParams, LowerBoundParams,
-                                   PairConfiguration, barrier_indicator,
-                                   barrier_points, branch_depth,
+                                   PairConfiguration, branch_depth, in_tube,
                                    lower_bound_mc, matching_ratio,
-                                   matching_subset_sup, mem_ratio, midpoint,
+                                   matching_subset_sup, mem_ratio,
                                    omega_grid, pair_config_validate,
                                    random_pair_configuration,
                                    random_separated_bias,
@@ -174,20 +173,6 @@ def test_pair_config_generator_roundtrip():
         assert len(config.pairs) == 5
 
 
-def test_midpoint_examples():
-    n0 = 8
-    # adjacent lattice points: -log distance ~ n0
-    w1, w2 = np.exp(1j * 0.0), np.exp(1j * math.exp(-n0))
-    assert midpoint(w1, w2, n0) == n0
-    # far-apart points: floor active
-    assert midpoint(1.0, np.exp(1j * 1.0), n0) == n0
-    # mid-range pair below the lattice scale
-    w3 = np.exp(1j * math.exp(-(n0 + 3)))
-    assert midpoint(1.0, w3, n0) == n0 + 3
-    with pytest.raises(ValueError):
-        midpoint(1.0, 1.0, n0)
-
-
 def test_branch_depth():
     n0 = 8
     assert branch_depth(1.0, np.exp(1j * 1.0), n0) == 0
@@ -195,38 +180,23 @@ def test_branch_depth():
     assert branch_depth(1.0, np.exp(1j * math.exp(-20.0)), n0) == n0
 
 
-def _barrier_sample(params, omega, values_map):
-    pts = [omega * ray_point(params.b[k])
-           for k in range(params.r + 1, params.eta + 1)]
-    pts += [omega * ray_point(params.b[params.r]),
-            1j * ray_point(params.b[params.r])]
-    pts = list(dict.fromkeys(complex(p) for p in pts))
-    row = np.array([[values_map(p) for p in pts]])
-    return FieldSample(points=np.array(pts), values=row, seed=0, kind="G",
-                       factorization="cholesky")
-
-
 def test_barrier_indicator_linear_profile():
     params = LowerBoundParams(n=10, delta=0.2, eta=4)
     omega = np.exp(1j * (math.pi / 2 + 0.01))
+    ks = range(params.r + 1, params.eta + 1)
+    # hyp_dist(0, .) is an exact linear profile along every ray
+    barrier = np.array([hyp_dist(0.0, omega * ray_point(params.b[k])) for k in ks])
+    ray_ref = np.array(hyp_dist(0.0, omega * ray_point(params.b[params.r])))
+    center_ref = np.array(hyp_dist(0.0, 1j * ray_point(params.b[params.r])))
+    assert in_tube(barrier, ray_ref, params)
+    assert in_tube(barrier, center_ref, params)
 
-    def linear_field(p):
-        return hyp_dist(0.0, p)  # exact linear profile along every ray
-
-    sample = _barrier_sample(params, omega, linear_field)
-    assert barrier_indicator(sample, 0, omega, params)
-    assert barrier_indicator(sample, 0, omega, params, reference="center")
-
-    half = params.tube_halfwidth()
-
-    def broken_field(p):
-        base = hyp_dist(0.0, p)
-        if abs(p - omega * ray_point(params.b[params.eta])) < 1e-12:
-            return base + 2.0 * half
-        return base
-
-    bad = _barrier_sample(params, omega, broken_field)
-    assert not barrier_indicator(bad, 0, omega, params)
+    broken = barrier.copy()
+    broken[-1] += 2.0 * params.tube_halfwidth()  # raised at b_eta
+    assert not in_tube(broken, ray_ref, params)
+    # rows are independent: only the broken one fails
+    ok = in_tube(np.stack([barrier, broken]), np.stack([ray_ref, ray_ref]), params)
+    assert ok.tolist() == [True, False]
 
 
 def test_barrier_pass_rate_grows_with_eta():
@@ -238,8 +208,9 @@ def test_barrier_pass_rate_grows_with_eta():
         params = LowerBoundParams(n=12, delta=0.2, eta=eta)
         omega = np.exp(1j * (math.pi / 2 + 1e-3))
         pts = [omega * ray_point(params.n0), omega * ray_point(params.b[params.r])]
-        barrier = [p for p in barrier_points(params, omega)
-                   if all(abs(p - q) > 1e-15 for q in pts)]
+        barrier = [omega * ray_point(params.b[k])
+                   for k in range(params.r + 1, params.eta + 1)]
+        barrier = [p for p in barrier if all(abs(p - q) > 1e-15 for q in pts)]
         pts += barrier
         sample = sample_gauss(pts, kern, 4000, seed=13)
         mu = np.array([2.0 * (kern.cov(p, pts[0]) - kern.cov(p, pts[1]))

@@ -7,9 +7,9 @@ from scipy import integrate
 from charpolylab.ensemble import make_model
 from charpolylab.orthopoly import (DeterminantError, LogComplex, eval_h,
                                    eval_pi, gamma0, global_parametrix_onecut,
-                                   h0_closed, h0_quadrature, load_table,
-                                   m_matrix, r_weight, recurrence_table,
-                                   save_table, y_matrix, _h_chain, _pi_chain)
+                                   h0_closed, h0_quadrature, m_matrix,
+                                   r_weight, recurrence_table, y_matrix,
+                                   _h_chain, _pi_chain)
 
 
 def test_log_complex_arithmetic():
@@ -246,16 +246,6 @@ def test_det_error_raises(model, table_cache, monkeypatch):
     with pytest.raises(DeterminantError):
         Y.det = 1.5
         Y.check_det(1e-6)
-
-
-def test_table_roundtrip(tmp_path, table_cache):
-    tab = table_cache(8)
-    path = tmp_path / "table.json"
-    save_table(tab, path)
-    back = load_table(path)
-    assert back.N == tab.N and back.model == tab.model
-    assert np.allclose(back.a2[:back.n_max + 1], tab.a2[:back.n_max + 1])
-    assert back.gamma0 == tab.gamma0
 
 
 def test_ensure_rejects_general_model(model):
