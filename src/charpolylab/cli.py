@@ -29,6 +29,15 @@ COMMANDS = ("gen-spectrum", "max-experiment", "fs-verify", "mem-verify",
             "upperbound-verify", "brw-verify")
 
 
+# commands that need more than the common minimums: log(log N) needs N >= 2,
+# and matching-verify compares the first half of its samples with all of them
+_COMMAND_MINIMUMS = {
+    "max-experiment": {"N": 2},
+    "upperbound-verify": {"N": 2},
+    "matching-verify": {"n_samples": 2},
+}
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -50,8 +59,10 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.threads == 0:
             self.threads = int(os.environ.get("CHARPOLY_THREADS", "1"))
-        for name, lo in (("N", 1), ("n", 2), ("n_samples", 1), ("threads", 1),
-                         ("eta", 1), ("stride", 1), ("y", 1)):
+        minimums = {"N": 1, "n": 2, "n_samples": 1, "threads": 1, "eta": 1,
+                    "stride": 1, "y": 1}
+        minimums.update(_COMMAND_MINIMUMS.get(self.command, {}))
+        for name, lo in minimums.items():
             if getattr(self, name) < lo:
                 raise ConfigError(f"{name} must be >= {lo}")
         if not 0.0 < self.delta < 0.5:

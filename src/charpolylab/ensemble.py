@@ -6,13 +6,15 @@ can be built from a user-supplied density.  Spectra are drawn from the exact
 tridiagonal realization (quadratic V only).
 """
 
+import ctypes
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cython_lapack, lapack
 
 from ._rng import substream
 
@@ -266,6 +268,64 @@ class Spectrum:
             raise ValueError("eigenvalues must be sorted ascending")
 
 
+# scipy's f2py wrapper scipy.linalg.lapack.dsterf (the one eigh_tridiagonal
+# calls) holds the GIL for the whole solve, so solves on a thread pool run one
+# at a time.  The same LAPACK routine, exported by scipy.linalg.cython_lapack
+# as a C function pointer and called through ctypes, releases the GIL.
+_DSTERF_SIGNATURE = re.compile(
+    r"void \(int \*, (double|\w*cython_lapack_d) \*, \1 \*, int \*\)")
+_DSTERF_PROTOTYPE = ctypes.CFUNCTYPE(
+    None, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double),
+    ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int))
+
+
+def _dsterf_from_capsule(capsule):
+    """ctypes function for a dsterf capsule, or None if its C signature is
+    not void (int *, double *, double *, int *)."""
+    # own prototypes, so the shared ctypes.pythonapi attributes stay as found
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    name = get_name(capsule)
+    if name is None or not _DSTERF_SIGNATURE.fullmatch(name.decode()):
+        return None
+    return _DSTERF_PROTOTYPE(get_pointer(capsule, name))
+
+
+_DSTERF = _dsterf_from_capsule(cython_lapack.__pyx_capi__["dsterf"])
+
+
+def _sterf(d, e):
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, by LAPACK dsterf.
+
+    Bit-identical to eigh_tridiagonal(d, e, eigvals_only=True,
+    lapack_driver="sterf"), but the solve releases the GIL.  Falls back to
+    scipy.linalg.lapack.dsterf when the C signature is not the expected one.
+    """
+    # copies: dsterf overwrites both arrays
+    d = np.array(d, dtype=np.float64)
+    e = np.array(e, dtype=np.float64)
+    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
+        raise ValueError("expected 1-D d of length N and e of length N - 1")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if _DSTERF is None:
+        w, info = lapack.dsterf(d, e)
+    else:
+        n = ctypes.c_int(d.size)
+        status = ctypes.c_int(0)
+        c_double_p = ctypes.POINTER(ctypes.c_double)
+        _DSTERF(ctypes.byref(n), d.ctypes.data_as(c_double_p),
+                e.ctypes.data_as(c_double_p), ctypes.byref(status))
+        w, info = d, status.value
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
+    return w
+
+
 def _sample_gue_eigs(N, rng):
     """Eigenvalues of the beta=2 tridiagonal model, rescaled to weight e^{-2N x^2}."""
     d = rng.standard_normal(N)
@@ -274,7 +334,7 @@ def _sample_gue_eigs(N, rng):
     else:
         dof = 2.0 * np.arange(N - 1, 0, -1)
         e = np.sqrt(rng.chisquare(dof) / 2.0)
-        mu = eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
+        mu = _sterf(d, e)
     return np.sort(mu) / (2.0 * math.sqrt(N))
 
 

@@ -69,7 +69,11 @@ def test_unknown_config_key_rejected(tmp_path):
     ["lowerbound-sim", "--n", "13"],
     ["lowerbound-sim", "--n", "10", "--eta", "9"],
     ["max-experiment", "--y", "0.5"],
-], ids=["depth_over_cap", "eta_over_depth", "shift_below_one"])
+    ["max-experiment", "--N", "1"],
+    ["upperbound-verify", "--N", "1"],
+    ["matching-verify", "--samples", "1"],
+], ids=["depth_over_cap", "eta_over_depth", "shift_below_one",
+        "max_experiment_n1", "upperbound_n1", "matching_one_sample"])
 def test_out_of_range_parameters_exit_2(args, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err

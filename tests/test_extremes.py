@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from charpolylab import extremes
 from charpolylab.ensemble import sample_spectrum_gue
 from charpolylab.extremes import (cheb_grid, empirical_centering,
                                   factor14_check, field_q, max_experiment,
@@ -139,3 +142,49 @@ def test_empirical_centering_bulk(model):
     # stability under doubling
     _, offsets2 = empirical_centering(model, 256, 120, seed=4, threads=2)
     assert np.abs((offsets2 - offsets)[bulk]).max() < 1.0
+
+
+def _log_abs_sum_unblocked(eigs, pts, shift):
+    # the same op sequence as _log_abs_sum, on the whole grid at once
+    diff = np.asarray(pts, dtype=float)[:, None] - eigs[None, :]
+    with np.errstate(divide="ignore"):
+        if shift == 0.0:
+            return np.log(np.abs(diff)).sum(axis=1)
+        return 0.5 * np.log(diff * diff + shift * shift).sum(axis=1)
+
+
+@pytest.mark.parametrize("N", [300, 4096])
+def test_log_abs_sum_matches_unblocked(N):
+    eigs = sample_spectrum_gue(N, 11).eigenvalues
+    block = extremes._block_rows(N)
+    grid = np.linspace(-1.1, 1.1, 3 * block + 5)
+    for n_pts in (1, block - 1, block, block + 1, 3 * block + 5):
+        pts = grid[:n_pts]
+        for shift in (0.0, 2.0 / N):
+            assert np.array_equal(extremes._log_abs_sum(eigs, pts, shift),
+                                  _log_abs_sum_unblocked(eigs, pts, shift))
+
+
+def test_log_abs_sum_eigenvalue_hit():
+    eigs = sample_spectrum_gue(64, 2).eigenvalues
+    pts = np.concatenate([cheb_grid(64), eigs[[0, 31]]])
+    real = extremes._log_abs_sum(eigs, pts)
+    assert np.array_equal(real, _log_abs_sum_unblocked(eigs, pts, 0.0))
+    assert np.all(real[-2:] == -math.inf) and np.all(np.isfinite(real[:-2]))
+    shifted = extremes._log_abs_sum(eigs, pts, shift=2.0 / 64)
+    assert np.array_equal(shifted, _log_abs_sum_unblocked(eigs, pts, 2.0 / 64))
+    assert np.all(np.isfinite(shifted))
+
+
+@settings(max_examples=60, deadline=None)
+@given(eigs=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=40),
+       pts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=60),
+       shift=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+       block=st.integers(1, 7))
+def test_log_abs_sum_property(eigs, pts, shift, block):
+    eigs = np.array(eigs)
+    pts = pts + eigs[:2].tolist()  # exact hits give -inf on the real axis
+    # shrink the buffer so the grid spans several blocks and a partial one
+    with mock.patch.object(extremes, "_LOGSUM_BUFFER_BYTES", 8 * len(eigs) * block):
+        got = extremes._log_abs_sum(eigs, pts, shift)
+    assert np.array_equal(got, _log_abs_sum_unblocked(eigs, pts, shift))
