@@ -307,11 +307,20 @@ def exp_pm2_moment(table, model, q, sign):
 # Monte Carlo oracles over the exact tridiagonal ensemble
 # ---------------------------------------------------------------------------
 
+# steps between power-of-two rescalings in _char_poly_batch
+_RESCALE = 32
+
+
 def _char_poly_batch(N, xs, rng, n_samples):
     """det(x - A) for a batch of tridiagonal draws, at each x in xs.
 
     Uses the three-term determinant recurrence on the rescaled tridiagonal
-    model, fully vectorized over samples.  Returns (n_samples, len(xs)).
+    model, fully vectorized over samples.  Every _RESCALE steps D and D_{-1}
+    are divided by 2**e with e the binary exponent of |D|; a power-of-two
+    scale is exact, so no determinant underflows and, wherever the raw
+    recurrence neither underflows nor overflows, mantissa * 2**exponent is
+    its value bit for bit.  Returns (mantissas, exponents), complex and
+    integer arrays of shape (n_samples, len(xs)).
     """
     s = 2.0 * math.sqrt(N)
     d = rng.standard_normal((n_samples, N)) / s
@@ -319,13 +328,20 @@ def _char_poly_batch(N, xs, rng, n_samples):
         dof = 2.0 * np.arange(N - 1, 0, -1)
         e = np.sqrt(rng.chisquare(dof, size=(n_samples, N - 1)) / 2.0) / s
     out = np.empty((n_samples, len(xs)), dtype=complex)
+    exps = np.zeros((n_samples, len(xs)), dtype=np.int64)
     for ix, x in enumerate(xs):
         Dm1 = np.ones(n_samples, dtype=complex)
         D = x - d[:, 0]
         for k in range(1, N):
             Dm1, D = D, (x - d[:, k]) * D - e[:, k - 1] ** 2 * Dm1
+            if k % _RESCALE == 0:
+                shift = np.frexp(np.abs(D))[1]
+                scale = np.ldexp(1.0, -shift)
+                D *= scale
+                Dm1 *= scale
+                exps[:, ix] += shift
         out[:, ix] = D
-    return out
+    return out, exps
 
 
 def _batched_mean(values, n_batches=50):
@@ -347,10 +363,14 @@ def mc_char_ratio(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
     task = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        dets = _char_poly_batch(N, xs, substream(seed, task), m)
+        dets, exps = _char_poly_batch(N, xs, substream(seed, task), m)
         num = np.prod(dets[:, :len(ps)], axis=1) if ps else np.ones(m)
         den = np.prod(dets[:, len(ps):], axis=1) if qs else np.ones(m)
-        vals[done:done + m] = num / den
+        shift = exps[:, :len(ps)].sum(axis=1) - exps[:, len(ps):].sum(axis=1)
+        ratio = num / den
+        block = vals[done:done + m]
+        block.real = np.ldexp(ratio.real, shift)
+        block.imag = np.ldexp(ratio.imag, shift)
         done += m
         task += 1
     mean, se = _batched_mean(vals)
@@ -360,19 +380,20 @@ def mc_char_ratio(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
 def mc_abs2_moment(N, model, q, sign, n_samples, seed, chunk=200_000):
     """Monte Carlo E exp(+-2 Q_N(q)) = E |det(q-A)|^{+-2} e^{-+2N Re g(q)}."""
     q = complex(q)
-    reg = model.g(q).real
+    # the centering e^{-+2N Re g(q)} as 2**(k + f), folded into each value's
+    # exponent so that neither it nor |det|^{+-2} over- or underflows alone
+    k, f = divmod(-sign * 2.0 * N * model.g(q).real / math.log(2.0), 1.0)
     vals = np.empty(n_samples)
     done = 0
     task = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        dets = _char_poly_batch(N, [q], substream(seed, task), m)[:, 0]
-        vals[done:done + m] = np.abs(dets) ** (2 * sign)
+        dets, exps = _char_poly_batch(N, [q], substream(seed, task), m)
+        vals[done:done + m] = np.ldexp(np.abs(dets[:, 0]) ** (2 * sign) * 2.0 ** f,
+                                       2 * sign * exps[:, 0] + int(k))
         done += m
         task += 1
-    scale = math.exp(-sign * 2.0 * N * reg)
-    mean, se = _batched_mean(vals)
-    return mean * scale, se * scale
+    return _batched_mean(vals)
 
 
 def mc_field_bias_moment(model, N, bias, n_samples, seed, chunk=100_000):
@@ -389,8 +410,8 @@ def mc_field_bias_moment(model, N, bias, n_samples, seed, chunk=100_000):
     task = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        dets = _char_poly_batch(N, xs, substream(seed, task), m)
-        logs = 2.0 * np.log(np.abs(dets))
+        dets, exps = _char_poly_batch(N, xs, substream(seed, task), m)
+        logs = 2.0 * (np.log(np.abs(dets)) + exps * math.log(2.0))
         w = logs[:, :len(p_pts)].sum(axis=1) - logs[:, len(p_pts):].sum(axis=1)
         vals[done:done + m] = np.exp(w - N * log_center)
         done += m

@@ -253,6 +253,8 @@ def _lower_bound_params(cfg):
 def _cmd_lowerbound_sim(cfg):
     params = _lower_bound_params(cfg)
     res = momentlab.lower_bound_mc(params, cfg.n_samples, cfg.seed)
+    print(f"route: covariance factorization = {res.factorization} "
+          f"({res.n_points} points)", file=sys.stderr)
     doc = res.to_json_dict()
     if cfg.out_path:
         validate_against_schema(doc, summary_schema()["lowerbound_sim"])

@@ -179,11 +179,19 @@ def _factor_covariance(cov):
     return vecs * np.sqrt(np.clip(vals, 0.0, None)), "eigen"
 
 
+# rows per matrix product in sample_gauss
+_ROW_BLOCK = 64
+
+
 def sample_gauss(points, kernel, n_samples, seed):
     """Draw i.i.d. centered Gaussian vectors with the kernel covariance.
 
-    Row i is generated from the Philox substream keyed by (seed, i), so any
-    subset of rows can be produced concurrently with identical results.
+    Row i's standard normals are drawn from the Philox substream keyed by
+    (seed, i).  The factor is applied in blocks of _ROW_BLOCK rows, one matrix
+    product per block; blocks start at multiples of _ROW_BLOCK and the last
+    one is zero-padded to full size, so every row goes through the same
+    product shape at the same position and row i's values depend only on
+    (seed, i): a shorter run is a bit-exact prefix of a longer one.
     """
     pts = np.asarray(points, dtype=complex)
     if len(set(pts.tolist())) != len(pts):
@@ -193,12 +201,17 @@ def sample_gauss(points, kernel, n_samples, seed):
     cov = kernel.matrix(pts)
     L, fact = _factor_covariance(cov)
     npts = len(pts)
-    values = np.empty((n_samples, npts))
-    for i in range(n_samples):
-        x = substream(seed, i).standard_normal(npts)
-        values[i] = L @ x
-    return FieldSample(points=pts, values=values, seed=int(seed), kind=kernel.kind,
-                       factorization=fact)
+    n_blocks = -(-n_samples // _ROW_BLOCK)
+    values = np.empty((n_blocks * _ROW_BLOCK, npts))
+    x = np.empty((_ROW_BLOCK, npts))
+    for lo in range(0, n_samples, _ROW_BLOCK):
+        rows = min(_ROW_BLOCK, n_samples - lo)
+        for r in range(rows):
+            x[r] = substream(seed, lo + r).standard_normal(npts)
+        x[rows:] = 0.0
+        np.matmul(x, L.T, out=values[lo:lo + _ROW_BLOCK])
+    return FieldSample(points=pts, values=values[:n_samples], seed=int(seed),
+                       kind=kernel.kind, factorization=fact)
 
 
 def brw_check(grid, kernel):

@@ -130,8 +130,11 @@ def matching_ratio(Z, W, T, S):
 def matching_subset_sup(config):
     """Brute-force sup of L(T, S) over all subsets T of Z, S of W.
 
-    Enumerates every (T, S) pair via bitmask sums over precomputed
-    log-distance matrices; exact and fast for k + l <= 5.
+    Scores every (T, S) pair at once: with M the 2^n x n subset-indicator
+    matrix (row t has a 1 at i when bit i of t is set) and the log-distance
+    matrices lzw, lzz, lww, log L(T, S) is entry (t, s) of
+    M lzw M^T + (1-M) lzw (1-M)^T - den_Z[t] - den_W[s], where
+    den_Z = rowsum((M lzz) o (1-M)) and likewise den_W.  Exact for k + l <= 5.
     """
     Z = [complex(z) for z in config.Z]
     W = [complex(w) for w in config.W]
@@ -141,20 +144,12 @@ def matching_subset_sup(config):
                      for b in Z] for a in Z])
     lww = np.array([[math.log(pseudo_dist(a, b)) if a != b else 0.0
                      for b in W] for a in W])
-    masks = range(2 ** n)
-    best = -math.inf
-    for tmask in masks:
-        tin = [i for i in range(n) if tmask >> i & 1]
-        tout = [i for i in range(n) if not tmask >> i & 1]
-        den_t = sum(lzz[i, j] for i in tin for j in tout)
-        for smask in masks:
-            sin = [i for i in range(n) if smask >> i & 1]
-            sout = [i for i in range(n) if not smask >> i & 1]
-            num = sum(lzw[i, j] for i in tin for j in sin)
-            num += sum(lzw[i, j] for i in tout for j in sout)
-            den = den_t + sum(lww[i, j] for i in sin for j in sout)
-            best = max(best, num - den)
-    return math.exp(best)
+    M = (np.arange(2 ** n)[:, None] >> np.arange(n) & 1).astype(float)
+    Mc = 1.0 - M
+    num = M @ lzw @ M.T + Mc @ lzw @ Mc.T
+    den_z = ((M @ lzz) * Mc).sum(axis=1)
+    den_w = ((M @ lww) * Mc).sum(axis=1)
+    return math.exp((num - den_z[:, None] - den_w[None, :]).max())
 
 
 @dataclass
@@ -349,6 +344,10 @@ class LowerBoundResult:
     per_m_bins: list
     field_max_exceed_frac: float
     bias_max_exceed_frac: float
+    # numerical route of the Gaussian sample, not part of the JSON record:
+    # "cholesky" or "eigen" (FieldSample.factorization) over n_points points
+    factorization: str
+    n_points: int
 
     def to_json_dict(self):
         return {
@@ -490,4 +489,5 @@ def lower_bound_mc(params, n_samples, seed):
         cs_ratio=cs_ratio, cs_ratio_se=cs_se,
         one_point=one_point, per_m_bins=bins,
         field_max_exceed_frac=field_frac, bias_max_exceed_frac=bias_frac,
+        factorization=sample.factorization, n_points=len(points),
     )

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from charpolylab.charpoly import (VerificationCase, exp_moment_field,
+from charpolylab._rng import substream
+from charpolylab.charpoly import (VerificationCase, _char_poly_batch,
+                                  exp_moment_field,
                                   exp_pm2_moment, fs_balanced, fs_general,
                                   laplace_split, mc_abs2_moment, mc_char_ratio,
                                   mc_field_bias_moment, vandermonde_det,
@@ -203,3 +205,43 @@ def test_verification_report(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "case_id,N,formula_value,mc_value,mc_stderr,z_score"
     assert len(lines) == 2
+
+
+def _raw_char_poly_batch(N, xs, rng, n_samples):
+    """The unscaled three-term recurrence: the oracle for the rescaled one."""
+    s = 2.0 * math.sqrt(N)
+    d = rng.standard_normal((n_samples, N)) / s
+    dof = 2.0 * np.arange(N - 1, 0, -1)
+    e = np.sqrt(rng.chisquare(dof, size=(n_samples, N - 1)) / 2.0) / s
+    out = np.empty((n_samples, len(xs)), dtype=complex)
+    for ix, x in enumerate(xs):
+        Dm1 = np.ones(n_samples, dtype=complex)
+        D = x - d[:, 0]
+        for k in range(1, N):
+            Dm1, D = D, (x - d[:, k]) * D - e[:, k - 1] ** 2 * Dm1
+        out[:, ix] = D
+    return out
+
+
+def test_char_poly_batch_rescale_is_exact():
+    xs = [0.3 + 0.4j, -0.2 + 0.5j, 0.1 + 1e-3j]
+    raw = _raw_char_poly_batch(64, xs, substream(9, 0), 500)
+    mant, exps = _char_poly_batch(64, xs, substream(9, 0), 500)
+    assert exps.dtype.kind == "i" and np.any(exps != 0)
+    assert np.array_equal(np.ldexp(mant.real, exps), raw.real)
+    assert np.array_equal(np.ldexp(mant.imag, exps), raw.imag)
+
+
+def test_monte_carlo_oracles_survive_determinant_underflow(model):
+    # at N = 2048 det(q - A) ~ e^{N Re g(q)} is far below the smallest double
+    p, q = 0.3 + 0.4j, -0.2 + 0.5j
+    raw = _raw_char_poly_batch(2048, [q], substream(3, 0), 50)
+    assert np.all(raw == 0)
+    mc, se = mc_char_ratio(2048, [p], [q], 500, seed=3)
+    assert np.isfinite(mc) and 0.0 < se < abs(mc)
+    for sign in (+1, -1):
+        m2, se2 = mc_abs2_moment(2048, model, q, sign, 500, seed=3)
+        assert np.isfinite(m2) and m2 > 0.0 and np.isfinite(se2)
+    bias = BiasSpec(plus_points=(0.5j,), minus_points=(0.5j * np.exp(0.3j),))
+    mb, seb = mc_field_bias_moment(model, 2048, bias, 500, seed=3)
+    assert np.isfinite(mb) and mb > 0.0 and np.isfinite(seb)

@@ -115,6 +115,28 @@ def test_fs_verify_report_is_lf_and_atomic(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["fs.csv"]
 
 
+def test_fs_verify_at_n2048_passes(tmp_path):
+    # raw determinants underflow to 0/0 here; the rescaled kernel does not
+    out = tmp_path / "fs.csv"
+    assert main(["fs-verify", "--N", "2048", "--samples", "500", "--seed", "1",
+                 "--check", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(np.isfinite(float(r["mc_value"])) for r in rows)
+
+
+def test_lowerbound_sim_reports_route_on_stderr(tmp_path, capsys):
+    out = tmp_path / "lb.json"
+    assert main(["lowerbound-sim", "--n", "4", "--eta", "1", "--samples", "20",
+                 "--seed", "3", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    routes = [line for line in captured.err.splitlines() if line.startswith("route:")]
+    assert routes == ["route: covariance factorization = eigen (20 points)"]
+    assert "route" not in captured.out
+    doc = json.loads(out.read_text())
+    assert "factorization" not in doc and "n_points" not in doc
+
+
 def test_byte_identical_reruns(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from charpolylab.gaussfield import (BiasSpec, bias_variance, biased_mean,
-                                    brw_check, cov_g, cov_t, exp_moment_g,
-                                    kernel_g, kernel_t, sample_gauss)
+from charpolylab._rng import substream
+from charpolylab.gaussfield import (BiasSpec, _factor_covariance, bias_variance,
+                                    biased_mean, brw_check, cov_g, cov_t,
+                                    exp_moment_g, kernel_g, kernel_t,
+                                    sample_gauss)
 from charpolylab.hyperbolic import hyp_dist, mobius_to_zero, ray_point
 
 
@@ -140,6 +142,25 @@ def test_sample_gauss_determinism_and_rows():
     # row i depends only on (seed, i): a shorter run reproduces a prefix
     c = sample_gauss(pts, kernel_g(), 10, seed=7)
     assert np.array_equal(a.values[:10], c.values)
+
+
+@pytest.mark.parametrize("pts", [
+    [0.1, 0.5j, -0.3 + 0.2j, 0.7, -0.6j],
+    [0.5, 0.5 + 1e-9, 0.5 + 2e-9j, -0.4],
+], ids=["cholesky", "eigen"])
+def test_sample_gauss_row_blocks_match_per_row_product(pts):
+    # the row-block product against the per-row L @ x it replaces, and
+    # bit-exact prefixes across block boundaries
+    L, fact = _factor_covariance(kernel_g().matrix(np.asarray(pts, dtype=complex)))
+    runs = {n: sample_gauss(pts, kernel_g(), n, seed=13) for n in (1, 63, 64, 65, 130)}
+    assert {r.factorization for r in runs.values()} == {fact}
+    full = runs[130].values
+    for n, run in runs.items():
+        assert run.values.shape == (n, len(pts))
+        assert np.array_equal(run.values, full[:n])
+    for i in range(130):
+        ref = L @ substream(13, i).standard_normal(len(pts))
+        assert np.allclose(full[i], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_sample_gauss_degenerate_cluster_falls_back():

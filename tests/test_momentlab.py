@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charpolylab._rng import substream
 from charpolylab.gaussfield import BiasSpec, kernel_g, sample_gauss
-from charpolylab.hyperbolic import hyp_dist, ray_point
+from charpolylab.hyperbolic import hyp_dist, pseudo_dist, ray_point
 from charpolylab.momentlab import (BiasClassParams, LowerBoundParams,
                                    PairConfiguration, branch_depth, in_tube,
                                    lower_bound_mc, matching_ratio,
@@ -153,6 +154,53 @@ def test_matching_subset_sup_agrees_with_direct(rng):
             S = [W[i] for i in range(n) if smask >> i & 1]
             best = max(best, matching_ratio(Z, W, T, S))
     assert matching_subset_sup(config) == pytest.approx(best, rel=1e-10)
+
+
+def _bitmask_subset_sup(config):
+    """The subset sup as a loop over (T, S) bitmask pairs: the oracle for the
+    mask-matrix form."""
+    Z, W = config.Z, config.W
+    n = len(Z)
+    lzw = [[math.log(pseudo_dist(z, w)) for w in W] for z in Z]
+    lzz = [[math.log(pseudo_dist(a, b)) if a != b else 0.0 for b in Z] for a in Z]
+    lww = [[math.log(pseudo_dist(a, b)) if a != b else 0.0 for b in W] for a in W]
+    best = -math.inf
+    for tmask in range(2 ** n):
+        tin = [i for i in range(n) if tmask >> i & 1]
+        tout = [i for i in range(n) if not tmask >> i & 1]
+        den_t = sum(lzz[i][j] for i in tin for j in tout)
+        for smask in range(2 ** n):
+            sin = [i for i in range(n) if smask >> i & 1]
+            sout = [i for i in range(n) if not smask >> i & 1]
+            num = sum(lzw[i][j] for i in tin for j in sin)
+            num += sum(lzw[i][j] for i in tout for j in sout)
+            den = den_t + sum(lww[i][j] for i in sin for j in sout)
+            best = max(best, num - den)
+    return math.exp(best)
+
+
+@pytest.mark.parametrize("k,ell", [(k, n - k) for n in range(1, 6)
+                                   for k in range(n + 1)])
+def test_matching_subset_sup_matches_bitmask_loop(k, ell):
+    for seed in range(4):
+        config = random_pair_configuration(k, ell, 0.3, substream(60 + seed, k, ell))
+        assert len(config.Z) == k + ell
+        assert matching_subset_sup(config) == pytest.approx(
+            _bitmask_subset_sup(config), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 2), ell=st.integers(0, 5), seed=st.integers(0, 2**31 - 1),
+       epsilon=st.floats(0.1, 0.3))
+def test_matching_subset_sup_property(k, ell, seed, epsilon):
+    ell = min(ell, 5 - k)
+    if k + ell == 0:
+        k = 1
+    config = random_pair_configuration(k, ell, epsilon, substream(seed, 0))
+    sup = matching_subset_sup(config)
+    assert sup == pytest.approx(_bitmask_subset_sup(config), rel=1e-12)
+    # T = Z, S = W gives prod d(z, w) <= 1, so the sup is at least that
+    assert sup >= matching_ratio(config.Z, config.W, config.Z, config.W) * (1 - 1e-12)
 
 
 def test_pair_config_validate():
