@@ -1,10 +1,9 @@
 """Expected products and ratios of characteristic polynomials.
 
-The balanced-ratio determinant, the general determinantal formula with
-oracle-locked signs, the scaled-determinant exponential moment of field
-biases, the diagonal-block Laplace expansion, and the one-point Laplace
-transform of the field.  Monte Carlo estimators over the exact tridiagonal
-ensemble serve as independent oracles throughout.
+The balanced-ratio determinant, the scaled-determinant exponential moment
+of field biases, the diagonal-block Laplace expansion, and the one-point
+Laplace transform of the field.  Monte Carlo estimators over the exact
+tridiagonal ensemble serve as independent oracles throughout.
 
 Sign conventions: every determinant identity here is assembled from explicit
 Laplace/permutation parities and then locked against the direct-determinant
@@ -29,7 +28,6 @@ from .orthopoly import (LogComplex, lc_exp, m_cells, _pi_chain, _h_chain,
 __all__ = [
     "vandermonde_det",
     "fs_balanced",
-    "fs_general",
     "exp_moment_field",
     "laplace_split",
     "exp_pm2_moment",
@@ -91,7 +89,7 @@ def _check_distinct(*groups):
                 raise ValueError(f"coincident points {pts[i]}; no confluent limits taken")
 
 
-def fs_balanced(table, p, q, model=None):
+def fs_balanced(table, p, q):
     """E[prod det(p_i - A) / prod det(q_j - A)] for balanced tuples (len l each).
 
     Assembled as the 2l x 2l determinant with q-rows (h-tilde, h) and p-rows
@@ -114,7 +112,7 @@ def fs_balanced(table, p, q, model=None):
     t = _tilde_factor(table)
     cells = []
     for qi in q:
-        hs = _h_chain(table, N, qi, model=model)
+        hs = _h_chain(table, N, qi)
         row_a, row_b = t * hs[N - 1], hs[N]
         pw = [LogComplex.from_complex(qi ** j) for j in range(ell)]
         cells.append([row_a * w for w in pw] + [row_b * w for w in pw])
@@ -125,46 +123,6 @@ def fs_balanced(table, p, q, model=None):
         cells.append([row_a * w for w in pw] + [row_b * w for w in pw])
     det = _logdet(cells)
     return (det / (_vandermonde_lc(q) * _vandermonde_lc(p))).value()
-
-
-def fs_general(table, p, q, model=None):
-    """General ratio E[prod_{i<=l} det(p_i-A) / prod_{j<=k} det(q_j-A)].
-
-    The (k+l) x (k+l) determinant over columns N-k .. N+l-1 with the
-    prod(-2 pi i gamma_{N-j}^2) / ((-1)^C(k,2) Delta(q) Delta(p)) prefactor.
-    """
-    p = [complex(v) for v in p]
-    q = [complex(v) for v in q]
-    k, ell = len(q), len(p)
-    if k > 4 or ell > 4:
-        raise ValueError("unbalanced ratios supported only up to k, l <= 4")
-    if k == 0 and ell == 0:
-        return 1.0 + 0.0j
-    if table.N < k:
-        raise ValueError("need N >= k")
-    _check_distinct(p, q)
-    for v in q:
-        if v.imag == 0.0:
-            raise ValueError("q points must lie off the real axis")
-    N = table.N
-    n_hi = N + ell - 1
-    table.ensure(n_hi)
-    cols = range(N - k, n_hi + 1)
-    cells = []
-    for qi in q:
-        hs = _h_chain(table, n_hi, qi, model=model)
-        cells.append([hs[n] for n in cols])
-    for pi in p:
-        pis = _pi_chain(table, n_hi, pi)
-        cells.append([pis[n] for n in cols])
-    det = _logdet(cells)
-    pref = LogComplex.one()
-    for j in range(1, k + 1):
-        pref = pref * LogComplex(math.log(2.0 * math.pi) + table.log_gamma_sq[N - j], -1j)
-    sign = (-1.0) ** (k * (k - 1) // 2)
-    num = det * pref
-    den = _vandermonde_lc(q) * _vandermonde_lc(p)
-    return sign * (num / den).value()
 
 
 def laplace_split(A, B, C, D, p, q):
@@ -223,7 +181,6 @@ def exp_moment_field(table, model, bias, imag_tol=1e-8):
         raise ValueError("field moments need balanced biases (|Z| = |W|)")
     if not Z:
         return 1.0
-    table.ensure(table.N)
     p_pts = [joukowsky(np.conj(z)) for z in Z] + [joukowsky(z) for z in Z]
     q_pts = [joukowsky(np.conj(w)) for w in W] + [joukowsky(w) for w in W]
     _check_distinct(p_pts, q_pts)
@@ -276,7 +233,6 @@ def exp_pm2_moment(table, model, q, sign):
     N = table.N
     g2 = model.g(q) + model.g(np.conj(q))
     if sign == +1:
-        table.ensure(N + 1)
         pis = _pi_chain(table, N + 1, q)
         a, b = pis[N], pis[N + 1]
         # pi_n(conj q) = conj(pi_n(q))
@@ -286,7 +242,7 @@ def exp_pm2_moment(table, model, q, sign):
     else:
         if N < 2:
             raise ValueError("negative moment needs N >= 2")
-        hs = _h_chain(table, N - 1, q, model=model)
+        hs = _h_chain(table, N - 1, q)
         a, b = hs[N - 2], hs[N - 1]
         # h_n(conj q) = -conj(h_n(q)), so the second row carries a sign flip
         det = -(a * b.conj() - b * a.conj())

@@ -4,7 +4,8 @@ emission for the verification and experiment commands.
 Every command is a pure function of its RunConfig (seed included): outputs
 are byte-identical across repeated runs and thread counts.  Files are
 written atomically (temp file + rename).  Exit codes: 0 success, 1 a
---check assertion failed, 2 configuration error.
+--check assertion failed, 2 configuration error, 3 a numerical or
+sampling routine broke down.
 """
 
 import argparse
@@ -67,6 +68,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= {lo}")
         if not 0.0 < self.delta < 0.5:
             raise ConfigError("delta must lie in (0, 1/2)")
+        # pseudohyperbolic distances lie in [0, 1)
+        if not 0.0 < self.epsilon < 1.0:
+            raise ConfigError("epsilon must lie in (0, 1)")
         if self.command == "lowerbound-sim":
             try:
                 _lower_bound_params(self)
@@ -341,6 +345,11 @@ _RUNNERS = {
 }
 
 
+# DeterminantError is an ArithmeticError; RuntimeError covers the h-chain
+# hard cap, the pair-configuration scatter and the eigensolver retries
+_BREAKDOWNS = (ArithmeticError, np.linalg.LinAlgError, RuntimeError)
+
+
 def run(config):
     """Execute a command; returns the process exit code."""
     try:
@@ -348,6 +357,10 @@ def run(config):
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _BREAKDOWNS as exc:
+        msg = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return 3
     if config.check:
         failed = [name for name, ok in checks if not ok]
         for name, ok in checks:
@@ -377,11 +390,19 @@ _FLOAT_KEYS = {"delta", "y", "epsilon"}
 _ALIAS = {"samples": "n_samples", "out": "out_path"}
 
 
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+
+
 def _coerce(key, val):
     if key in _INT_KEYS:
         return int(val)
     if key in _FLOAT_KEYS:
         return float(val)
+    if key == "check":
+        if val.lower() not in _BOOLS:
+            raise ConfigError(f"check must be true/false, 1/0 or yes/no; got {val!r}")
+        return _BOOLS[val.lower()]
     return val
 
 

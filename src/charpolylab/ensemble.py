@@ -13,10 +13,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import cython_lapack, lapack
 
 from ._rng import substream
+
+# The quadrature routes below import scipy.integrate (which loads
+# scipy.optimize and scipy.sparse) when first called: the closed-form
+# quadratic model never reaches them, so no command pays for that import.
 
 __all__ = [
     "EquilibriumModel",
@@ -29,6 +32,8 @@ __all__ = [
 
 def _quad_tilde_g(rho, support, x):
     """-integral of log|x-u| rho(u) du by adaptive quadrature."""
+    from scipy import integrate
+
     total = 0.0
     for a, b in support:
         # u = mid + hw*cos(phi) absorbs the square-root edge factor
@@ -53,6 +58,8 @@ def _quad_tilde_g(rho, support, x):
 
 def _quad_g(rho, support, q):
     """integral of log(q-u) rho(u) du (principal branch) by quadrature."""
+    from scipy import integrate
+
     total = 0.0 + 0.0j
     for a, b in support:
         mid, hw = 0.5 * (a + b), 0.5 * (b - a)
@@ -74,6 +81,8 @@ def _quad_g(rho, support, q):
 
 
 def _quad_stieltjes(rho, support, q):
+    from scipy import integrate
+
     total = 0.0 + 0.0j
     for a, b in support:
         mid, hw = 0.5 * (a + b), 0.5 * (b - a)
@@ -142,16 +151,6 @@ class EquilibriumModel:
             return self._stieltjes(q)
         return _quad_stieltjes(self.rho, self.support, q)
 
-    def g_tilde_quad(self, x):
-        """Quadrature route for g_tilde, usable as an oracle for closed forms."""
-        return _quad_tilde_g(self.rho, self.support, x)
-
-    def g_quad(self, q):
-        return _quad_g(self.rho, self.support, q)
-
-    def stieltjes_quad(self, q):
-        return _quad_stieltjes(self.rho, self.support, q)
-
     def ell_v_profile(self, n_grid=101, margin=0.02):
         """ell_V(x) = -2 g_tilde(x) - V(x) on an interior grid (should be flat)."""
         xs = []
@@ -212,7 +211,7 @@ def gue_model():
     """Quadratic model: V = 2x^2, semicircle density (2/pi) sqrt(1-u^2) on [-1,1].
 
     g, g_tilde and the Stieltjes transform are closed-form; the quadrature
-    routes remain available as oracles.
+    routes (_quad_g, _quad_tilde_g, _quad_stieltjes) are their oracles.
     """
     def V(x):
         return 2.0 * x * x

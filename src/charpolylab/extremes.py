@@ -6,8 +6,8 @@ The per-sample hot loop is the evaluation of sum_i log|x_k - lambda_i| on
 the 2N+1 grid, done in place in one cache-sized (block x N) buffer, so the
 (grid x eigenvalue) difference matrix never materializes whole.  The numpy
 steps of that loop and the tridiagonal eigen-solve behind each spectrum
-both release the GIL, so the samples of max_experiment and
-empirical_centering run in parallel on their thread pool.
+both release the GIL, so the samples of max_experiment run in parallel on
+its thread pool.
 """
 
 import math
@@ -27,7 +27,6 @@ __all__ = [
     "Factor14Violation",
     "regularized_max",
     "max_experiment",
-    "empirical_centering",
     "CV_MARGIN",
     "ordering_constant",
     "EXPERIMENT_CSV_FIELDS",
@@ -184,7 +183,6 @@ class MaxRecord:
     m_star: float
     m_star_reg: float
     y: float
-    center: str = "g_centering"
 
 
 def ordering_constant(model):
@@ -272,20 +270,3 @@ def experiment_rows(records):
                      r.m_star - (logN - 0.75 * math.log(logN))])
     return rows
 
-
-def empirical_centering(model, N, n_samples, seed, threads=1):
-    """Monte Carlo E Q(x_k) per grid point: the gap between the log-potential
-    centering and the expected log-determinant, O(1) in the bulk."""
-    grid = cheb_grid(N)
-    center = -model.g_tilde_grid(grid)
-
-    def one(i):
-        spec = sample_spectrum_gue(N, task_seed(seed, i))
-        return _log_abs_sum(spec.eigenvalues, grid) - N * center
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            acc = sum(pool.map(one, range(n_samples)))
-    else:
-        acc = sum(one(i) for i in range(n_samples))
-    return grid, acc / n_samples

@@ -4,8 +4,8 @@ Two kernels are provided: the rotation-invariant field with covariance
 -(1/2) log|1 - z conj(w)| and its symmetrized companion with the extra
 -(1/2) log|1 - z w| term (the pullback of the real-axis field through the
 Joukowsky chart).  On top of the kernels: exact exponential moments of
-signed point biases, the change of mean under biasing, reproducible
-sampling at finite point sets, and branching-covariance diagnostics.
+signed point biases, reproducible sampling at finite point sets, and
+branching-covariance diagnostics.
 """
 
 import math
@@ -26,7 +26,6 @@ __all__ = [
     "cov_t",
     "exp_moment_g",
     "bias_variance",
-    "biased_mean",
     "sample_gauss",
     "brw_check",
 ]
@@ -140,12 +139,6 @@ def exp_moment_g(bias):
                 raise ValueError("degenerate bias: near-coincident conjugate pair")
             log_val -= math.log(g)
     return math.exp(log_val)
-
-
-def biased_mean(bias, kernel, zeta):
-    """Mean shift E[W(zeta) B(W)] induced by tilting the law by e^{B(W)}."""
-    pts, wts = bias.points_and_weights()
-    return sum(w * kernel.cov(zeta, p) for p, w in zip(pts, wts))
 
 
 @dataclass

@@ -1,26 +1,20 @@
-"""Poincare-disk geometry: metrics, automorphisms, the Joukowsky chart,
-ray points, the comparison wedge, and the branching-distance profile.
+"""Poincare-disk geometry: metrics, the Joukowsky chart, ray points, and
+the branching-distance profile.
 
 Points are plain complex numbers.  Functions that require a point strictly
 inside the unit disk raise ValueError otherwise.
 """
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DomainParams",
     "hyp_dist",
     "pseudo_dist",
-    "mobius_to_zero",
     "joukowsky",
     "ray_point",
-    "branch_profile",
     "branch_profile_grid",
-    "in_domain",
 ]
 
 
@@ -54,12 +48,6 @@ def hyp_dist(a, b):
     return 2.0 * math.atanh(pseudo_dist(a, b))
 
 
-def mobius_to_zero(y, z):
-    """Disk automorphism sending y to 0, evaluated at z: (z-y)/(1-z*conj(y))."""
-    _check_disk(y, z)
-    return (z - y) / (1.0 - z * np.conj(y))
-
-
 def joukowsky(z):
     """Joukowsky map (z + 1/z)/2; collapses the unit circle onto [-1, 1]."""
     if z == 0:
@@ -74,79 +62,16 @@ def ray_point(j):
     return math.tanh(j / 2.0)
 
 
-@dataclass(frozen=True)
-class DomainParams:
-    """Annular wedge anchored at a boundary point omega.
-
-    The wedge is {r e^{i theta} omega : 1 - N^-delta <= r <= 1 - N^(-1+delta),
-    |theta| <= N^-delta}.
-    """
-
-    N: int
-    delta: float
-    omega: complex = 1j
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
-        if abs(abs(self.omega) - 1.0) > 1e-12:
-            raise ValueError("omega must lie on the unit circle")
-
-    @property
-    def r_inner(self):
-        return 1.0 - self.N ** (-self.delta)
-
-    @property
-    def r_outer(self):
-        return 1.0 - self.N ** (-1.0 + self.delta)
-
-    @property
-    def theta_max(self):
-        return self.N ** (-self.delta)
-
-
-def in_domain(params, z):
-    """True iff z lies in the wedge described by params (boundary included
-    except |z| = 1, which never qualifies since r_outer < 1)."""
-    r = abs(z)
-    if not (params.r_inner <= r <= params.r_outer):
-        return False
-    theta = cmath.phase(z / params.omega)
-    return abs(theta) <= params.theta_max
-
-
-def branch_profile(h, j, theta):
-    """Exact vs branching approximation of d(zeta_h, e^{i theta} zeta_j).
-
-    exact  -- hyperbolic law of cosines with side lengths h and j and angle
-              theta between them
-    approx -- h + j - 2*min(-log|sin(theta/2)|, h, j)
-    error  -- exact - approx
-
-    At theta = 0 the min term is min(h, j) (the log term is +inf), so the
-    approximation is exact on a common ray.
-    """
-    if h < 0 or j < 0:
-        raise ValueError("ray indices must be nonnegative")
-    h = float(h)
-    j = float(j)
-    cos_t = math.cos(theta)
-    cosh_a = 0.5 * math.cosh(h + j) * (1.0 - cos_t) + 0.5 * math.cosh(h - j) * (1.0 + cos_t)
-    # rounding can push cosh_a a hair below 1 for tiny h, j
-    exact = math.acosh(max(cosh_a, 1.0))
-    s = abs(math.sin(theta / 2.0))
-    log_term = math.inf if s == 0.0 else -math.log(s)
-    approx = h + j - 2.0 * min(log_term, h, j)
-    return {"exact": exact, "approx": approx, "error": exact - approx}
-
-
 def branch_profile_grid(h, j, thetas):
-    """branch_profile errors over a whole theta grid at once.
+    """Error of the branching approximation of d(zeta_h, e^{i theta} zeta_j)
+    over a whole theta grid.
 
-    Returns (errors, refined), where refined holds |error| e^k |theta| on
-    the points with k = min(h, j) > -log|sin(theta/2)| and 0 elsewhere.
+    The exact distance comes from the hyperbolic law of cosines with side
+    lengths h and j and angle theta between them; the approximation is
+    h + j - 2*min(-log|sin(theta/2)|, h, j), exact on a common ray
+    (theta = 0, where the log term is +inf).  Returns (errors, refined):
+    errors = exact - approx, and refined holds |error| e^k |theta| on the
+    points with k = min(h, j) > -log|sin(theta/2)| and 0 elsewhere.
     """
     thetas = np.asarray(thetas, dtype=float)
     h = float(h)

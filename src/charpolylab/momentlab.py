@@ -1,6 +1,6 @@
 """Mixed-exponential-moment verification and the second-moment lower-bound
-simulator: bias-class validators, the matching-lemma functional, barrier
-events on ray grids, and the Cauchy-Schwarz counting experiment.
+simulator: the matching-lemma functional, barrier events on ray grids, and
+the Cauchy-Schwarz counting experiment.
 """
 
 import cmath
@@ -10,121 +10,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charpoly import exp_moment_field
-from .gaussfield import BiasSpec, exp_moment_g, kernel_g, sample_gauss
-from .hyperbolic import DomainParams, hyp_dist, in_domain, pseudo_dist, ray_point
+from .gaussfield import exp_moment_g, kernel_g, sample_gauss
+from .hyperbolic import pseudo_dist, ray_point
 
 __all__ = [
-    "BiasClassParams",
     "LowerBoundParams",
     "PairConfiguration",
     "LowerBoundResult",
     "omega_grid",
-    "validate_separated_bias",
-    "validate_paired_bias",
     "mem_ratio",
-    "matching_ratio",
     "matching_subset_sup",
     "pair_config_validate",
     "random_pair_configuration",
-    "random_separated_bias",
     "in_tube",
     "branch_depth",
     "lower_bound_mc",
 ]
 
 
-@dataclass(frozen=True)
-class BiasClassParams:
-    """Parameters of the separated / paired bias classes."""
-
-    k: int
-    ell: int
-    epsilon: float
-    delta: float
-    N: int
-    omega: complex = 1j
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
-
-    def domain(self):
-        return DomainParams(N=self.N, delta=self.delta, omega=self.omega)
-
-
-def validate_separated_bias(bias, params):
-    """Membership in the separated class: k plus- and k minus-points in the
-    comparison wedge, pairwise hyperbolic separation >= epsilon."""
-    dom = params.domain()
-    pts = list(bias.plus_points) + list(bias.minus_points)
-    if len(bias.plus_points) != params.k or len(bias.minus_points) != params.k:
-        return False
-    if any(not in_domain(dom, z) for z in pts):
-        return False
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if hyp_dist(pts[i], pts[j]) < params.epsilon:
-                return False
-    return True
-
-
-def validate_paired_bias(base, extra_pairs, params):
-    """Membership of base + extra tight pairs in the paired perturbation class.
-
-    extra_pairs lists (z, w) with the bijection as given; each pair must sit
-    in the wedge and be tighter than every competing distance to the other
-    points of the full plus / minus sets.
-    """
-    dom = params.domain()
-    zs = [complex(z) for z, _ in extra_pairs]
-    ws = [complex(w) for _, w in extra_pairs]
-    if any(not in_domain(dom, v) for v in zs + ws):
-        return False
-    Z = list(base.plus_points) + zs
-    W = list(base.minus_points) + ws
-    for z, w in zip(zs, ws):
-        gap = hyp_dist(z, w)
-        for other in Z:
-            if other != z and hyp_dist(z, other) < gap:
-                return False
-        for other in W:
-            if other != w and hyp_dist(w, other) < gap:
-                return False
-    return True
-
-
 def mem_ratio(table, model, bias):
     """E e^{B(Z)} / E e^{B(G)}: the mixed-exponential-moment comparison."""
     return exp_moment_field(table, model, bias) / exp_moment_g(bias)
-
-
-def _pseudo_product(A, B):
-    out = 1.0
-    for a in A:
-        for b in B:
-            d = pseudo_dist(a, b)
-            if d == 0.0:
-                raise ValueError("coincident points in a matching product")
-            out *= d
-    return out
-
-
-def matching_ratio(Z, W, T, S):
-    """L(T, S) = d(T,S) d(T*,S*) / (d(T,T*) d(S,S*)) in pseudo distances.
-
-    T* and S* are the complements within Z and W; empty products are 1.
-    """
-    Z = [complex(z) for z in Z]
-    W = [complex(w) for w in W]
-    T = [complex(t) for t in T]
-    S = [complex(s) for s in S]
-    Tc = [z for z in Z if z not in T]
-    Sc = [w for w in W if w not in S]
-    num = _pseudo_product(T, S) * _pseudo_product(Tc, Sc)
-    den = _pseudo_product(T, Tc) * _pseudo_product(S, Sc)
-    return num / den
 
 
 def matching_subset_sup(config):
@@ -222,25 +128,6 @@ def random_pair_configuration(k, ell, epsilon, rng, tight_frac=0.05):
     return config
 
 
-def random_separated_bias(params, rng, max_tries=5000):
-    """A random member of the separated class for the given parameters."""
-    dom = params.domain()
-    pts = []
-    for _ in range(max_tries):
-        r = rng.uniform(dom.r_inner, dom.r_outer)
-        th = rng.uniform(-dom.theta_max, dom.theta_max)
-        z = r * cmath.exp(1j * th) * params.omega
-        if all(hyp_dist(z, p) >= params.epsilon for p in pts):
-            pts.append(z)
-            if len(pts) == 2 * params.k:
-                bias = BiasSpec(plus_points=tuple(pts[:params.k]),
-                                minus_points=tuple(pts[params.k:]))
-                if not validate_separated_bias(bias, params):  # pragma: no cover
-                    raise RuntimeError("generator emitted an invalid bias")
-                return bias
-    raise RuntimeError("could not place separated bias points; lower epsilon")
-
-
 @dataclass
 class LowerBoundParams:
     """Geometry of the second-moment experiment at depth n.
@@ -300,17 +187,21 @@ def omega_grid(params):
     return np.exp(1j * (math.pi / 2.0 + hs * math.exp(-params.n0)))
 
 
-def branch_depth(omega1, omega2, n0):
-    """Branching height of the two rays: -log|omega1 - omega2| capped at n0.
+def branch_depth(omegas, n0):
+    """Branching heights of every pair of rays: -log|omega_i - omega_j|,
+    rounded and clipped to [0, n0], with n0 on the diagonal.
 
     This is the quantity the two-point estimates are binned by; capping at n0
     (rather than flooring there) is what makes the well-separated and
     nearly-parallel regimes distinguishable.
     """
-    d = abs(complex(omega1) - complex(omega2))
-    if d == 0.0:
-        raise ValueError("branch depth undefined for coincident points")
-    return min(max(round(-math.log(d)), 0), n0)
+    omegas = np.asarray(omegas, dtype=complex)
+    gaps = np.abs(omegas[:, None] - omegas[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    with np.errstate(divide="ignore"):
+        depth = np.clip(np.round(-np.log(gaps)), 0, n0).astype(int)
+    np.fill_diagonal(depth, n0)
+    return depth
 
 
 def in_tube(barrier_vals, ref_vals, params):
@@ -452,11 +343,7 @@ def lower_bound_mc(params, n_samples, seed):
     var_b = 4.0 * (c_ll + c_rr - 2.0 * c_lr)
     # E e^{B1+B2} = e^{(Var B1 + Var B2)/2 + Cov(B1,B2)}, Var B_i = var_b by rotation
     exact2 = np.exp(var_b + cov_bb)
-    gaps = np.abs(omegas[:, None] - omegas[None, :])
-    np.fill_diagonal(gaps, 1.0)
-    with np.errstate(divide="ignore"):
-        depth = np.clip(np.round(-np.log(gaps)), 0, params.n0).astype(int)
-    np.fill_diagonal(depth, params.n0)
+    depth = branch_depth(omegas, params.n0)
     slack = params.n / params.eta + params.eta * math.sqrt(params.n)
     bins = []
     iu = np.triu_indices(m, k=1)

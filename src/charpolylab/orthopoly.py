@@ -1,6 +1,10 @@
-"""Monic orthogonal polynomials for e^{-N V}, their Cauchy transforms, the
-2x2 Riemann-Hilbert matrices, the one-cut global parametrix, and the edge
-weight function.
+"""Monic orthogonal polynomials for the quadratic weight e^{-2N x^2}, their
+Cauchy transforms, the 2x2 Riemann-Hilbert matrices, the one-cut global
+parametrix, and the edge weight function.
+
+Only the quadratic weight is sampled exactly (by the tridiagonal model), so
+its closed-form recurrence pi_{n+1} = x pi_n - (n/4N) pi_{n-1} is the only
+one built here.
 
 All polynomial and transform values are carried in log-magnitude / unit-phase
 form so that e^{+-N g} factors and the gamma normalizing constants never
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import wofz
 
 __all__ = [
@@ -23,13 +26,8 @@ __all__ = [
     "OPTable",
     "RHMatrix",
     "DeterminantError",
-    "OrthogonalityError",
     "recurrence_table",
-    "gamma0",
-    "eval_pi",
-    "eval_h",
     "h0_closed",
-    "h0_quadrature",
     "y_matrix",
     "m_cells",
     "m_matrix",
@@ -48,10 +46,6 @@ _BACKWARD_HARD_CAP = 200_000
 
 class DeterminantError(ArithmeticError):
     """Riemann-Hilbert matrix determinant strayed from 1."""
-
-
-class OrthogonalityError(RuntimeError):
-    """Discretized inner products lost orthogonality."""
 
 
 class LogComplex:
@@ -144,22 +138,20 @@ def lc_exp(w):
 
 @dataclass
 class OPTable:
-    """Three-term recurrence data for the weight e^{-N V}.
+    """Three-term recurrence data for the quadratic weight e^{-2N x^2}.
 
-    beta[n] and a2[n] drive pi_{n+1} = (x - beta[n]) pi_n - a2[n] pi_{n-1};
-    a2[0] is unused.  log_gamma_sq[n] = log(gamma_n^2) for the normalizing
-    constants of the orthonormal family.
+    a2[n] = n/(4N) drives pi_{n+1} = x pi_n - a2[n] pi_{n-1} (the weight is
+    even, so there is no diagonal term); a2[0] is unused.
+    log_gamma_sq[n] = log(gamma_n^2) for the normalizing constants of the
+    orthonormal family.
     """
 
     N: int
     n_max: int
-    beta: np.ndarray
     a2: np.ndarray
     gamma0: float
-    model: str
 
     def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float)
         self.a2 = np.asarray(self.a2, dtype=float)
         if np.any(self.a2[1:self.n_max + 1] <= 0.0):
             raise ValueError("a2[n] must be positive for n >= 1")
@@ -171,134 +163,45 @@ class OPTable:
         self.log_gamma_sq = 2.0 * math.log(self.gamma0) - logs
 
     def ensure(self, n):
-        """Extend the table through index n (closed-form models only)."""
+        """Extend the table through index n."""
         if n <= self.n_max:
             return
-        if self.model != "gue":
-            raise ValueError(
-                f"table holds coefficients through n_max={self.n_max}; "
-                f"{n} requested and model {self.model!r} has no closed form"
-            )
         ns = np.arange(self.n_max + 1, n + 1)
-        self.beta = np.concatenate([self.beta, np.zeros(len(ns))])
         self.a2 = np.concatenate([self.a2, ns / (4.0 * self.N)])
         self.n_max = int(n)
         self._rebuild_gamma()
 
 
-def gamma0(model, N):
-    """gamma_0 = (integral of e^{-N V})^{-1/2}; closed form for the quadratic model."""
-    if model.name == "gue":
-        return (2.0 * N / math.pi) ** 0.25
-    lo, hi = _weight_window(model, N)
-    val, _ = integrate.quad(lambda x: math.exp(-N * model.V(x)), lo, hi,
-                            limit=200, epsabs=1e-14, epsrel=1e-14)
-    return val ** -0.5
-
-
-def _weight_window(model, N):
-    """Interval outside which e^{-N V} is below double-precision floor."""
-    a = min(s[0] for s in model.support)
-    b = max(s[1] for s in model.support)
-    vmin = min(model.V(x) for x in np.linspace(a, b, 201))
-    lo, hi = a - 1.0, b + 1.0
-    while N * (model.V(lo) - vmin) < 750 and lo > a - 60:
-        lo -= 0.5
-    while N * (model.V(hi) - vmin) < 750 and hi < b + 60:
-        hi += 0.5
-    return lo, hi
-
-
 def recurrence_table(model, N, n_max):
-    """Recurrence coefficients for e^{-N V} up to degree n_max.
+    """Recurrence coefficients for e^{-2N x^2} up to degree n_max:
+    a2[n] = n/(4N) exactly and gamma_0 = (2N/pi)^{1/4}.
 
-    The quadratic model has beta_n = 0 and a2[n] = n/(4N) exactly.  Other
-    models are handled by the discretized Stieltjes procedure on a cosine
-    quadrature grid, gated by an orthogonality-residual check.
+    Any model other than the quadratic one is rejected.
     """
+    if model.name != "gue":
+        raise ValueError(f"model {model.name!r} has no closed-form recurrence")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if model.name == "gue":
-        ns = np.arange(n_max + 1)
-        return OPTable(N=N, n_max=n_max, beta=np.zeros(n_max + 1),
-                       a2=ns / (4.0 * N), gamma0=(2.0 * N / math.pi) ** 0.25,
-                       model="gue")
-    return _stieltjes_table(model, N, n_max)
-
-
-def _stieltjes_table(model, N, n_max, residual_tol=1e-8):
-    # window sized so the weight times the largest polynomial factor is
-    # negligible at the ends, then plain Gauss-Legendre (the integrands are
-    # entire, so convergence is geometric)
-    a = min(s[0] for s in model.support)
-    b = max(s[1] for s in model.support)
-    vmin = min(model.V(x) for x in np.linspace(a, b, 201))
-    budget = 60.0 + 2.0 * n_max
-    lo, hi = a - 0.25, b + 0.25
-    while N * (model.V(lo) - vmin) < budget + 2.0 * n_max * math.log(max(abs(lo), 1.0)):
-        lo -= 0.25
-    while N * (model.V(hi) - vmin) < budget + 2.0 * n_max * math.log(max(abs(hi), 1.0)):
-        hi += 0.25
-    npts = max(8 * n_max, 64)
-    nodes, wts = np.polynomial.legendre.leggauss(npts)
-    mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x = mid + hw * nodes
-    w = wts * hw * np.exp(-N * model.V(x))
-
-    h0 = w.sum()
-    beta = np.zeros(n_max + 1)
-    a2 = np.zeros(n_max + 1)
-    p_prev = np.zeros_like(x)
-    p_cur = np.full_like(x, h0 ** -0.5)
-    basis = [p_cur.copy()]
-    for n in range(n_max):
-        beta[n] = (w * x * p_cur * p_cur).sum()
-        t = (x - beta[n]) * p_cur - (math.sqrt(a2[n]) if n >= 1 else 0.0) * p_prev
-        norm = math.sqrt((w * t * t).sum())
-        if norm == 0.0:
-            raise OrthogonalityError(f"breakdown at degree {n + 1}: zero norm")
-        a2[n + 1] = norm * norm
-        p_prev, p_cur = p_cur, t / norm
-        basis.append(p_cur.copy())
-    # orthogonality gate on a spread of pairs
-    checks = {(0, n_max), (1, 2), (n_max - 1, n_max)}
-    if n_max >= 4:
-        checks.add((n_max // 2, n_max // 2 + 1))
-    for m, n in checks:
-        if m == n:
-            continue
-        res = abs((w * basis[m] * basis[n]).sum())
-        if res > residual_tol:
-            raise OrthogonalityError(
-                f"orthogonality residual {res:.2e} for degrees ({m},{n}); "
-                "n_max too large for the grid resolution"
-            )
-    return OPTable(N=N, n_max=n_max, beta=beta, a2=a2, gamma0=h0 ** -0.5,
-                   model=model.name)
+    ns = np.arange(n_max + 1)
+    return OPTable(N=N, n_max=n_max, a2=ns / (4.0 * N),
+                   gamma0=(2.0 * N / math.pi) ** 0.25)
 
 
 def _pi_chain(table, n, x):
     """LogComplex values pi_0 .. pi_n at x by the forward recurrence."""
+    table.ensure(n)
     x = complex(x)
     chain = [LogComplex.one()]
     if n == 0:
         return chain
+    lx = LogComplex.from_complex(x)
     prev = LogComplex.zero()
     cur = chain[0]
     for k in range(n):
-        nxt = cur * LogComplex.from_complex(x - table.beta[k]) - \
-            prev.scaled(math.log(table.a2[k]) if k >= 1 else _NEG_INF)
+        nxt = cur * lx - prev.scaled(math.log(table.a2[k]) if k >= 1 else _NEG_INF)
         chain.append(nxt)
         prev, cur = cur, nxt
     return chain
-
-
-def eval_pi(table, n, x):
-    """Monic orthogonal polynomial pi_n(x) as a LogComplex."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    table.ensure(n)
-    return _pi_chain(table, n, x)[n]
 
 
 def h0_closed(table, q):
@@ -316,44 +219,14 @@ def h0_closed(table, q):
     return -np.conj(0.5 * wofz(s * np.conj(q)))
 
 
-def h0_quadrature(model, N, q):
-    """h_0(q) = (2 pi i)^{-1} integral of e^{-N V(x)}/(x-q) dx, by quadrature."""
-    q = complex(q)
-    if q.imag == 0.0:
-        raise ValueError("Cauchy transform undefined on the real axis")
-    lo, hi = _weight_window(model, N)
-    pts = [q.real] if lo < q.real < hi else None
-
-    def re_part(x):
-        return (math.exp(-N * model.V(x)) / (x - q)).real
-
-    def im_part(x):
-        return (math.exp(-N * model.V(x)) / (x - q)).imag
-
-    re, _ = integrate.quad(re_part, lo, hi, points=pts, limit=400,
-                           epsabs=1e-15, epsrel=1e-13)
-    im, _ = integrate.quad(im_part, lo, hi, points=pts, limit=400,
-                           epsabs=1e-15, epsrel=1e-13)
-    return (re + 1j * im) / (2j * math.pi)
-
-
-def _h0_lc(table, model, q):
-    if table.model == "gue":
-        return LogComplex.from_complex(h0_closed(table, q))
-    if model is None:
-        raise ValueError("general-weight h evaluation needs the model for h_0")
-    return LogComplex.from_complex(h0_quadrature(model, table.N, q))
-
-
 def _dominance_gap(table, k, q):
     """log ratio of the recurrence's characteristic roots at step k."""
-    z = q - table.beta[k]
-    s = cmath.sqrt(z * z - 4.0 * table.a2[k])
-    hi = max(abs(z + s), abs(z - s)) / 2.0
+    s = cmath.sqrt(q * q - 4.0 * table.a2[k])
+    hi = max(abs(q + s), abs(q - s)) / 2.0
     return 2.0 * math.log(hi) - math.log(table.a2[k])
 
 
-def _h_chain(table, n, q, model=None):
+def _h_chain(table, n, q):
     """LogComplex values h_0 .. h_n at q, stable for any table size.
 
     Forward recurrence is used while the summed dominance gap stays below
@@ -361,21 +234,20 @@ def _h_chain(table, n, q, model=None):
     started where the gap buffer exceeds _BACKWARD_GAP_BUFFER, normalized
     by the closed-form h_0.
     """
+    table.ensure(n)
     q = complex(q)
-    if q.imag == 0.0:
-        raise ValueError("Cauchy transform undefined on the real axis")
-    h0 = _h0_lc(table, model, q)
+    h0 = LogComplex.from_complex(h0_closed(table, q))
     if n == 0:
         return [h0]
+    lq = LogComplex.from_complex(q)
     corr = LogComplex.from_complex(table.gamma0 ** -2 / (2j * math.pi))
     gap = 0.0
     for k in range(1, n):
         gap += _dominance_gap(table, k, q)
     if gap <= _FORWARD_GAP_MAX:
-        chain = [h0, h0 * LogComplex.from_complex(q - table.beta[0]) + corr]
+        chain = [h0, h0 * lq + corr]
         for k in range(1, n):
-            nxt = chain[k] * LogComplex.from_complex(q - table.beta[k]) - \
-                chain[k - 1].scaled(math.log(table.a2[k]))
+            nxt = chain[k] * lq - chain[k - 1].scaled(math.log(table.a2[k]))
             chain.append(nxt)
         return chain
 
@@ -393,18 +265,9 @@ def _h_chain(table, n, q, model=None):
     y[M + 1] = LogComplex.zero()
     y[M] = LogComplex.one()
     for k in range(M, 0, -1):
-        y[k - 1] = (y[k] * LogComplex.from_complex(q - table.beta[k]) - y[k + 1]) \
-            .scaled(-math.log(table.a2[k]))
+        y[k - 1] = (y[k] * lq - y[k + 1]).scaled(-math.log(table.a2[k]))
     alpha = h0 / y[0]
     return [alpha * y[k] for k in range(n + 1)]
-
-
-def eval_h(table, n, q, model=None):
-    """Cauchy transform h_n(q) as a LogComplex (Im q != 0 required)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    table.ensure(max(n, 1))
-    return _h_chain(table, n, q, model=model)[n]
 
 
 @dataclass
@@ -452,12 +315,11 @@ def _tilde_factor(table):
     return LogComplex(math.log(2.0 * math.pi) + table.log_gamma_sq[table.N - 1], -1j)
 
 
-def y_matrix(table, q, model=None):
+def y_matrix(table, q):
     """The matrix [[pi_N, h_N], [t pi_{N-1}, t h_{N-1}]], t = -2 pi i gamma_{N-1}^2."""
     N = table.N
-    table.ensure(N)
     pis = _pi_chain(table, N, q)
-    hs = _h_chain(table, N, q, model=model)
+    hs = _h_chain(table, N, q)
     t = _tilde_factor(table)
     cells = [[pis[N], hs[N]], [t * pis[N - 1], t * hs[N - 1]]]
     return _pack_rh(cells, _unit_det(cells, "Y", q), "Y", q)
@@ -472,11 +334,10 @@ def m_cells(table, model, q):
     raw exponentials.
     """
     N = table.N
-    table.ensure(N)
     g = model.g(q)
     ell = model.ell_v
     pis = _pi_chain(table, N, q)
-    hs = _h_chain(table, N, q, model=model)
+    hs = _h_chain(table, N, q)
     t = _tilde_factor(table)
     e_mg = lc_exp(-N * g)                    # e^{-N g}
     e_gl = lc_exp(N * (g - ell))             # e^{+N(g-ell)}

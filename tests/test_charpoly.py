@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from charpolylab._rng import substream
-from charpolylab.charpoly import (VerificationCase, _char_poly_batch,
+from charpolylab.charpoly import (VerificationCase, _char_poly_batch, _logdet,
                                   exp_moment_field,
-                                  exp_pm2_moment, fs_balanced, fs_general,
+                                  exp_pm2_moment, fs_balanced,
                                   laplace_split, mc_abs2_moment, mc_char_ratio,
                                   mc_field_bias_moment, vandermonde_det,
                                   write_verification_report)
 from charpolylab.gaussfield import BiasSpec
 from charpolylab.hyperbolic import joukowsky
-from charpolylab.orthopoly import eval_pi
+from charpolylab.orthopoly import LogComplex
 
 
 def test_vandermonde():
@@ -62,32 +63,23 @@ def test_fs_balanced_rejects_bad_input(table_cache):
         fs_balanced(tab, [0.3 + 0.4j, 0.3 + 0.4j], [0.2 + 0.3j, 0.4 + 0.3j])
 
 
-def test_fs_general_pure_product(table_cache):
-    tab = table_cache(4)
-    p = 0.4 + 0.6j
-    val = fs_general(tab, [p], [])
-    assert val == pytest.approx(eval_pi(tab, 4, p).value(), rel=1e-12)
-
-
-def test_fs_general_reduces_to_balanced(table_cache):
-    tab = table_cache(4)
-    p, q = [0.3 + 0.4j], [0.2 + 0.6j]
-    assert fs_general(tab, p, q) == pytest.approx(fs_balanced(tab, p, q), rel=1e-8)
-
-
-def test_fs_general_inverse_moment_vs_mc(table_cache):
-    tab = table_cache(4)
-    q = [0.1 + 0.6j]
-    f = fs_general(tab, [], q)
-    mc, se = mc_char_ratio(4, [], q, 300_000, seed=33)
-    assert abs(mc - f) < 3.0 * math.sqrt(2.0) * se
-
-
-def test_fs_general_limits(table_cache):
-    tab = table_cache(8)
-    with pytest.raises(ValueError):
-        fs_general(tab, [0.1 + 0.2j] , [0.2 + 0.3j, 0.3 + 0.4j, 0.4 + 0.5j,
-                                        0.5 + 0.6j, 0.6 + 0.7j])
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.0, 700.0))
+def test_logdet_matches_slogdet(n, seed, scale):
+    # rows and columns scaled by up to e^{+-700}: the plain matrix would
+    # over- and underflow, but det(D1 A D2) = det(D1) det(A) det(D2)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assume(np.linalg.cond(A) < 1e6)
+    r = rng.uniform(-scale, scale, n)
+    c = rng.uniform(-scale, scale, n)
+    cells = [[LogComplex.from_complex(A[i, j]).scaled(r[i] + c[j])
+              for j in range(n)] for i in range(n)]
+    sign, logabs = np.linalg.slogdet(A)
+    det = _logdet(cells)
+    assert det.log_mag == pytest.approx(logabs + r.sum() + c.sum(), abs=1e-8)
+    assert det.phase == pytest.approx(sign, abs=1e-8)
 
 
 def test_laplace_split_scalar():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from charpolylab import cli
+from charpolylab.orthopoly import DeterminantError
 from charpolylab.cli import (ConfigError, RunConfig, build_config, emit, main,
                              run, summary_schema, validate_against_schema)
 
@@ -58,6 +59,35 @@ def test_config_file_and_overrides(tmp_path):
     assert config.n_samples == 3
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("false", False), ("FALSE", False), ("0", False), ("No", False),
+    ("true", True), ("True", True), ("1", True), ("yes", True),
+])
+def test_config_file_check_values(tmp_path, text, expected):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"check {text}\n")
+    file_values = cli._parse_config_file(cfgfile)
+    assert build_config("matching-verify", file_values, {}).check is expected
+    # an explicit --check flag wins over the file
+    assert build_config("matching-verify", file_values, {"check": True}).check is True
+
+
+def test_config_file_check_false_runs_no_checks(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("check false\nsamples 4\n")
+    assert main(["matching-verify", "--config", str(cfgfile)]) == 0
+    assert "check " not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["maybe", "", "2", "on"])
+def test_config_file_bad_check_value_exits_2(tmp_path, capsys, text):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"check {text}\n")
+    assert main(["matching-verify", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and len(err.splitlines()) == 1
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     for text in ("frobnicate 3\n", "model gue\n"):
@@ -72,8 +102,11 @@ def test_unknown_config_key_rejected(tmp_path):
     ["max-experiment", "--N", "1"],
     ["upperbound-verify", "--N", "1"],
     ["matching-verify", "--samples", "1"],
+    ["matching-verify", "--epsilon", "0"],
+    ["matching-verify", "--epsilon", "1"],
 ], ids=["depth_over_cap", "eta_over_depth", "shift_below_one",
-        "max_experiment_n1", "upperbound_n1", "matching_one_sample"])
+        "max_experiment_n1", "upperbound_n1", "matching_one_sample",
+        "epsilon_zero", "epsilon_one"])
 def test_out_of_range_parameters_exit_2(args, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
@@ -165,6 +198,31 @@ def test_check_exit_codes(monkeypatch):
     assert run(cfg) == 1
     cfg2 = RunConfig(command="gen-spectrum", check=False)
     assert run(cfg2) == 0
+
+
+@pytest.mark.parametrize("exc", [
+    ArithmeticError("imaginary residue on a real moment"),
+    DeterminantError("det M deviates from 1"),
+    ZeroDivisionError("LogComplex division by zero"),
+    np.linalg.LinAlgError("covariance eigenvalue below tolerance"),
+    RuntimeError("backward recurrence start index exceeds hard cap"),
+], ids=["arithmetic", "determinant", "zero_division", "linalg", "runtime"])
+def test_numerical_breakdown_exits_3(monkeypatch, capsys, exc):
+    def failing_runner(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "gen-spectrum", failing_runner)
+    assert run(RunConfig(command="gen-spectrum", check=True)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def test_matching_verify_unplaceable_epsilon_exits_3(capsys):
+    # 0.6 is a valid pseudo-distance, but 1.5 * 0.6 separated centers do not
+    # fit in the sampling disk
+    assert main(["matching-verify", "--epsilon", "0.6", "--samples", "100"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: RuntimeError:") and len(err.splitlines()) == 1
 
 
 def test_check_passing_command(tmp_path):

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from charpolylab import extremes
 from charpolylab.ensemble import sample_spectrum_gue
-from charpolylab.extremes import (cheb_grid, empirical_centering,
-                                  factor14_check, field_q, max_experiment,
-                                  ordering_constant, regularized_max,
-                                  experiment_rows)
+from charpolylab.extremes import (cheb_grid, factor14_check, field_q,
+                                  max_experiment, ordering_constant,
+                                  regularized_max, experiment_rows)
 
 
 def test_field_q_vanishes_at_infinity(model):
@@ -130,18 +129,6 @@ def test_max_experiment_rows(model):
     logN = math.log(64)
     assert rows[0][3] == pytest.approx(rows[0][2] / logN)
     assert summary["ratio_quartiles"][0] <= summary["ratio_quartiles"][2]
-
-
-def test_empirical_centering_bulk(model):
-    grid, offsets = empirical_centering(model, 256, 60, seed=4, threads=2)
-    bulk = np.abs(grid) <= 0.9
-    assert np.abs(offsets[bulk]).max() < 2.0
-    # ensemble symmetry x <-> -x within Monte Carlo error
-    sym = offsets[bulk] - offsets[bulk][::-1]
-    assert np.abs(sym).max() < 1.0
-    # stability under doubling
-    _, offsets2 = empirical_centering(model, 256, 120, seed=4, threads=2)
-    assert np.abs((offsets2 - offsets)[bulk]).max() < 1.0
 
 
 def _log_abs_sum_unblocked(eigs, pts, shift):

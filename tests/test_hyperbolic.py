@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from charpolylab.hyperbolic import (DomainParams, branch_profile,
-                                    branch_profile_grid, hyp_dist, in_domain,
-                                    joukowsky, mobius_to_zero, pseudo_dist,
-                                    ray_point)
+from charpolylab.hyperbolic import (branch_profile_grid, hyp_dist, joukowsky,
+                                    pseudo_dist, ray_point)
+from oracles import branch_profile, mobius_to_zero
 
 
 def random_disk_points(rng, n, rmax=0.95):
@@ -46,6 +46,23 @@ def test_isometry_invariance(rng):
 def test_pseudo_dist_examples():
     assert pseudo_dist(0.0, 0.3) == pytest.approx(0.3, abs=1e-15)
     assert pseudo_dist(0.5, -0.5) == pytest.approx(0.8, abs=1e-15)
+
+
+_disk_point = st.builds(lambda r, t: r * np.exp(1j * t),
+                        st.floats(0.0, 0.999), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_disk_point, b=_disk_point, c=_disk_point, y=_disk_point)
+def test_pseudo_dist_metric_property(a, b, c, y):
+    d_ab = pseudo_dist(a, b)
+    assert 0.0 <= d_ab < 1.0
+    assert pseudo_dist(a, a) == 0.0
+    assert d_ab == pytest.approx(pseudo_dist(b, a), rel=1e-12, abs=1e-15)
+    assert pseudo_dist(a, c) <= d_ab + pseudo_dist(b, c) + 1e-12
+    # disk automorphisms are isometries
+    assert pseudo_dist(mobius_to_zero(y, a), mobius_to_zero(y, b)) == \
+        pytest.approx(d_ab, rel=1e-9, abs=1e-12)
 
 
 def test_pseudo_equals_tanh_half_hyp(rng):
@@ -144,21 +161,3 @@ def test_branch_profile_bound_stable_across_grids():
 
     coarse, fine = sweep(2001), sweep(4001)
     assert abs(fine - coarse) <= 0.1 * max(coarse, 0.1)
-
-
-def test_in_domain():
-    p = DomainParams(N=10_000, delta=0.1, omega=1j)
-    mid_r = 0.5 * (p.r_inner + p.r_outer)
-    assert in_domain(p, mid_r * 1j)
-    assert not in_domain(p, 1j)                      # |z| = 1 excluded
-    assert not in_domain(p, (1 - 2 * 10_000 ** -0.1) * 1j)  # below inner radius
-    assert not in_domain(p, mid_r * 1j * np.exp(2j * p.theta_max))
-
-
-def test_domain_params_validation():
-    with pytest.raises(ValueError):
-        DomainParams(N=1, delta=0.1)
-    with pytest.raises(ValueError):
-        DomainParams(N=100, delta=0.7)
-    with pytest.raises(ValueError):
-        DomainParams(N=100, delta=0.1, omega=0.5)

@@ -7,15 +7,12 @@ from hypothesis import given, settings, strategies as st
 from charpolylab._rng import substream
 from charpolylab.gaussfield import BiasSpec, kernel_g, sample_gauss
 from charpolylab.hyperbolic import hyp_dist, pseudo_dist, ray_point
-from charpolylab.momentlab import (BiasClassParams, LowerBoundParams,
-                                   PairConfiguration, branch_depth, in_tube,
-                                   lower_bound_mc, matching_ratio,
-                                   matching_subset_sup, mem_ratio,
-                                   omega_grid, pair_config_validate,
-                                   random_pair_configuration,
-                                   random_separated_bias,
-                                   validate_paired_bias,
-                                   validate_separated_bias)
+from charpolylab.momentlab import (LowerBoundParams, PairConfiguration,
+                                   branch_depth, in_tube, lower_bound_mc,
+                                   matching_subset_sup, mem_ratio, omega_grid,
+                                   pair_config_validate,
+                                   random_pair_configuration)
+from oracles import matching_ratio
 
 
 def test_lower_bound_params():
@@ -51,51 +48,6 @@ def test_omega_grid_stride():
     assert np.angle(om[1] / om[0]) == pytest.approx(5 * math.exp(-p.n0), rel=1e-12)
 
 
-def test_validate_separated_bias():
-    params = BiasClassParams(k=0, ell=0, epsilon=0.5, delta=0.2, N=10_000)
-    assert validate_separated_bias(BiasSpec(), params)
-    params2 = BiasClassParams(k=1, ell=0, epsilon=0.5, delta=0.2, N=10_000)
-    dom = params2.domain()
-    r = 0.5 * (dom.r_inner + dom.r_outer)
-    z = r * 1j
-    w = z * np.exp(1j * 1e-9)  # hyperbolic distance way below epsilon
-    assert not validate_separated_bias(BiasSpec((z,), (w,)), params2)
-
-
-def test_separated_bias_generator_roundtrip(rng):
-    params = BiasClassParams(k=2, ell=0, epsilon=0.4, delta=0.2, N=10_000)
-    gen = substream(77, 0)
-    for _ in range(10):
-        bias = random_separated_bias(params, gen)
-        assert validate_separated_bias(bias, params)
-
-
-def test_validate_paired_bias():
-    params = BiasClassParams(k=1, ell=1, epsilon=0.3, delta=0.2, N=10_000)
-    dom = params.domain()
-    r = 0.5 * (dom.r_inner + dom.r_outer)
-    base = BiasSpec((r * 1j,), (r * 1j * np.exp(1j * dom.theta_max * 0.9),))
-    assert validate_paired_bias(base, [], params)
-    # a tight extra pair, far from the base points
-    z = r * 1j * np.exp(-1j * dom.theta_max * 0.9)
-    w = z * np.exp(1j * 1e-7)
-    assert validate_paired_bias(base, [(z, w)], params)
-    # partner farther than a competing point fails
-    assert not validate_paired_bias(base, [(z, base.minus_points[0])], params) \
-        or hyp_dist(z, base.minus_points[0]) <= hyp_dist(z, base.plus_points[0])
-
-
-def test_validate_paired_bias_adversarial():
-    params = BiasClassParams(k=0, ell=1, epsilon=0.3, delta=0.2, N=10_000)
-    dom = params.domain()
-    r = 0.5 * (dom.r_inner + dom.r_outer)
-    z = r * 1j
-    w_far = r * 1j * np.exp(1j * dom.theta_max * 0.9)
-    z2 = r * 1j * np.exp(1j * 1e-8)  # much closer to z than its partner
-    base = BiasSpec((z2,), (r * 1j * np.exp(-1j * dom.theta_max * 0.9),))
-    assert not validate_paired_bias(base, [(z, w_far)], params)
-
-
 def test_mem_ratio_empty(model, table_cache):
     assert mem_ratio(table_cache(8), model, BiasSpec()) == 1.0
 
@@ -123,7 +75,6 @@ def test_matching_ratio_full_subsets(rng):
     Z, W = config.Z, config.W
     val = matching_ratio(Z, W, Z, W)
     prod = 1.0
-    from charpolylab.hyperbolic import pseudo_dist
     for z in Z:
         for w in W:
             prod *= pseudo_dist(z, w)
@@ -134,7 +85,6 @@ def test_matching_ratio_full_subsets(rng):
 def test_matching_ratio_singletons():
     # the four subset choices: full/empty give d(z,w), mixed give empty
     # products throughout, hence 1
-    from charpolylab.hyperbolic import pseudo_dist
     z, w = 0.2, 0.5j
     d = pseudo_dist(z, w)
     assert matching_ratio([z], [w], [z], [w]) == pytest.approx(d, rel=1e-14)
@@ -223,9 +173,14 @@ def test_pair_config_generator_roundtrip():
 
 def test_branch_depth():
     n0 = 8
-    assert branch_depth(1.0, np.exp(1j * 1.0), n0) == 0
-    assert branch_depth(1.0, np.exp(1j * math.exp(-3.0)), n0) == 3
-    assert branch_depth(1.0, np.exp(1j * math.exp(-20.0)), n0) == n0
+    omegas = [1.0, np.exp(1j * 1.0), np.exp(1j * math.exp(-3.0)),
+              np.exp(1j * math.exp(-20.0)), 1.0]
+    depth = branch_depth(omegas, n0)
+    assert (depth == depth.T).all() and (np.diag(depth) == n0).all()
+    assert depth[0, 1] == 0
+    assert depth[0, 2] == 3
+    assert depth[0, 3] == n0
+    assert depth[0, 4] == n0  # coincident rays branch at the leaf
 
 
 def test_barrier_indicator_linear_profile():

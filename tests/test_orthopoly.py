@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from charpolylab.ensemble import make_model
-from charpolylab.orthopoly import (DeterminantError, LogComplex, eval_h,
-                                   eval_pi, gamma0, global_parametrix_onecut,
-                                   h0_closed, h0_quadrature, m_matrix,
-                                   r_weight, recurrence_table, y_matrix,
-                                   _h_chain, _pi_chain)
+from charpolylab.orthopoly import (DeterminantError, LogComplex,
+                                   global_parametrix_onecut, h0_closed,
+                                   m_matrix, r_weight, recurrence_table,
+                                   y_matrix, _h_chain, _pi_chain)
+from oracles import h0_quadrature
 
 
 def test_log_complex_arithmetic():
@@ -25,32 +26,41 @@ def test_log_complex_arithmetic():
     assert (big / big).value() == pytest.approx(1.0)
 
 
+# complex numbers whose products and quotients stay well inside double range
+_moderate = st.complex_numbers(min_magnitude=1e-50, max_magnitude=1e50,
+                               allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_moderate, b=_moderate)
+def test_log_complex_arithmetic_property(a, b):
+    la, lb = LogComplex.from_complex(a), LogComplex.from_complex(b)
+    # exp(log_mag) turns the rounding of log_mag (|log_mag| <= 116 here) into
+    # a relative error of up to ~116 ulp
+    assert la.value() == pytest.approx(a, rel=1e-13)
+    assert (la * lb).value() == pytest.approx(a * b, rel=1e-13)
+    assert (la / lb).value() == pytest.approx(a / b, rel=1e-13)
+    # a sum is accurate only relative to its terms, not to a cancelled result
+    assert abs((la + lb).value() - (a + b)) <= 1e-13 * (abs(a) + abs(b))
+
+
 def test_gue_recurrence_coefficients(table_cache):
     tab = table_cache(16)
-    assert np.all(tab.beta[:17] == 0.0)
     assert tab.a2[1] == pytest.approx(1.0 / 64.0, rel=1e-15)
     assert tab.a2[5] == pytest.approx(5.0 / 64.0, rel=1e-15)
 
 
-def test_gamma0_closed_form(model):
-    g0 = gamma0(model, 8)
+def test_gamma0_closed_form(table_cache):
+    g0 = table_cache(8).gamma0
     assert g0 ** 2 == pytest.approx(math.sqrt(16.0 / math.pi), rel=1e-14)
     assert g0 > 0
 
 
-def test_gamma0_quadrature_agreement(model):
-    generic = make_model("quadratic", model.V, model.rho, model.support)
-    assert gamma0(generic, 8) == pytest.approx(gamma0(model, 8), rel=1e-10)
-
-
-def test_stieltjes_procedure_matches_closed_form(model):
-    generic = make_model("quadratic", model.V, model.rho, model.support)
-    N = 8
-    tab = recurrence_table(generic, N, 12)
-    closed = recurrence_table(model, N, 12)
-    assert np.allclose(tab.beta[:12], 0.0, atol=1e-10)
-    assert np.allclose(tab.a2[1:13], closed.a2[1:13], rtol=1e-8)
-    assert tab.gamma0 == pytest.approx(closed.gamma0, rel=1e-10)
+def test_gamma0_quadrature_agreement(model, table_cache):
+    # gamma_0 = (integral of e^{-N V})^{-1/2}
+    mass, _ = integrate.quad(lambda x: math.exp(-8 * model.V(x)), -8, 8,
+                             limit=200, epsabs=1e-14, epsrel=1e-14)
+    assert table_cache(8).gamma0 == pytest.approx(mass ** -0.5, rel=1e-10)
 
 
 def test_orthogonality_by_quadrature(model):
@@ -69,15 +79,15 @@ def test_orthogonality_by_quadrature(model):
 
 
 def test_eval_pi_basics(table_cache):
-    tab = table_cache(16)
-    assert eval_pi(tab, 0, 0.3).value() == 1.0
-    assert eval_pi(tab, 1, 0.3).value() == pytest.approx(0.3, rel=1e-15)
-    assert eval_pi(tab, 2, 0.3).value() == pytest.approx(0.09 - 1.0 / 64.0, rel=1e-13)
+    pis = _pi_chain(table_cache(16), 2, 0.3)
+    assert pis[0].value() == 1.0
+    assert pis[1].value() == pytest.approx(0.3, rel=1e-15)
+    assert pis[2].value() == pytest.approx(0.09 - 1.0 / 64.0, rel=1e-13)
 
 
 def test_eval_pi_log_domain_large_N(model):
     tab = recurrence_table(model, 512, 520)
-    val = eval_pi(tab, 512, 0.5)
+    val = _pi_chain(tab, 512, 0.5)[512]
     assert math.isfinite(val.log_mag)
     # the raw magnitude is far outside comfortable double range
     assert val.log_mag < -400.0
@@ -94,10 +104,24 @@ def test_h_conjugation_antisymmetry(model, table_cache):
     # conjugation (checked against quadrature in test_h0_routes for n = 0)
     tab = table_cache(8)
     q = 0.3 + 0.6j
+    up = _h_chain(tab, 5, q)
+    lo = _h_chain(tab, 5, np.conj(q))
     for n in (0, 1, 5):
-        up = eval_h(tab, n, q, model=model).value()
-        lo = eval_h(tab, n, np.conj(q), model=model).value()
-        assert lo == pytest.approx(-np.conj(up), rel=1e-10)
+        assert lo[n].value() == pytest.approx(-np.conj(up[n].value()), rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 64), x=st.floats(-2.0, 2.0),
+       y=st.floats(1e-2, 2.0), n=st.integers(0, 80))
+def test_h_conjugation_antisymmetry_property(model, N, x, y, n):
+    # both the forward and the backward (Miller) route of the chain; the
+    # chain extends a table shorter than n itself
+    tab = recurrence_table(model, N, N + 8)
+    q = complex(x, y)
+    up = _h_chain(tab, n, q)[n]
+    lo = _h_chain(tab, n, q.conjugate())[n]
+    assert lo.log_mag == pytest.approx(up.log_mag, rel=1e-12, abs=1e-12)
+    assert lo.phase == pytest.approx(-up.phase.conjugate(), abs=1e-10)
 
 
 def test_h0_large_q_decay(table_cache):
@@ -125,8 +149,9 @@ def test_h_recurrence_vs_quadrature(model, table_cache):
         im, _ = integrate.quad(integrand_im, -4, 4, limit=400, epsabs=1e-14)
         return (re + 1j * im) / (2j * math.pi)
 
+    hs = _h_chain(tab, 3, q)
     for n in (2, 3):
-        rec = eval_h(tab, n, q, model=model).value()
+        rec = hs[n].value()
         assert rec == pytest.approx(h_quad(n), rel=1e-6)
 
 
@@ -145,7 +170,7 @@ def test_h_casoratian_identity(model):
 
 def test_h_real_axis_rejected(table_cache):
     with pytest.raises(ValueError):
-        eval_h(table_cache(8), 3, 0.5)
+        _h_chain(table_cache(8), 3, 0.5)
 
 
 def test_y_matrix_det(table_cache):
@@ -249,7 +274,10 @@ def test_det_error_raises(model, table_cache, monkeypatch):
 
 
 def test_ensure_rejects_general_model(model):
+    # only the quadratic weight has a table, and it extends itself in place
     generic = make_model("quadratic", model.V, model.rho, model.support)
-    tab = recurrence_table(generic, 4, 8)
     with pytest.raises(ValueError):
-        tab.ensure(50)
+        recurrence_table(generic, 4, 8)
+    tab = recurrence_table(model, 4, 8)
+    tab.ensure(50)
+    assert tab.n_max == 50 and tab.a2[50] == 50 / 16.0
