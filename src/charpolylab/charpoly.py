@@ -22,8 +22,8 @@ import numpy as np
 from ._emit import emit
 from ._rng import substream
 from .hyperbolic import joukowsky
-from .orthopoly import (LogComplex, lc_exp, m_cells, _pi_chain, _h_chain,
-                        _tilde_factor)
+from .orthopoly import (m_cells, _exp2, _h_chain, _ldexp, _pi_chain,
+                        _scaled_det, _tilde_factor)
 
 __all__ = [
     "vandermonde_det",
@@ -49,44 +49,24 @@ def vandermonde_det(points):
     return out
 
 
-def _vandermonde_lc(points):
-    pts = list(points)
-    out = LogComplex.one()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            out = out * LogComplex.from_complex(pts[j] - pts[i])
-    return out
-
-
-def _logdet(cells):
-    """Determinant of a matrix of LogComplex entries.
-
-    Factors the max log-magnitude out of each row and then each column, runs
-    LU with partial pivoting (slogdet) on the O(1) remainder, and reassembles
-    the scale, so widely scaled rows never meet in a raw subtraction.
-    """
-    n = len(cells)
-    lm = np.array([[c.log_mag for c in row] for row in cells])
-    ph = np.array([[c.phase for c in row] for row in cells])
-    row_scale = lm.max(axis=1)
-    row_scale[np.isneginf(row_scale)] = 0.0
-    lm = lm - row_scale[:, None]
-    col_scale = lm.max(axis=0)
-    col_scale[np.isneginf(col_scale)] = 0.0
-    lm = lm - col_scale[None, :]
-    mat = np.exp(lm) * ph
-    sign, logabs = np.linalg.slogdet(mat)
-    if sign == 0:
-        return LogComplex.zero()
-    return LogComplex(logabs + row_scale.sum() + col_scale.sum(), sign)
-
-
 def _check_distinct(*groups):
     pts = [complex(p) for g in groups for p in g]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if pts[i] == pts[j]:
                 raise ValueError(f"coincident points {pts[i]}; no confluent limits taken")
+
+
+def _vandermonde_row(m, e, x, ell):
+    """(m, e) of the row [a x^j for j < l] + [b x^j for j < l], where a and b
+    are m[0] * 2**e[0] and m[1] * 2**e[1]."""
+    return np.kron(m, [x ** j for j in range(ell)]), np.repeat(e, ell)
+
+
+def _det_over_vandermonde(rows, q, p):
+    """det of the (m, e) rows divided by Delta(q) Delta(p), as a complex."""
+    m, e = _scaled_det(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+    return complex(_ldexp(m / (vandermonde_det(q) * vandermonde_det(p)), e))
 
 
 def fs_balanced(table, p, q):
@@ -108,21 +88,12 @@ def fs_balanced(table, p, q):
         if v.imag == 0.0:
             raise ValueError("q points must lie off the real axis")
     N = table.N
-    table.ensure(N)
-    t = _tilde_factor(table)
-    cells = []
-    for qi in q:
-        hs = _h_chain(table, N, qi)
-        row_a, row_b = t * hs[N - 1], hs[N]
-        pw = [LogComplex.from_complex(qi ** j) for j in range(ell)]
-        cells.append([row_a * w for w in pw] + [row_b * w for w in pw])
-    for pi in p:
-        pis = _pi_chain(table, N, pi)
-        row_a, row_b = t * pis[N - 1], pis[N]
-        pw = [LogComplex.from_complex(pi ** j) for j in range(ell)]
-        cells.append([row_a * w for w in pw] + [row_b * w for w in pw])
-    det = _logdet(cells)
-    return (det / (_vandermonde_lc(q) * _vandermonde_lc(p))).value()
+    tm, te = _tilde_factor(table)
+    rows = []
+    for chain, x in [(_h_chain, v) for v in q] + [(_pi_chain, v) for v in p]:
+        m, e = chain(table, N, x)
+        rows.append(_vandermonde_row(m[N - 1:] * [tm, 1], e[N - 1:] + [te, 0], x, ell))
+    return _det_over_vandermonde(rows, q, p)
 
 
 def laplace_split(A, B, C, D, p, q):
@@ -192,24 +163,18 @@ def exp_moment_field(table, model, bias, imag_tol=1e-8):
         # sign of M12, M21 (the Cauchy transforms are conjugate-antisymmetric)
         if v not in m_cache:
             if v.imag >= 0:
-                (m11, m12), (m21, m22) = m_cells(table, model, v)[0]
+                m_cache[v] = m_cells(table, model, v)[0]
             else:
-                (m11, m12), (m21, m22) = m_cells(table, model, np.conj(v))[0]
-                m11, m12, m21, m22 = m11.conj(), -m12.conj(), -m21.conj(), m22.conj()
-            m_cache[v] = m11, m12, m21, m22
+                (m, e), _ = m_cells(table, model, np.conj(v))
+                m_cache[v] = np.conj(m) * [[1, -1], [-1, 1]], e
         return m_cache[v]
 
-    cells = []
-    for qi in q_pts:
-        m11, m12, m21, m22 = entries(complex(qi))
-        pw = [LogComplex.from_complex(qi ** j) for j in range(ell)]
-        cells.append([m22 * w for w in pw] + [m12 * w for w in pw])
-    for pi in p_pts:
-        m11, m12, m21, m22 = entries(complex(pi))
-        pw = [LogComplex.from_complex(pi ** j) for j in range(ell)]
-        cells.append([m21 * w for w in pw] + [m11 * w for w in pw])
-    det = _logdet(cells)
-    val = (det / (_vandermonde_lc(q_pts) * _vandermonde_lc(p_pts))).value()
+    # q-rows (M22, M12), p-rows (M21, M11)
+    rows = []
+    for x, col in [(v, 1) for v in q_pts] + [(v, 0) for v in p_pts]:
+        m, e = entries(complex(x))
+        rows.append(_vandermonde_row(m[::-1, col], e[::-1, col], x, ell))
+    val = _det_over_vandermonde(rows, q_pts, p_pts)
     if abs(val.imag) > imag_tol * max(abs(val), 1e-300):
         raise ArithmeticError(f"imaginary residue {val.imag:.2e} on a real moment")
     if val.real <= 0.0:
@@ -233,27 +198,23 @@ def exp_pm2_moment(table, model, q, sign):
     N = table.N
     g2 = model.g(q) + model.g(np.conj(q))
     if sign == +1:
-        pis = _pi_chain(table, N + 1, q)
-        a, b = pis[N], pis[N + 1]
+        m, e = _pi_chain(table, N + 1, q)
+        a, b, ab = m[N], m[N + 1], e[N] + e[N + 1]
         # pi_n(conj q) = conj(pi_n(q))
-        det = a * b.conj() - b * a.conj()
-        scale = lc_exp(-N * g2)
-        pref_log, pref_phase = 0.0, 1.0
+        det = a * np.conj(b) - b * np.conj(a)
+        w = -N * g2
     else:
         if N < 2:
             raise ValueError("negative moment needs N >= 2")
-        hs = _h_chain(table, N - 1, q)
-        a, b = hs[N - 2], hs[N - 1]
+        m, e = _h_chain(table, N - 1, q)
+        a, b, ab = m[N - 2], m[N - 1], e[N - 2] + e[N - 1]
         # h_n(conj q) = -conj(h_n(q)), so the second row carries a sign flip
-        det = -(a * b.conj() - b * a.conj())
-        scale = lc_exp(N * g2)
+        det = -(a * np.conj(b) - b * np.conj(a))
         # prod_{j=1,2}(-2 pi i gamma_{N-j}^2) / (-1)^C(2,2)
-        pref_log = math.log(4.0 * math.pi ** 2) + table.log_gamma_sq[N - 1] \
+        w = N * g2 + math.log(4.0 * math.pi ** 2) + table.log_gamma_sq[N - 1] \
             + table.log_gamma_sq[N - 2]
-        pref_phase = 1.0
-    val = (det * scale) / LogComplex.from_complex(np.conj(q) - q)
-    val = val.scaled(pref_log, pref_phase)
-    out = val.value()
+    sm, se = _exp2(w)
+    out = complex(_ldexp(det * sm / (np.conj(q) - q), ab + se))
     if abs(out.imag) > 1e-8 * max(abs(out), 1e-300) or out.real <= 0.0:
         raise ArithmeticError(f"Laplace transform came out non-positive: {out}")
     return float(out.real)
@@ -323,10 +284,7 @@ def mc_char_ratio(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
         num = np.prod(dets[:, :len(ps)], axis=1) if ps else np.ones(m)
         den = np.prod(dets[:, len(ps):], axis=1) if qs else np.ones(m)
         shift = exps[:, :len(ps)].sum(axis=1) - exps[:, len(ps):].sum(axis=1)
-        ratio = num / den
-        block = vals[done:done + m]
-        block.real = np.ldexp(ratio.real, shift)
-        block.imag = np.ldexp(ratio.imag, shift)
+        vals[done:done + m] = _ldexp(num / den, shift)
         done += m
         task += 1
     mean, se = _batched_mean(vals)

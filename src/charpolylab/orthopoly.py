@@ -6,12 +6,16 @@ Only the quadratic weight is sampled exactly (by the tridiagonal model), so
 its closed-form recurrence pi_{n+1} = x pi_n - (n/4N) pi_{n-1} is the only
 one built here.
 
-All polynomial and transform values are carried in log-magnitude / unit-phase
-form so that e^{+-N g} factors and the gamma normalizing constants never
-materialize as raw floats.  The Cauchy transform is the recessive solution of
-the three-term recurrence off the real axis, so it is evaluated forward only
-while the accumulated dominance gap stays small and otherwise by a normalized
-backward recurrence anchored at the closed-form h_0.
+Polynomial and transform values are carried as a complex mantissa m and an
+integer exponent e, with value m * 2**e (the form charpoly's Monte Carlo
+kernel returns too), so that e^{+-N g} factors and the gamma normalizing
+constants never materialize as raw floats.  The recurrences divide by an
+exact power of two every step: wherever the unscaled recurrence stays in
+double range, m * 2**e is its value bit for bit.  The Cauchy transform is the
+recessive solution of the three-term recurrence off the real axis, so it is
+evaluated forward only while the accumulated dominance gap stays small and
+otherwise by a normalized backward (Miller) recurrence anchored at the
+closed-form h_0 (Gautschi, SIAM Rev. 9, 1967).
 """
 
 import cmath
@@ -19,10 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 __all__ = [
-    "LogComplex",
     "OPTable",
     "RHMatrix",
     "DeterminantError",
@@ -35,105 +37,57 @@ __all__ = [
     "r_weight",
 ]
 
-_NEG_INF = float("-inf")
+_LN2 = math.log(2.0)
 
 # forward evaluation of h is allowed while the dominance gap stays below this
 _FORWARD_GAP_MAX = 12.0
 # backward (Miller) runs start far enough above n that the gap exceeds this
 _BACKWARD_GAP_BUFFER = 36.0
+# the start index may reach max(_BACKWARD_HARD_CAP, _BACKWARD_CAP_PER_N * N);
+# every q with Im q >= 1/N and |Re q| <= 1.5 needs at most 100 N + 5
+# (measured for N = 8 .. 4096)
 _BACKWARD_HARD_CAP = 200_000
+_BACKWARD_CAP_PER_N = 128
 
 
 class DeterminantError(ArithmeticError):
     """Riemann-Hilbert matrix determinant strayed from 1."""
 
 
-class LogComplex:
-    """A complex number stored as (log magnitude, unit phase)."""
-
-    __slots__ = ("log_mag", "phase")
-
-    def __init__(self, log_mag, phase):
-        self.log_mag = float(log_mag)
-        self.phase = complex(phase)
-
-    @classmethod
-    def from_complex(cls, z):
-        z = complex(z)
-        a = abs(z)
-        if a == 0.0:
-            return cls(_NEG_INF, 1.0)
-        return cls(math.log(a), z / a)
-
-    @classmethod
-    def zero(cls):
-        return cls(_NEG_INF, 1.0)
-
-    @classmethod
-    def one(cls):
-        return cls(0.0, 1.0)
-
-    def is_zero(self):
-        return self.log_mag == _NEG_INF
-
-    def value(self):
-        """The plain complex value; overflows to inf beyond double range."""
-        if self.is_zero():
-            return 0.0 + 0.0j
-        if self.log_mag > 709.0:
-            return complex(math.inf * self.phase.real, math.inf * self.phase.imag)
-        return math.exp(self.log_mag) * self.phase
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return LogComplex.zero()
-        ph = self.phase * other.phase
-        return LogComplex(self.log_mag + other.log_mag, ph / abs(ph))
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("LogComplex division by zero")
-        if self.is_zero():
-            return LogComplex.zero()
-        ph = self.phase / other.phase
-        return LogComplex(self.log_mag - other.log_mag, ph / abs(ph))
-
-    def __neg__(self):
-        return LogComplex(self.log_mag, -self.phase)
-
-    def __add__(self, other):
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        m = max(self.log_mag, other.log_mag)
-        s = self.phase * math.exp(self.log_mag - m) + other.phase * math.exp(other.log_mag - m)
-        a = abs(s)
-        if a == 0.0:
-            return LogComplex.zero()
-        return LogComplex(m + math.log(a), s / a)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def conj(self):
-        return LogComplex(self.log_mag, self.phase.conjugate())
-
-    def scaled(self, dlog, dphase=1.0):
-        """Multiply by e^{dlog} * dphase with dphase on the unit circle."""
-        if self.is_zero():
-            return LogComplex.zero()
-        ph = self.phase * dphase
-        return LogComplex(self.log_mag + dlog, ph / abs(ph))
-
-    def __repr__(self):
-        return f"LogComplex(log_mag={self.log_mag!r}, phase={self.phase!r})"
+def _a2(N, k):
+    """The recurrence coefficient a_k^2 = k/(4N) of e^{-2N x^2}."""
+    return k / (4.0 * N)
 
 
-def lc_exp(w):
-    """e^w as a LogComplex for complex w."""
-    w = complex(w)
-    return LogComplex(w.real, cmath.exp(1j * w.imag))
+def _ldexp(m, e):
+    """m * 2**e elementwise for complex m and integer e; exact unless the
+    result leaves double range."""
+    m = np.asarray(m, dtype=complex)
+    out = np.empty(np.broadcast(m, e).shape, dtype=complex)
+    out.real = np.ldexp(m.real, e)
+    out.imag = np.ldexp(m.imag, e)
+    return out
+
+
+def _exp2(w):
+    """e^w as (m, e) with m * 2**e = e^w, elementwise for complex w."""
+    w = np.asarray(w, dtype=complex)
+    e = np.floor(w.real / _LN2).astype(np.int64)
+    return np.exp(w - e * _LN2), e
+
+
+def _scaled_det(m, e):
+    """Determinant of the square matrix m * 2**e, as (mantissa, exponent).
+
+    Each row, then each column, is divided by the exact power of two of its
+    largest exponent, and LU with partial pivoting (slogdet) runs on the O(1)
+    remainder, so widely scaled rows never meet in a raw subtraction.
+    """
+    e = np.asarray(e)
+    rows = e.max(axis=1)
+    cols = (e - rows[:, None]).max(axis=0)
+    sign, logabs = np.linalg.slogdet(_ldexp(m, e - rows[:, None] - cols[None, :]))
+    return complex(sign) * math.exp(logabs), int(rows.sum() + cols.sum())
 
 
 @dataclass
@@ -143,7 +97,8 @@ class OPTable:
     a2[n] = n/(4N) drives pi_{n+1} = x pi_n - a2[n] pi_{n-1} (the weight is
     even, so there is no diagonal term); a2[0] is unused.
     log_gamma_sq[n] = log(gamma_n^2) for the normalizing constants of the
-    orthonormal family.
+    orthonormal family.  The chains take a_k^2 in closed form, so they run
+    past n_max and never grow the table.
     """
 
     N: int
@@ -155,21 +110,9 @@ class OPTable:
         self.a2 = np.asarray(self.a2, dtype=float)
         if np.any(self.a2[1:self.n_max + 1] <= 0.0):
             raise ValueError("a2[n] must be positive for n >= 1")
-        self._rebuild_gamma()
-
-    def _rebuild_gamma(self):
         logs = np.zeros(self.n_max + 1)
         logs[1:] = np.cumsum(np.log(self.a2[1:self.n_max + 1]))
         self.log_gamma_sq = 2.0 * math.log(self.gamma0) - logs
-
-    def ensure(self, n):
-        """Extend the table through index n."""
-        if n <= self.n_max:
-            return
-        ns = np.arange(self.n_max + 1, n + 1)
-        self.a2 = np.concatenate([self.a2, ns / (4.0 * self.N)])
-        self.n_max = int(n)
-        self._rebuild_gamma()
 
 
 def recurrence_table(model, N, n_max):
@@ -182,26 +125,32 @@ def recurrence_table(model, N, n_max):
         raise ValueError(f"model {model.name!r} has no closed-form recurrence")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    ns = np.arange(n_max + 1)
-    return OPTable(N=N, n_max=n_max, a2=ns / (4.0 * N),
+    return OPTable(N=N, n_max=n_max, a2=_a2(N, np.arange(n_max + 1)),
                    gamma0=(2.0 * N / math.pi) ** 0.25)
 
 
+def _forward(y0, y1, x, N, n):
+    """(m, e) arrays of y_0 .. y_n for y_{k+1} = x y_k - a_k^2 y_{k-1}.
+
+    Both running values are divided by the binary exponent of the newer one
+    every step, which is exact, so no |x| overflows the run.
+    """
+    ms, es = [complex(y0)], [0]
+    prev, cur, e = complex(y0), complex(y1), 0
+    for k in range(1, n + 1):
+        s = math.frexp(abs(cur))[1]
+        t = math.ldexp(1.0, -s)
+        prev, cur, e = prev * t, cur * t, e + s
+        ms.append(cur)
+        es.append(e)
+        prev, cur = cur, x * cur - _a2(N, k) * prev
+    return np.array(ms), np.array(es, dtype=np.int64)
+
+
 def _pi_chain(table, n, x):
-    """LogComplex values pi_0 .. pi_n at x by the forward recurrence."""
-    table.ensure(n)
+    """(m, e) arrays of pi_0 .. pi_n at x by the forward recurrence."""
     x = complex(x)
-    chain = [LogComplex.one()]
-    if n == 0:
-        return chain
-    lx = LogComplex.from_complex(x)
-    prev = LogComplex.zero()
-    cur = chain[0]
-    for k in range(n):
-        nxt = cur * lx - prev.scaled(math.log(table.a2[k]) if k >= 1 else _NEG_INF)
-        chain.append(nxt)
-        prev, cur = cur, nxt
-    return chain
+    return _forward(1.0, x, x, table.N, n)
 
 
 def h0_closed(table, q):
@@ -210,6 +159,8 @@ def h0_closed(table, q):
     The 1/(2 pi i) prefactor makes all h_n conjugate-antisymmetric:
     h_n(conj q) = -conj(h_n(q)).
     """
+    from scipy.special import wofz  # only the formula commands need it
+
     q = complex(q)
     if q.imag == 0.0:
         raise ValueError("Cauchy transform undefined on the real axis")
@@ -219,63 +170,72 @@ def h0_closed(table, q):
     return -np.conj(0.5 * wofz(s * np.conj(q)))
 
 
-def _dominance_gap(table, k, q):
-    """log ratio of the recurrence's characteristic roots at step k."""
-    s = cmath.sqrt(q * q - 4.0 * table.a2[k])
-    hi = max(abs(q + s), abs(q - s)) / 2.0
-    return 2.0 * math.log(hi) - math.log(table.a2[k])
+def _dominance_gaps(N, ks, q):
+    """log ratio of the recurrence's characteristic roots at each step in ks."""
+    a = _a2(N, ks)
+    s = np.sqrt(q * q - 4.0 * a)
+    return 2.0 * np.log(np.maximum(np.abs(q + s), np.abs(q - s)) / 2.0) - np.log(a)
+
+
+def _start_index(N, n, q):
+    """The smallest M > n whose gap sum over n+1 .. M reaches the buffer.
+
+    The sum is searched in chunks that double in size, so a start index near
+    n costs little; past the bound on the start index it raises.
+    """
+    bound = max(_BACKWARD_HARD_CAP, _BACKWARD_CAP_PER_N * N)
+    lo, size, total = n + 1, max(n, 1024), 0.0
+    while lo <= bound:
+        cum = total + np.cumsum(_dominance_gaps(N, np.arange(lo, lo + size), q))
+        hit = cum >= _BACKWARD_GAP_BUFFER
+        if hit.any():
+            M = lo + int(hit.argmax())
+            if M > bound:
+                break
+            return M
+        lo, size, total = lo + size, 2 * size, cum[-1]
+    else:
+        M = f"above {lo - 1}"
+    raise RuntimeError(f"backward h-chain at N={N}, q={q}: start index {M} "
+                       f"needed, bound {bound}")
 
 
 def _h_chain(table, n, q):
-    """LogComplex values h_0 .. h_n at q, stable for any table size.
+    """(m, e) arrays of h_0 .. h_n at q, for any n.
 
     Forward recurrence is used while the summed dominance gap stays below
     _FORWARD_GAP_MAX; beyond that the chain comes from a backward run
     started where the gap buffer exceeds _BACKWARD_GAP_BUFFER, normalized
     by the closed-form h_0.
     """
-    table.ensure(n)
     q = complex(q)
-    h0 = LogComplex.from_complex(h0_closed(table, q))
-    if n == 0:
-        return [h0]
-    lq = LogComplex.from_complex(q)
-    corr = LogComplex.from_complex(table.gamma0 ** -2 / (2j * math.pi))
-    gap = 0.0
-    for k in range(1, n):
-        gap += _dominance_gap(table, k, q)
-    if gap <= _FORWARD_GAP_MAX:
-        chain = [h0, h0 * lq + corr]
-        for k in range(1, n):
-            nxt = chain[k] * lq - chain[k - 1].scaled(math.log(table.a2[k]))
-            chain.append(nxt)
-        return chain
+    h0 = complex(h0_closed(table, q))
+    N = table.N
+    if _dominance_gaps(N, np.arange(1, n), q).sum() <= _FORWARD_GAP_MAX:
+        return _forward(h0, q * h0 + table.gamma0 ** -2 / (2j * math.pi), q, N, n)
 
-    # normalized backward recurrence
-    M = n
-    buf = 0.0
-    while buf < _BACKWARD_GAP_BUFFER:
-        M += 1
-        if M > _BACKWARD_HARD_CAP:
-            raise RuntimeError("backward recurrence start index exceeds hard cap")
-        if M + 1 > table.n_max:
-            table.ensure(max(M + 1, int(1.5 * table.n_max) + 64))
-        buf += _dominance_gap(table, M, q)
-    y = [None] * (M + 2)
-    y[M + 1] = LogComplex.zero()
-    y[M] = LogComplex.one()
-    for k in range(M, 0, -1):
-        y[k - 1] = (y[k] * lq - y[k + 1]).scaled(-math.log(table.a2[k]))
-    alpha = h0 / y[0]
-    return [alpha * y[k] for k in range(n + 1)]
+    # y_{k-1} = (q y_k - y_{k+1}) / a_k^2 from y_{M+1} = 0, y_M = 1, rescaled
+    # like _forward; y_n .. y_0 are kept
+    ms, es = [], []
+    nxt, cur, e = 0j, 1.0 + 0j, 0
+    for k in range(_start_index(N, n, q), 0, -1):
+        nxt, cur = cur, (q * cur - nxt) / _a2(N, k)
+        s = math.frexp(abs(cur))[1]
+        t = math.ldexp(1.0, -s)
+        nxt, cur, e = nxt * t, cur * t, e + s
+        if k <= n + 1:
+            ms.append(cur)
+            es.append(e)
+    m, e = np.array(ms[::-1]), np.array(es[::-1], dtype=np.int64)
+    return h0 / m[0] * m, e - e[0]
 
 
 @dataclass
 class RHMatrix:
     """A 2x2 Riemann-Hilbert matrix; true matrix = entries * exp(log_scale).
 
-    det holds the determinant of the unscaled matrix, computed in log space
-    before any exponentiation, and must sit at 1.
+    det holds the determinant of the unscaled matrix, computed from the
+    (m, e) cells before any exponentiation, and must sit at 1.
     """
 
     entries: np.ndarray
@@ -291,10 +251,11 @@ class RHMatrix:
             )
 
 
-def _unit_det(cells, kind, q, det_tol=1e-6):
-    """Determinant of 2x2 LogComplex cells, which must sit at 1; formed before
-    any exponentiation so a breakdown surfaces before it corrupts a moment."""
-    det = (cells[0][0] * cells[1][1] - cells[0][1] * cells[1][0]).value()
+def _unit_det(m, e, kind, q, det_tol=1e-6):
+    """Determinant of the 2x2 cells m * 2**e, which must sit at 1; formed
+    before any exponentiation so a breakdown surfaces before it corrupts a
+    moment."""
+    det = complex(_ldexp(*_scaled_det(m, e)))
     if abs(det - 1.0) > det_tol:
         raise DeterminantError(
             f"det {kind} = {det} at q={complex(q)} deviates from 1 beyond {det_tol:g}"
@@ -302,55 +263,56 @@ def _unit_det(cells, kind, q, det_tol=1e-6):
     return det
 
 
-def _pack_rh(cells, det, kind, q):
-    scale = max(c.log_mag for row in cells for c in row)
-    if scale == _NEG_INF:
-        scale = 0.0
-    entries = np.array([[c.scaled(-scale).value() for c in row] for row in cells])
-    return RHMatrix(entries=entries, kind=kind, q=complex(q), log_scale=scale, det=det)
+def _pack_rh(m, e, det, kind, q):
+    top = int(e.max())
+    return RHMatrix(entries=_ldexp(m, e - top), kind=kind, q=complex(q),
+                    log_scale=top * _LN2, det=det)
 
 
 def _tilde_factor(table):
-    """-2 pi i gamma_{N-1}^2 as a LogComplex."""
-    return LogComplex(math.log(2.0 * math.pi) + table.log_gamma_sq[table.N - 1], -1j)
+    """-2 pi i gamma_{N-1}^2 as (m, e)."""
+    m, e = _exp2(math.log(2.0 * math.pi) + table.log_gamma_sq[table.N - 1])
+    return -1j * m, e
+
+
+def _y_cells(table, q):
+    """(m, e) of [[pi_N, h_N], [t pi_{N-1}, t h_{N-1}]], t = -2 pi i gamma_{N-1}^2."""
+    N = table.N
+    pm, pe = _pi_chain(table, N, q)
+    hm, he = _h_chain(table, N, q)
+    tm, te = _tilde_factor(table)
+    return (np.array([[pm[N], hm[N]], [tm * pm[N - 1], tm * hm[N - 1]]]),
+            np.array([[pe[N], he[N]], [te + pe[N - 1], te + he[N - 1]]]))
 
 
 def y_matrix(table, q):
     """The matrix [[pi_N, h_N], [t pi_{N-1}, t h_{N-1}]], t = -2 pi i gamma_{N-1}^2."""
-    N = table.N
-    pis = _pi_chain(table, N, q)
-    hs = _h_chain(table, N, q)
-    t = _tilde_factor(table)
-    cells = [[pis[N], hs[N]], [t * pis[N - 1], t * hs[N - 1]]]
-    return _pack_rh(cells, _unit_det(cells, "Y", q), "Y", q)
+    m, e = _y_cells(table, q)
+    return _pack_rh(m, e, _unit_det(m, e, "Y", q), "Y", q)
 
 
 def m_cells(table, model, q):
-    """LogComplex cells [[M11, M12], [M21, M22]] of M_N at q and their
+    """(m, e) cells [[M11, M12], [M21, M22]] of M_N at q and their
     determinant, checked to sit at 1 within 1e-6.
 
     M is Y_N conjugated by e^{-N ell_V sigma3/2} ... e^{-N(g-ell_V/2) sigma3};
-    the e^{+-N g} factors are applied in log space so they never appear as
+    the e^{+-N g} factors are applied as (m, e) pairs so they never appear as
     raw exponentials.
     """
     N = table.N
     g = model.g(q)
     ell = model.ell_v
-    pis = _pi_chain(table, N, q)
-    hs = _h_chain(table, N, q)
-    t = _tilde_factor(table)
-    e_mg = lc_exp(-N * g)                    # e^{-N g}
-    e_gl = lc_exp(N * (g - ell))             # e^{+N(g-ell)}
-    e_lg = lc_exp(-N * (g - ell))            # e^{-N(g-ell)}
-    e_g = lc_exp(N * g)                      # e^{+N g}
-    cells = [[pis[N] * e_mg, hs[N] * e_gl],
-             [t * pis[N - 1] * e_lg, t * hs[N - 1] * e_g]]
-    return cells, _unit_det(cells, "M", q)
+    m, e = _y_cells(table, q)
+    # e^{-N g}, e^{+N(g-ell)}; e^{-N(g-ell)}, e^{+N g}
+    fm, fe = _exp2([[-N * g, N * (g - ell)], [-N * (g - ell), N * g]])
+    m, e = m * fm, e + fe
+    return (m, e), _unit_det(m, e, "M", q)
 
 
 def m_matrix(table, model, q):
     """The normalized matrix M_N at q; entries are O(1) in the bulk."""
-    return _pack_rh(*m_cells(table, model, q), "M", q)
+    (m, e), det = m_cells(table, model, q)
+    return _pack_rh(m, e, det, "M", q)
 
 
 def _gamma_onecut(q):

@@ -3,6 +3,7 @@ vectorized or closed-form routes against.  Nothing under src/ calls them."""
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -88,3 +89,54 @@ def matching_ratio(Z, W, T, S):
     num = _pseudo_product(T, S) * _pseudo_product(Tc, Sc)
     den = _pseudo_product(T, Tc) * _pseudo_product(S, Sc)
     return num / den
+
+
+def _mp_forward(y0, y1, x, N, n):
+    """y_0 .. y_n of y_{k+1} = x y_k - (k/4N) y_{k-1} at mpmath's precision."""
+    ys = [y0, y1]
+    for k in range(1, n):
+        ys.append(x * ys[k] - mpmath.mpf(k) / (4 * N) * ys[k - 1])
+    return ys[:n + 1]
+
+
+def _mp_dps(N, n, q):
+    """40 digits plus the digits the forward h recurrence loses to its summed
+    dominance gap log|r_+ / r_-| over steps 1 .. n-1."""
+    with mpmath.workdps(30):
+        q = mpmath.mpc(q)
+        gap = 0
+        for k in range(1, n):
+            a = mpmath.mpf(k) / (4 * N)
+            s = mpmath.sqrt(q * q - 4 * a)
+            gap += 2 * mpmath.log(max(abs(q + s), abs(q - s)) / 2) - mpmath.log(a)
+    return 40 + int(gap / 2.3) + 1
+
+
+def mp_chains(N, n, x, q):
+    """pi_0 .. pi_n at x, h_0 .. h_n at q (Im q > 0) and gamma_{n-1}^2 by the
+    forward recurrences in mpmath, with h_0 = w(sqrt(2N) q)/2 from erfc: the
+    oracle for orthopoly's chains and for the determinants built from them.
+    h runs with _mp_dps digits; pi, the dominant solution, with 40."""
+    if complex(q).imag <= 0.0:
+        raise ValueError("oracle written for the upper half-plane")
+    with mpmath.workdps(40):
+        x = mpmath.mpc(x)
+        pis = _mp_forward(mpmath.mpf(1), x, x, N, n)
+        gamma_sq = mpmath.sqrt(2 * N / mpmath.pi) \
+            * mpmath.fprod(mpmath.mpf(4 * N) / k for k in range(1, n))
+    with mpmath.workdps(_mp_dps(N, n, q)):
+        q = mpmath.mpc(q)
+        z = mpmath.sqrt(2 * N) * q
+        h0 = mpmath.exp(-z * z) * mpmath.erfc(-1j * z) / 2
+        h1 = q * h0 + 1 / (mpmath.sqrt(2 * N / mpmath.pi) * 2j * mpmath.pi)
+        hs = _mp_forward(h0, h1, q, N, n)
+    return pis, hs, gamma_sq
+
+
+def mp_fs_balanced(N, p, q):
+    """fs_balanced for l = 1: -2 pi i gamma_{N-1}^2 (h_{N-1}(q) pi_N(p)
+    - h_N(q) pi_{N-1}(p)), as a Python complex."""
+    pis, hs, gamma_sq = mp_chains(N, N, p, q)
+    with mpmath.workdps(40):
+        t = -2j * mpmath.pi * gamma_sq
+        return complex(t * (hs[N - 1] * pis[N] - hs[N] * pis[N - 1]))

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from charpolylab._rng import substream
-from charpolylab.charpoly import (VerificationCase, _char_poly_batch, _logdet,
-                                  exp_moment_field,
-                                  exp_pm2_moment, fs_balanced,
+from charpolylab.charpoly import (VerificationCase, _char_poly_batch,
+                                  exp_moment_field, exp_pm2_moment, fs_balanced,
                                   laplace_split, mc_abs2_moment, mc_char_ratio,
                                   mc_field_bias_moment, vandermonde_det,
                                   write_verification_report)
 from charpolylab.gaussfield import BiasSpec
 from charpolylab.hyperbolic import joukowsky
-from charpolylab.orthopoly import LogComplex
+from charpolylab.orthopoly import _scaled_det, recurrence_table
+from oracles import mp_fs_balanced
 
 
 def test_vandermonde():
@@ -55,6 +55,15 @@ def test_fs_balanced_vs_monte_carlo(table_cache):
     assert abs(mc - f) < 3.0 * se * math.sqrt(2.0)
 
 
+# the two cases fs-verify checks against Monte Carlo
+@pytest.mark.parametrize("p,q", [(0.3 + 0.4j, -0.2 + 0.5j),
+                                 (-0.35 + 0.45j, 0.25 + 0.6j)])
+@pytest.mark.parametrize("N", [256, 1024, 2048])
+def test_fs_balanced_matches_mpmath(model, N, p, q):
+    f = fs_balanced(recurrence_table(model, N, N + 16), [p], [q])
+    assert f == pytest.approx(mp_fs_balanced(N, p, q), rel=5e-11)
+
+
 def test_fs_balanced_rejects_bad_input(table_cache):
     tab = table_cache(8)
     with pytest.raises(ValueError):
@@ -65,21 +74,23 @@ def test_fs_balanced_rejects_bad_input(table_cache):
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-       scale=st.floats(0.0, 700.0))
-def test_logdet_matches_slogdet(n, seed, scale):
-    # rows and columns scaled by up to e^{+-700}: the plain matrix would
-    # over- and underflow, but det(D1 A D2) = det(D1) det(A) det(D2)
+       scale=st.integers(0, 1000))
+def test_scaled_det_matches_slogdet(n, seed, scale):
+    # rows and columns scaled by up to 2^{+-1000}, each entry split at random
+    # between mantissa and exponent: the plain matrix would over- and
+    # underflow, but det(D1 A D2) = det(D1) det(A) det(D2)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     assume(np.linalg.cond(A) < 1e6)
-    r = rng.uniform(-scale, scale, n)
-    c = rng.uniform(-scale, scale, n)
-    cells = [[LogComplex.from_complex(A[i, j]).scaled(r[i] + c[j])
-              for j in range(n)] for i in range(n)]
+    r = rng.integers(-scale, scale, n, endpoint=True)
+    c = rng.integers(-scale, scale, n, endpoint=True)
+    split = rng.integers(-3, 3, (n, n), endpoint=True)
+    m, e = _scaled_det(np.ldexp(A.real, split) + 1j * np.ldexp(A.imag, split),
+                       r[:, None] + c[None, :] - split)
     sign, logabs = np.linalg.slogdet(A)
-    det = _logdet(cells)
-    assert det.log_mag == pytest.approx(logabs + r.sum() + c.sum(), abs=1e-8)
-    assert det.phase == pytest.approx(sign, abs=1e-8)
+    assert math.log(abs(m)) + e * math.log(2.0) == pytest.approx(
+        logabs + (r.sum() + c.sum()) * math.log(2.0), abs=1e-8)
+    assert m / abs(m) == pytest.approx(sign, abs=1e-8)
 
 
 def test_laplace_split_scalar():

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from charpolylab import cli
+from charpolylab import cli, momentlab, orthopoly
+from charpolylab._rng import substream
 from charpolylab.orthopoly import DeterminantError
 from charpolylab.cli import (ConfigError, RunConfig, build_config, emit, main,
                              run, summary_schema, validate_against_schema)
@@ -104,9 +105,10 @@ def test_unknown_config_key_rejected(tmp_path):
     ["matching-verify", "--samples", "1"],
     ["matching-verify", "--epsilon", "0"],
     ["matching-verify", "--epsilon", "1"],
+    ["matching-verify", "--epsilon", "0.6", "--samples", "100"],
 ], ids=["depth_over_cap", "eta_over_depth", "shift_below_one",
         "max_experiment_n1", "upperbound_n1", "matching_one_sample",
-        "epsilon_zero", "epsilon_one"])
+        "epsilon_zero", "epsilon_one", "epsilon_over_half"])
 def test_out_of_range_parameters_exit_2(args, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
@@ -203,7 +205,7 @@ def test_check_exit_codes(monkeypatch):
 @pytest.mark.parametrize("exc", [
     ArithmeticError("imaginary residue on a real moment"),
     DeterminantError("det M deviates from 1"),
-    ZeroDivisionError("LogComplex division by zero"),
+    ZeroDivisionError("r_weight is infinite at a support edge"),
     np.linalg.LinAlgError("covariance eigenvalue below tolerance"),
     RuntimeError("backward recurrence start index exceeds hard cap"),
 ], ids=["arithmetic", "determinant", "zero_division", "linalg", "runtime"])
@@ -217,12 +219,21 @@ def test_numerical_breakdown_exits_3(monkeypatch, capsys, exc):
     assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
-def test_matching_verify_unplaceable_epsilon_exits_3(capsys):
-    # 0.6 is a valid pseudo-distance, but 1.5 * 0.6 separated centers do not
-    # fit in the sampling disk
-    assert main(["matching-verify", "--epsilon", "0.6", "--samples", "100"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: RuntimeError:") and len(err.splitlines()) == 1
+def test_start_index_breakdown_explains_itself(monkeypatch, capsys):
+    monkeypatch.setattr(orthopoly, "_BACKWARD_HARD_CAP", 10)
+    monkeypatch.setattr(orthopoly, "_BACKWARD_CAP_PER_N", 1)
+    assert main(["fs-verify", "--N", "8", "--samples", "10"]) == 3
+    assert capsys.readouterr().err == (
+        "error: RuntimeError: backward h-chain at N=8, q=(0.25+0.6j): "
+        "start index 68 needed, bound 10\n")
+
+
+def test_epsilon_half_places_the_worst_case():
+    # the largest configuration matching-verify draws: k = 2 separated and
+    # l = 3 tight pairs, 7 centers 1.5 epsilon apart
+    for seed in range(500):
+        config = momentlab.random_pair_configuration(2, 3, 0.5, substream(seed, 0))
+        assert len(config.pairs) == 5
 
 
 def test_check_passing_command(tmp_path):

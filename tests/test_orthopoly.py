@@ -1,47 +1,68 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from charpolylab.ensemble import make_model
-from charpolylab.orthopoly import (DeterminantError, LogComplex,
-                                   global_parametrix_onecut, h0_closed,
-                                   m_matrix, r_weight, recurrence_table,
-                                   y_matrix, _h_chain, _pi_chain)
-from oracles import h0_quadrature
+from charpolylab import orthopoly
+from charpolylab.orthopoly import (DeterminantError, global_parametrix_onecut,
+                                   h0_closed, m_matrix, r_weight,
+                                   recurrence_table, y_matrix, _exp2, _h_chain,
+                                   _ldexp, _pi_chain)
+from oracles import h0_quadrature, mp_chains
 
 
-def test_log_complex_arithmetic():
-    a = LogComplex.from_complex(3.0 + 4.0j)
-    b = LogComplex.from_complex(-2.0 + 1.0j)
-    assert (a * b).value() == pytest.approx((3 + 4j) * (-2 + 1j), rel=1e-14)
-    assert (a + b).value() == pytest.approx(1.0 + 5.0j, rel=1e-14)
-    assert (a - a).is_zero()
-    assert (a / b).value() == pytest.approx((3 + 4j) / (-2 + 1j), rel=1e-14)
-    assert a.conj().value() == pytest.approx(3.0 - 4.0j, rel=1e-14)
-    big = LogComplex(800.0, 1.0)
-    assert math.isinf(big.value().real)
-    assert (big / big).value() == pytest.approx(1.0)
+def _value(chain, n):
+    m, e = chain
+    return complex(_ldexp(m[n], e[n]))
 
 
-# complex numbers whose products and quotients stay well inside double range
-_moderate = st.complex_numbers(min_magnitude=1e-50, max_magnitude=1e50,
-                               allow_nan=False, allow_infinity=False)
+def _unscaled(y0, y1, x, N, n):
+    """The raw recurrence y_{k+1} = x y_k - (k/4N) y_{k-1}, in plain complex."""
+    ys = [complex(y0), complex(y1)]
+    for k in range(1, n):
+        ys.append(x * ys[k] - k / (4.0 * N) * ys[k - 1])
+    return np.array(ys[:n + 1])
+
+
+def test_forward_rescale_is_exact(table_cache):
+    # dividing by a power of two is exact, so m * 2**e is the raw recurrence
+    # bit for bit while the latter stays in range
+    tab = table_cache(64)
+    for x in (0.3 + 0.4j, -1.2 + 0.05j, 2.5 - 1.0j):
+        m, e = _pi_chain(tab, 64, x)
+        assert np.any(e != 0)
+        assert np.array_equal(_ldexp(m, e), _unscaled(1.0, x, x, 64, 64))
+    q = 0.2 + 0.01j  # close enough to the axis for the forward h route
+    assert orthopoly._dominance_gaps(64, np.arange(1, 64), q).sum() \
+        <= orthopoly._FORWARD_GAP_MAX
+    h0 = complex(h0_closed(tab, q))
+    h1 = q * h0 + tab.gamma0 ** -2 / (2j * math.pi)
+    m, e = _h_chain(tab, 64, q)
+    assert np.array_equal(_ldexp(m, e), _unscaled(h0, h1, q, 64, 64))
+
+
+def test_forward_survives_huge_argument(table_cache):
+    # |pi_n(x)| ~ |x|^n leaves double range after two steps at |x| = 1e200
+    m, e = _pi_chain(table_cache(8), 8, 1e200 + 1e199j)
+    logs = np.log(np.abs(m)) + e * math.log(2.0)
+    assert np.allclose(logs[1:], np.arange(1, 9) * math.log(abs(1e200 + 1e199j)),
+                       rtol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=_moderate, b=_moderate)
-def test_log_complex_arithmetic_property(a, b):
-    la, lb = LogComplex.from_complex(a), LogComplex.from_complex(b)
-    # exp(log_mag) turns the rounding of log_mag (|log_mag| <= 116 here) into
-    # a relative error of up to ~116 ulp
-    assert la.value() == pytest.approx(a, rel=1e-13)
-    assert (la * lb).value() == pytest.approx(a * b, rel=1e-13)
-    assert (la / lb).value() == pytest.approx(a / b, rel=1e-13)
-    # a sum is accurate only relative to its terms, not to a cancelled result
-    assert abs((la + lb).value() - (a + b)) <= 1e-13 * (abs(a) + abs(b))
+@given(w=st.complex_numbers(max_magnitude=700.0, allow_nan=False,
+                            allow_infinity=False))
+def test_exp2_matches_cmath_exp(w):
+    m, e = _exp2(w)
+    # the mantissa is e^r with r in [0, log 2) up to rounding
+    assert e.dtype.kind == "i" and 0.5 < abs(m) < 4.0
+    # the rounding of w.real (up to 700) is a relative error of ~700 ulp
+    assert complex(_ldexp(m, e)) == pytest.approx(cmath.exp(w), rel=2e-13)
 
 
 def test_gue_recurrence_coefficients(table_cache):
@@ -68,7 +89,7 @@ def test_orthogonality_by_quadrature(model):
     tab = recurrence_table(model, N, 8)
 
     def pi_val(n, x):
-        return _pi_chain(tab, n, x)[n].value().real
+        return _value(_pi_chain(tab, n, x), n).real
 
     inner, _ = integrate.quad(
         lambda x: pi_val(2, x) * pi_val(3, x) * math.exp(-N * model.V(x)),
@@ -80,17 +101,18 @@ def test_orthogonality_by_quadrature(model):
 
 def test_eval_pi_basics(table_cache):
     pis = _pi_chain(table_cache(16), 2, 0.3)
-    assert pis[0].value() == 1.0
-    assert pis[1].value() == pytest.approx(0.3, rel=1e-15)
-    assert pis[2].value() == pytest.approx(0.09 - 1.0 / 64.0, rel=1e-13)
+    assert _value(pis, 0) == 1.0
+    assert _value(pis, 1) == pytest.approx(0.3, rel=1e-15)
+    assert _value(pis, 2) == pytest.approx(0.09 - 1.0 / 64.0, rel=1e-13)
 
 
 def test_eval_pi_log_domain_large_N(model):
     tab = recurrence_table(model, 512, 520)
-    val = _pi_chain(tab, 512, 0.5)[512]
-    assert math.isfinite(val.log_mag)
+    m, e = _pi_chain(tab, 512, 0.5)
+    log_mag = math.log(abs(m[512])) + e[512] * math.log(2.0)
+    assert math.isfinite(log_mag)
     # the raw magnitude is far outside comfortable double range
-    assert val.log_mag < -400.0
+    assert log_mag < -400.0
 
 
 def test_h0_routes_agree(model, table_cache):
@@ -107,21 +129,22 @@ def test_h_conjugation_antisymmetry(model, table_cache):
     up = _h_chain(tab, 5, q)
     lo = _h_chain(tab, 5, np.conj(q))
     for n in (0, 1, 5):
-        assert lo[n].value() == pytest.approx(-np.conj(up[n].value()), rel=1e-10)
+        assert _value(lo, n) == pytest.approx(-np.conj(_value(up, n)), rel=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
 @given(N=st.integers(1, 64), x=st.floats(-2.0, 2.0),
        y=st.floats(1e-2, 2.0), n=st.integers(0, 80))
 def test_h_conjugation_antisymmetry_property(model, N, x, y, n):
-    # both the forward and the backward (Miller) route of the chain; the
-    # chain extends a table shorter than n itself
+    # both the forward and the backward (Miller) route of the chain, also
+    # past the table's n_max
     tab = recurrence_table(model, N, N + 8)
     q = complex(x, y)
-    up = _h_chain(tab, n, q)[n]
-    lo = _h_chain(tab, n, q.conjugate())[n]
-    assert lo.log_mag == pytest.approx(up.log_mag, rel=1e-12, abs=1e-12)
-    assert lo.phase == pytest.approx(-up.phase.conjugate(), abs=1e-10)
+    um, ue = _h_chain(tab, n, q)
+    lm, le = _h_chain(tab, n, q.conjugate())
+    # compare mantissas at the upper chain's exponent
+    assert complex(_ldexp(lm[n], le[n] - ue[n])) == pytest.approx(-np.conj(um[n]),
+                                                                 rel=1e-10)
 
 
 def test_h0_large_q_decay(table_cache):
@@ -138,11 +161,11 @@ def test_h_recurrence_vs_quadrature(model, table_cache):
 
     def h_quad(n):
         def integrand_re(x):
-            pin = _pi_chain(tab, n, x)[n].value().real
+            pin = _value(_pi_chain(tab, n, x), n).real
             return (pin * math.exp(-N * model.V(x)) / (x - q)).real
 
         def integrand_im(x):
-            pin = _pi_chain(tab, n, x)[n].value().real
+            pin = _value(_pi_chain(tab, n, x), n).real
             return (pin * math.exp(-N * model.V(x)) / (x - q)).imag
 
         re, _ = integrate.quad(integrand_re, -4, 4, limit=400, epsabs=1e-14)
@@ -151,7 +174,7 @@ def test_h_recurrence_vs_quadrature(model, table_cache):
 
     hs = _h_chain(tab, 3, q)
     for n in (2, 3):
-        rec = hs[n].value()
+        rec = _value(hs, n)
         assert rec == pytest.approx(h_quad(n), rel=1e-6)
 
 
@@ -163,9 +186,29 @@ def test_h_casoratian_identity(model):
         pis = _pi_chain(tab, N, q)
         hs = _h_chain(tab, N, q)
         for n in (2, N // 2, N):
-            w = (pis[n] * hs[n - 1] - hs[n] * pis[n - 1]).value()
+            w = _value(pis, n) * _value(hs, n - 1) - _value(hs, n) * _value(pis, n - 1)
             target = -1.0 / (2j * math.pi * math.exp(tab.log_gamma_sq[n - 1]))
             assert w == pytest.approx(target, rel=1e-10)
+
+
+@pytest.mark.parametrize("im", [1, 8])
+@pytest.mark.parametrize("N", [1024, 4096])
+def test_h_chain_matches_mpmath(model, N, im):
+    # Im q = 1/N takes the backward route with a start index near 100 N
+    q = 0.2 + 1j * im / N
+    tab = recurrence_table(model, N, N + 8)
+    _, hs, _ = mp_chains(N, N, q, q)
+    m, e = _h_chain(tab, N, q)
+    for n in (0, N - 2, N - 1, N):
+        assert abs(mpmath.mpc(m[n]) * mpmath.ldexp(1, int(e[n])) / hs[n] - 1) <= 1e-12
+    assert tab.n_max == N + 8
+
+
+@pytest.mark.parametrize("N", [2048, 4096])
+def test_y_matrix_at_im_q_one_over_n(model, N):
+    tab = recurrence_table(model, N, N + 8)
+    assert abs(y_matrix(tab, 0.2 + 1j / N).det - 1.0) <= 1e-9
+    assert tab.n_max == N + 8
 
 
 def test_h_real_axis_rejected(table_cache):
@@ -274,10 +317,24 @@ def test_det_error_raises(model, table_cache, monkeypatch):
 
 
 def test_ensure_rejects_general_model(model):
-    # only the quadratic weight has a table, and it extends itself in place
+    # only the quadratic weight has a table, and the chains run past its
+    # n_max without growing it
     generic = make_model("quadratic", model.V, model.rho, model.support)
     with pytest.raises(ValueError):
         recurrence_table(generic, 4, 8)
     tab = recurrence_table(model, 4, 8)
-    tab.ensure(50)
-    assert tab.n_max == 50 and tab.a2[50] == 50 / 16.0
+    for chain in (_pi_chain(tab, 50, 0.3), _h_chain(tab, 50, 0.3 + 0.01j)):
+        assert [len(part) for part in chain] == [51, 51]
+    assert tab.n_max == 8 and len(tab.a2) == 9
+
+
+def test_start_index_error_names_route_and_bound(model, monkeypatch):
+    monkeypatch.setattr(orthopoly, "_BACKWARD_HARD_CAP", 100)
+    monkeypatch.setattr(orthopoly, "_BACKWARD_CAP_PER_N", 1)
+    tab = recurrence_table(model, 8, 16)
+    with pytest.raises(RuntimeError) as exc:
+        _h_chain(tab, 40, 0.2 + 0.5j)
+    assert str(exc.value) == ("backward h-chain at N=8, q=(0.2+0.5j): start index "
+                              "162 needed, bound 100")
+    with pytest.raises(RuntimeError, match=r"start index above 200 needed, bound 100$"):
+        _h_chain(tab, 200, 0.2 + 0.5j)

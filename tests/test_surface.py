@@ -58,10 +58,11 @@ def test_package_imports_resolve():
 
 def test_cli_import_skips_quadrature_stack():
     # scipy.integrate pulls in scipy.optimize and scipy.sparse; only the
-    # quadrature oracles need it, so no command pays for its import
+    # quadrature oracles need it, and only h0_closed needs scipy.special, so
+    # no command pays for an import it does not run
     code = ("import sys, charpolylab.cli; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
-            "'scipy.sparse') if m in sys.modules))")
+            "'scipy.sparse', 'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
