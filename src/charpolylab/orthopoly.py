@@ -92,55 +92,55 @@ def _scaled_det(m, e):
 
 @dataclass
 class OPTable:
-    """Three-term recurrence data for the quadratic weight e^{-2N x^2}.
+    """Normalizing constants for the quadratic weight e^{-2N x^2}.
 
-    a2[n] = n/(4N) drives pi_{n+1} = x pi_n - a2[n] pi_{n-1} (the weight is
-    even, so there is no diagonal term); a2[0] is unused.
-    log_gamma_sq[n] = log(gamma_n^2) for the normalizing constants of the
-    orthonormal family.  The chains take a_k^2 in closed form, so they run
-    past n_max and never grow the table.
+    log_gamma_sq[n] = log(gamma_n^2) for the orthonormal family, from
+    gamma_n^2 = gamma_0^2 / (a_1^2 ... a_n^2) with a_k^2 = k/(4N).  The chains
+    take a_k^2 in closed form, so they run past n_max and never grow the table.
     """
 
     N: int
     n_max: int
-    a2: np.ndarray
     gamma0: float
 
     def __post_init__(self):
-        self.a2 = np.asarray(self.a2, dtype=float)
-        if np.any(self.a2[1:self.n_max + 1] <= 0.0):
-            raise ValueError("a2[n] must be positive for n >= 1")
         logs = np.zeros(self.n_max + 1)
-        logs[1:] = np.cumsum(np.log(self.a2[1:self.n_max + 1]))
+        logs[1:] = np.cumsum(np.log(_a2(self.N, np.arange(1, self.n_max + 1))))
         self.log_gamma_sq = 2.0 * math.log(self.gamma0) - logs
 
 
 def recurrence_table(model, N, n_max):
-    """Recurrence coefficients for e^{-2N x^2} up to degree n_max:
-    a2[n] = n/(4N) exactly and gamma_0 = (2N/pi)^{1/4}.
+    """Normalizing constants for e^{-2N x^2} up to degree n_max >= N, with
+    gamma_0 = (2N/pi)^{1/4}.
 
     Any model other than the quadratic one is rejected.
     """
     if model.name != "gue":
         raise ValueError(f"model {model.name!r} has no closed-form recurrence")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return OPTable(N=N, n_max=n_max, a2=_a2(N, np.arange(n_max + 1)),
-                   gamma0=(2.0 * N / math.pi) ** 0.25)
+    if n_max < N:
+        raise ValueError("n_max must be >= N")
+    return OPTable(N=N, n_max=n_max, gamma0=(2.0 * N / math.pi) ** 0.25)
+
+
+def _rescale(prev, cur):
+    """Both values divided by the binary exponent s of |cur|, which is exact,
+    and s."""
+    s = math.frexp(abs(cur))[1]
+    t = math.ldexp(1.0, -s)
+    return prev * t, cur * t, s
 
 
 def _forward(y0, y1, x, N, n):
     """(m, e) arrays of y_0 .. y_n for y_{k+1} = x y_k - a_k^2 y_{k-1}.
 
-    Both running values are divided by the binary exponent of the newer one
-    every step, which is exact, so no |x| overflows the run.
+    Both running values are rescaled every step (_rescale), so no |x|
+    overflows the run.
     """
     ms, es = [complex(y0)], [0]
     prev, cur, e = complex(y0), complex(y1), 0
     for k in range(1, n + 1):
-        s = math.frexp(abs(cur))[1]
-        t = math.ldexp(1.0, -s)
-        prev, cur, e = prev * t, cur * t, e + s
+        prev, cur, s = _rescale(prev, cur)
+        e += s
         ms.append(cur)
         es.append(e)
         prev, cur = cur, x * cur - _a2(N, k) * prev
@@ -219,10 +219,8 @@ def _h_chain(table, n, q):
     ms, es = [], []
     nxt, cur, e = 0j, 1.0 + 0j, 0
     for k in range(_start_index(N, n, q), 0, -1):
-        nxt, cur = cur, (q * cur - nxt) / _a2(N, k)
-        s = math.frexp(abs(cur))[1]
-        t = math.ldexp(1.0, -s)
-        nxt, cur, e = nxt * t, cur * t, e + s
+        nxt, cur, s = _rescale(cur, (q * cur - nxt) / _a2(N, k))
+        e += s
         if k <= n + 1:
             ms.append(cur)
             es.append(e)

@@ -66,9 +66,12 @@ def test_exp2_matches_cmath_exp(w):
 
 
 def test_gue_recurrence_coefficients(table_cache):
+    # a_k^2 = k/(4N) drives both the chains and gamma_k^2 = gamma_{k-1}^2 / a_k^2
     tab = table_cache(16)
-    assert tab.a2[1] == pytest.approx(1.0 / 64.0, rel=1e-15)
-    assert tab.a2[5] == pytest.approx(5.0 / 64.0, rel=1e-15)
+    assert orthopoly._a2(16, 1) == pytest.approx(1.0 / 64.0, rel=1e-15)
+    assert orthopoly._a2(16, 5) == pytest.approx(5.0 / 64.0, rel=1e-15)
+    assert tab.log_gamma_sq[4] - tab.log_gamma_sq[5] == pytest.approx(
+        math.log(5.0 / 64.0), rel=1e-14)
 
 
 def test_gamma0_closed_form(table_cache):
@@ -142,9 +145,10 @@ def test_h_conjugation_antisymmetry_property(model, N, x, y, n):
     q = complex(x, y)
     um, ue = _h_chain(tab, n, q)
     lm, le = _h_chain(tab, n, q.conjugate())
-    # compare mantissas at the upper chain's exponent
-    assert complex(_ldexp(lm[n], le[n] - ue[n])) == pytest.approx(-np.conj(um[n]),
-                                                                 rel=1e-10)
+    ln2 = math.log(2.0)
+    assert math.log(abs(lm[n])) + le[n] * ln2 == pytest.approx(
+        math.log(abs(um[n])) + ue[n] * ln2, rel=1e-12, abs=1e-12)
+    assert lm[n] / abs(lm[n]) == pytest.approx(-np.conj(um[n] / abs(um[n])), abs=1e-10)
 
 
 def test_h0_large_q_decay(table_cache):
@@ -317,15 +321,17 @@ def test_det_error_raises(model, table_cache, monkeypatch):
 
 
 def test_ensure_rejects_general_model(model):
-    # only the quadratic weight has a table, and the chains run past its
-    # n_max without growing it
+    # only the quadratic weight has a table, it reaches at least gamma_N, and
+    # the chains run past its n_max without growing it
     generic = make_model("quadratic", model.V, model.rho, model.support)
     with pytest.raises(ValueError):
         recurrence_table(generic, 4, 8)
+    with pytest.raises(ValueError, match="n_max must be >= N"):
+        recurrence_table(model, 8, 7)
     tab = recurrence_table(model, 4, 8)
     for chain in (_pi_chain(tab, 50, 0.3), _h_chain(tab, 50, 0.3 + 0.01j)):
         assert [len(part) for part in chain] == [51, 51]
-    assert tab.n_max == 8 and len(tab.a2) == 9
+    assert tab.n_max == 8 and len(tab.log_gamma_sq) == 9
 
 
 def test_start_index_error_names_route_and_bound(model, monkeypatch):
