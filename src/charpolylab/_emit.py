@@ -13,8 +13,10 @@ def _fmt(v):
 
 
 def emit(records, path, format, header=None):
-    """Write records atomically (temp file + rename); floats carry 17
-    significant digits.
+    """Write records atomically; floats carry 17 significant digits.
+
+    The text goes to a temp file of its own in the target's directory, which
+    is renamed over the target, or removed if anything fails.
 
     csv: records is a list of rows, header a list of column names.
     json: records is a JSON-serializable object.
@@ -31,7 +33,12 @@ def emit(records, path, format, header=None):
         text = json.dumps(records, indent=1, sort_keys=True, default=_fmt) + "\n"
     else:
         raise ValueError(f"unknown format {format!r}")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    head, name = os.path.split(str(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # gone once renamed
+            os.remove(tmp)

@@ -21,6 +21,7 @@ import numpy as np
 
 from ._emit import emit
 from ._rng import substream
+from .ensemble import char_poly, tridiagonal_draw
 from .hyperbolic import joukowsky
 from .orthopoly import (m_cells, _exp2, _h_chain, _ldexp, _pi_chain,
                         _scaled_det, _tilde_factor)
@@ -211,8 +212,10 @@ def exp_pm2_moment(table, model, q, sign):
         # h_n(conj q) = -conj(h_n(q)), so the second row carries a sign flip
         det = -(a * np.conj(b) - b * np.conj(a))
         # prod_{j=1,2}(-2 pi i gamma_{N-j}^2) / (-1)^C(2,2)
-        w = N * g2 + math.log(4.0 * math.pi ** 2) + table.log_gamma_sq[N - 1] \
-            + table.log_gamma_sq[N - 2]
+        gm, ge = table.gamma_sq
+        det *= 4.0 * math.pi ** 2 * gm[N - 1] * gm[N - 2]
+        ab += ge[N - 1] + ge[N - 2]
+        w = N * g2
     sm, se = _exp2(w)
     out = complex(_ldexp(det * sm / (np.conj(q) - q), ab + se))
     if abs(out.imag) > 1e-8 * max(abs(out), 1e-300) or out.real <= 0.0:
@@ -224,41 +227,15 @@ def exp_pm2_moment(table, model, q, sign):
 # Monte Carlo oracles over the exact tridiagonal ensemble
 # ---------------------------------------------------------------------------
 
-# steps between power-of-two rescalings in _char_poly_batch
-_RESCALE = 32
-
-
-def _char_poly_batch(N, xs, rng, n_samples):
-    """det(x - A) for a batch of tridiagonal draws, at each x in xs.
-
-    Uses the three-term determinant recurrence on the rescaled tridiagonal
-    model, fully vectorized over samples.  Every _RESCALE steps D and D_{-1}
-    are divided by 2**e with e the binary exponent of |D|; a power-of-two
-    scale is exact, so no determinant underflows and, wherever the raw
-    recurrence neither underflows nor overflows, mantissa * 2**exponent is
-    its value bit for bit.  Returns (mantissas, exponents), complex and
-    integer arrays of shape (n_samples, len(xs)).
-    """
-    s = 2.0 * math.sqrt(N)
-    d = rng.standard_normal((n_samples, N)) / s
-    if N > 1:
-        dof = 2.0 * np.arange(N - 1, 0, -1)
-        e = np.sqrt(rng.chisquare(dof, size=(n_samples, N - 1)) / 2.0) / s
-    out = np.empty((n_samples, len(xs)), dtype=complex)
-    exps = np.zeros((n_samples, len(xs)), dtype=np.int64)
-    for ix, x in enumerate(xs):
-        Dm1 = np.ones(n_samples, dtype=complex)
-        D = x - d[:, 0]
-        for k in range(1, N):
-            Dm1, D = D, (x - d[:, k]) * D - e[:, k - 1] ** 2 * Dm1
-            if k % _RESCALE == 0:
-                shift = np.frexp(np.abs(D))[1]
-                scale = np.ldexp(1.0, -shift)
-                D *= scale
-                Dm1 *= scale
-                exps[:, ix] += shift
-        out[:, ix] = D
-    return out, exps
+def _mc_dets(N, xs, n_samples, seed, chunk):
+    """det(x - A) at xs over n_samples tridiagonal draws, in chunks of at
+    most `chunk` draws; chunk j draws from substream(seed, j).  Yields the
+    chunk's first sample index and char_poly's (mantissas, exponents)."""
+    xs = np.array(xs, dtype=complex)
+    for task, lo in enumerate(range(0, n_samples, chunk)):
+        d, e = tridiagonal_draw(N, substream(seed, task),
+                                size=(min(chunk, n_samples - lo),))
+        yield lo, *char_poly(d, e, xs)
 
 
 def _batched_mean(values, n_batches=50):
@@ -274,21 +251,13 @@ def mc_char_ratio(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
     """Monte Carlo E[prod det(p - A) / prod det(q - A)] with batch-means SE."""
     ps = [complex(v) for v in p_pts]
     qs = [complex(v) for v in q_pts]
-    xs = ps + qs
     vals = np.empty(n_samples, dtype=complex)
-    done = 0
-    task = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        dets, exps = _char_poly_batch(N, xs, substream(seed, task), m)
-        num = np.prod(dets[:, :len(ps)], axis=1) if ps else np.ones(m)
-        den = np.prod(dets[:, len(ps):], axis=1) if qs else np.ones(m)
+    for lo, dets, exps in _mc_dets(N, ps + qs, n_samples, seed, chunk):
+        num = np.prod(dets[:, :len(ps)], axis=1) if ps else 1.0
+        den = np.prod(dets[:, len(ps):], axis=1) if qs else 1.0
         shift = exps[:, :len(ps)].sum(axis=1) - exps[:, len(ps):].sum(axis=1)
-        vals[done:done + m] = _ldexp(num / den, shift)
-        done += m
-        task += 1
-    mean, se = _batched_mean(vals)
-    return mean, se
+        vals[lo:lo + len(dets)] = _ldexp(num / den, shift)
+    return _batched_mean(vals)
 
 
 def mc_abs2_moment(N, model, q, sign, n_samples, seed, chunk=200_000):
@@ -298,15 +267,9 @@ def mc_abs2_moment(N, model, q, sign, n_samples, seed, chunk=200_000):
     # exponent so that neither it nor |det|^{+-2} over- or underflows alone
     k, f = divmod(-sign * 2.0 * N * model.g(q).real / math.log(2.0), 1.0)
     vals = np.empty(n_samples)
-    done = 0
-    task = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        dets, exps = _char_poly_batch(N, [q], substream(seed, task), m)
-        vals[done:done + m] = np.ldexp(np.abs(dets[:, 0]) ** (2 * sign) * 2.0 ** f,
-                                       2 * sign * exps[:, 0] + int(k))
-        done += m
-        task += 1
+    for lo, dets, exps in _mc_dets(N, [q], n_samples, seed, chunk):
+        vals[lo:lo + len(dets)] = np.ldexp(np.abs(dets[:, 0]) ** (2 * sign) * 2.0 ** f,
+                                           2 * sign * exps[:, 0] + int(k))
     return _batched_mean(vals)
 
 
@@ -320,16 +283,10 @@ def mc_field_bias_moment(model, N, bias, n_samples, seed, chunk=100_000):
     log_center = sum(2.0 * model.g(x).real for x in p_pts) \
         - sum(2.0 * model.g(x).real for x in q_pts)
     vals = np.empty(n_samples)
-    done = 0
-    task = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        dets, exps = _char_poly_batch(N, xs, substream(seed, task), m)
+    for lo, dets, exps in _mc_dets(N, xs, n_samples, seed, chunk):
         logs = 2.0 * (np.log(np.abs(dets)) + exps * math.log(2.0))
         w = logs[:, :len(p_pts)].sum(axis=1) - logs[:, len(p_pts):].sum(axis=1)
-        vals[done:done + m] = np.exp(w - N * log_center)
-        done += m
-        task += 1
+        vals[lo:lo + len(dets)] = np.exp(w - N * log_center)
     return _batched_mean(vals)
 
 

@@ -348,8 +348,8 @@ _RUNNERS = {
 }
 
 
-# DeterminantError is an ArithmeticError; RuntimeError covers the h-chain
-# hard cap, the pair-configuration scatter and the eigensolver retries
+# DeterminantError is an ArithmeticError; LinAlgError is a failed dsterf or
+# covariance factor; RuntimeError the h-chain bound or the pair scatter
 _BREAKDOWNS = (ArithmeticError, np.linalg.LinAlgError, RuntimeError)
 
 

@@ -3,17 +3,19 @@
 The packaged model is the quadratic potential V(x) = 2 x^2, normalized so
 the limiting density is the semicircle on [-1, 1]; general one-cut models
 can be built from a user-supplied density.  Spectra are drawn from the exact
-tridiagonal realization (quadratic V only).
+tridiagonal realization (quadratic V only).  The characteristic polynomial
+det(x - A) of a draw comes straight from that tridiagonal matrix, by the
+three-term determinant recurrence (char_poly), which every Monte Carlo and
+grid-maximum route runs; eigenvalues are solved only where they are the
+output (gen-spectrum) or an oracle.
 """
 
-import ctypes
 import math
-import re
-import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cython_lapack, lapack
+from scipy.linalg import lapack
 
 from ._rng import substream
 
@@ -24,9 +26,11 @@ from ._rng import substream
 __all__ = [
     "EquilibriumModel",
     "Spectrum",
+    "char_poly",
     "gue_model",
     "make_model",
     "sample_spectrum_gue",
+    "tridiagonal_draw",
 ]
 
 
@@ -251,104 +255,90 @@ def make_model(name, V, rho, support, ell_tol=1e-8):
 
 @dataclass
 class Spectrum:
-    """N sorted eigenvalues with generation metadata."""
+    """One draw (d, e) of the tridiagonal model with generation metadata.
+
+    The N eigenvalues of T(d, e) / (2 sqrt N), ascending, are solved by
+    LAPACK dsterf on first read.  A block of draws stacked along a leading
+    sample axis (as the max experiment evaluates them) has no eigenvalues.
+    """
 
     N: int
-    eigenvalues: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
     model: str
     seed: int
     sampler: str
 
-    def __post_init__(self):
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        if len(self.eigenvalues) != self.N:
-            raise ValueError("eigenvalue count differs from N")
-        if np.any(np.diff(self.eigenvalues) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
+    @cached_property
+    def eigenvalues(self):
+        # dsterf rejects an empty off-diagonal
+        w, info = (self.d, 0) if self.N == 1 else lapack.dsterf(self.d, self.e)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
+        return np.sort(w) / (2.0 * math.sqrt(self.N))
 
 
-# scipy's f2py wrapper scipy.linalg.lapack.dsterf (the one eigh_tridiagonal
-# calls) holds the GIL for the whole solve, so solves on a thread pool run one
-# at a time.  The same LAPACK routine, exported by scipy.linalg.cython_lapack
-# as a C function pointer and called through ctypes, releases the GIL.
-_DSTERF_SIGNATURE = re.compile(
-    r"void \(int \*, (double|\w*cython_lapack_d) \*, \1 \*, int \*\)")
-_DSTERF_PROTOTYPE = ctypes.CFUNCTYPE(
-    None, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double),
-    ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int))
+def tridiagonal_draw(N, rng, size=()):
+    """(d, e) of the beta = 2 Hermite tridiagonal model (Dumitriu-Edelman,
+    J. Math. Phys. 43, 2002): d_i ~ N(0, 1) and e_k ~ sqrt(chi^2_{2(N-k)}/2)
+    for k = 1 .. N-1, with shapes size + (N,) and size + (N-1,).
 
-
-def _dsterf_from_capsule(capsule):
-    """ctypes function for a dsterf capsule, or None if its C signature is
-    not void (int *, double *, double *, int *)."""
-    # own prototypes, so the shared ctypes.pythonapi attributes stay as found
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                                    ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    name = get_name(capsule)
-    if name is None or not _DSTERF_SIGNATURE.fullmatch(name.decode()):
-        return None
-    return _DSTERF_PROTOTYPE(get_pointer(capsule, name))
-
-
-_DSTERF = _dsterf_from_capsule(cython_lapack.__pyx_capi__["dsterf"])
-
-
-def _sterf(d, e):
-    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
-    diagonal d and off-diagonal e, by LAPACK dsterf.
-
-    Bit-identical to eigh_tridiagonal(d, e, eigvals_only=True,
-    lapack_driver="sterf"), but the solve releases the GIL.  Falls back to
-    scipy.linalg.lapack.dsterf when the C signature is not the expected one.
+    T(d, e) / (2 sqrt N) has the eigenvalue law
+    ~ Delta(lambda)^2 e^{-2N sum lambda^2}.  One draw (size=()) and a batch
+    (size=(n,)) consume the stream the same way: d first, then e.
     """
-    # copies: dsterf overwrites both arrays
-    d = np.array(d, dtype=np.float64)
-    e = np.array(e, dtype=np.float64)
-    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
-        raise ValueError("expected 1-D d of length N and e of length N - 1")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if _DSTERF is None:
-        w, info = lapack.dsterf(d, e)
-    else:
-        n = ctypes.c_int(d.size)
-        status = ctypes.c_int(0)
-        c_double_p = ctypes.POINTER(ctypes.c_double)
-        _DSTERF(ctypes.byref(n), d.ctypes.data_as(c_double_p),
-                e.ctypes.data_as(c_double_p), ctypes.byref(status))
-        w, info = d, status.value
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
-    return w
+    size = tuple(size)
+    d = rng.standard_normal(size + (N,))
+    # at N = 1 the empty chi-square draw takes nothing from the stream
+    e = rng.chisquare(2.0 * np.arange(N - 1, 0, -1), size=size + (N - 1,))
+    e /= 2.0
+    return d, np.sqrt(e, out=e)
 
 
-def _sample_gue_eigs(N, rng):
-    """Eigenvalues of the beta=2 tridiagonal model, rescaled to weight e^{-2N x^2}."""
-    d = rng.standard_normal(N)
-    if N == 1:
-        mu = d
-    else:
-        dof = 2.0 * np.arange(N - 1, 0, -1)
-        e = np.sqrt(rng.chisquare(dof) / 2.0)
-        mu = _sterf(d, e)
-    return np.sort(mu) / (2.0 * math.sqrt(N))
+# steps between power-of-two rescalings in char_poly
+_RESCALE = 32
+
+
+def char_poly(d, e, xs):
+    """det(x - A) at each x in xs for A = T(d, e) / (2 sqrt N), as
+    (mantissa, exponent) arrays with value mantissa * 2**exponent.
+
+    d and e are draws of tridiagonal_draw, with or without a leading sample
+    axis; the result has shape d.shape[:-1] + (len(xs),), real for real xs.
+    The three-term recurrence D_k = (x - a_k) D_{k-1} - b_{k-1}^2 D_{k-2}
+    runs vectorized over samples and points, with each a_k and b_k^2 formed
+    per step.  Every _RESCALE steps D_k and D_{k-1} are divided by 2**s,
+    s the binary exponent of |D_k|: a power-of-two scale is exact, so no
+    determinant over- or underflows and, wherever the unscaled recurrence
+    stays in double range, mantissa * 2**exponent is its value bit for bit.
+    """
+    N = d.shape[-1]
+    s = 2.0 * math.sqrt(N)
+    xs = np.asarray(xs)
+    D = xs - (d[..., :1] / s)
+    Dm1 = np.ones_like(D)
+    t = np.empty_like(D)
+    exps = np.zeros(D.shape, dtype=np.int64)
+    for k in range(1, N):
+        np.subtract(xs, (d[..., k] / s)[..., None], out=t)
+        t *= D
+        Dm1 *= np.square(e[..., k - 1] / s)[..., None]
+        np.subtract(t, Dm1, out=Dm1)
+        D, Dm1 = Dm1, D
+        if k % _RESCALE == 0:
+            shift = np.frexp(np.abs(D))[1]
+            scale = np.ldexp(1.0, -shift)
+            D *= scale
+            Dm1 *= scale
+            exps += shift
+    return D, exps
 
 
 def sample_spectrum_gue(N, seed):
-    """Exact draw from the eigenvalue law ~ Delta(lambda)^2 e^{-2N sum lambda^2}."""
+    """Exact draw from the eigenvalue law ~ Delta(lambda)^2 e^{-2N sum lambda^2},
+    from the substream (seed, 0)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    for attempt in range(4):
-        rng = substream(seed, attempt)
-        try:
-            eigs = _sample_gue_eigs(N, rng)
-            break
-        except np.linalg.LinAlgError:  # pragma: no cover - eigensolver hiccup
-            warnings.warn(f"tridiagonal eigensolver failed (attempt {attempt}); resampling")
-    else:  # pragma: no cover
-        raise RuntimeError("eigensolver failed on 4 perturbed seeds")
-    return Spectrum(N=N, eigenvalues=eigs, model="gue", seed=int(seed),
+    d, e = tridiagonal_draw(N, substream(seed, 0))
+    return Spectrum(N=N, d=d, e=e, model="gue", seed=int(seed),
                     sampler="tridiagonal")

@@ -2,12 +2,14 @@
 the Chebyshev grid, off-axis regularization, and the law-of-large-numbers
 experiment.
 
-The per-sample hot loop is the evaluation of sum_i log|x_k - lambda_i| on
-the 2N+1 grid, done in place in one cache-sized (block x N) buffer, so the
-(grid x eigenvalue) difference matrix never materializes whole.  The numpy
-steps of that loop and the tridiagonal eigen-solve behind each spectrum
-both release the GIL, so the samples of max_experiment run in parallel on
-its thread pool.
+The max experiment never solves for eigenvalues.  Q_N on the 2N+1 grid
+(and on the grid shifted by -iy/N) is log|det(x - A)| from the tridiagonal
+model's determinant recurrence (ensemble.char_poly), run on blocks of
+samples sized so that each (block x points) working array stays in a 2 MiB
+L2 cache.  The recurrence's numpy steps release the GIL, so the blocks run
+in parallel on the thread pool; a block's values are elementwise in its
+samples, so outputs are the same for any thread count.  field_q keeps the
+eigenvalue route as the oracle.
 """
 
 import math
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import task_seed
-from .ensemble import sample_spectrum_gue
+from .ensemble import Spectrum, char_poly, sample_spectrum_gue
 
 __all__ = [
     "MaxRecord",
@@ -25,7 +27,6 @@ __all__ = [
     "cheb_grid",
     "factor14_check",
     "Factor14Violation",
-    "regularized_max",
     "max_experiment",
     "CV_MARGIN",
     "ordering_constant",
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 EXPERIMENT_CSV_FIELDS = ["N", "seed_index", "m_star", "m_star_over_logN",
-                         "m_star_centered_2nd_order"]
+                         "m_star_centered_2nd_order", "m_star_reg"]
 
 # slack over the exact shift bound pi*max(rho)*y, absorbing grid rounding
 CV_MARGIN = 1e-9
@@ -43,45 +44,9 @@ class Factor14Violation(AssertionError):
     """A polynomial beat the factor-14 grid bound (theoretically impossible)."""
 
 
-# (block x N) float64 scratch per _log_abs_sum call: 2 MB stays resident in a
-# per-core L2 cache of 2 MiB or more, where a whole-block temporary would not
-_LOGSUM_BUFFER_BYTES = 2 << 20
-
-
-def _block_rows(n_eigs):
-    """Grid points per block of _log_abs_sum for n_eigs eigenvalues."""
-    return max(1, _LOGSUM_BUFFER_BYTES // (8 * max(n_eigs, 1)))
-
-
-def _log_abs_sum(eigs, pts, shift=0.0):
-    """sum_i log|p - i*shift - lambda_i| for each p in pts, blocked.
-
-    Every step writes into one reused (block x N) buffer sized to stay in
-    cache.  The op sequence is fixed -- subtract, abs, log, row sum on the
-    real axis; subtract, square, add shift^2, log, row sum, halve off it --
-    so the result is bit-identical to evaluating it unblocked.
-    """
-    eigs = np.asarray(eigs, dtype=float)
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty(len(pts))
-    block = max(1, min(len(pts), _block_rows(len(eigs))))
-    buf = np.empty((block, len(eigs)))
-    s2 = shift * shift
-    with np.errstate(divide="ignore"):
-        for lo in range(0, len(pts), block):
-            chunk = pts[lo:lo + block]
-            diff = buf[:len(chunk)]
-            np.subtract(chunk[:, None], eigs[None, :], out=diff)
-            if shift == 0.0:
-                np.abs(diff, out=diff)
-            else:
-                np.multiply(diff, diff, out=diff)
-                np.add(diff, s2, out=diff)
-            np.log(diff, out=diff)
-            diff.sum(axis=1, out=out[lo:lo + block])
-    if shift != 0.0:
-        out *= 0.5
-    return out
+# bytes of one (block x points) working array of the grid recurrence: its
+# three arrays stay resident in a per-core L2 cache of 2 MiB
+_BLOCK_BYTES = 1 << 19
 
 
 def field_q(spectrum, model, q):
@@ -92,14 +57,9 @@ def field_q(spectrum, model, q):
     yields -inf.
     """
     q = complex(q)
-    eigs = spectrum.eigenvalues
-    if q.imag == 0.0:
-        logsum = _log_abs_sum(eigs, [q.real])[0]
-        center = -model.g_tilde(q.real)
-    else:
-        with np.errstate(divide="ignore"):
-            logsum = float(np.log(np.abs(q - eigs)).sum())
-        center = model.g(q).real
+    with np.errstate(divide="ignore"):
+        logsum = float(np.log(np.abs(q - spectrum.eigenvalues)).sum())
+    center = -model.g_tilde(q.real) if q.imag == 0.0 else model.g(q).real
     return logsum - spectrum.N * center
 
 
@@ -190,36 +150,31 @@ def ordering_constant(model):
     return math.pi * model.rho_max
 
 
-def _grid_maxima(spectrum, model, y):
-    grid = cheb_grid(spectrum.N)
-    logs = _log_abs_sum(spectrum.eigenvalues, grid)
-    center = -model.g_tilde_grid(grid)
-    m_star = float((logs - spectrum.N * center).max())
-    m_star_reg = math.nan
-    if y is not None:
-        shift = y / spectrum.N
-        logs_s = _log_abs_sum(spectrum.eigenvalues, grid, shift=shift)
-        center_s = model.g_grid(grid - 1j * shift).real
-        m_star_reg = float((logs_s - spectrum.N * center_s).max())
-    return m_star, m_star_reg
+def _grid_maxima(block, model, y):
+    """Grid maxima (m_star, m_star_reg) of Q_N for each draw of a block.
 
-
-def regularized_max(spectrum, model, y):
-    """Grid max of Q on the real grid and on the grid shifted by -iy/N.
-
-    Checks the ordering m_star <= m_star_reg + C_V y with
-    C_V = pi * sup rho (the exact equilibrium shift bound).
+    block is a Spectrum whose (d, e) carry a leading sample axis.  m_star is
+    the max over the Chebyshev grid; m_star_reg the max over the grid
+    shifted by -iy/N (NaN when y is None), which must satisfy the ordering
+    m_star <= m_star_reg + C_V y with C_V = pi * sup rho (the exact
+    equilibrium shift bound).
     """
-    if y < 1.0:
-        raise ValueError("shift parameter y must be >= 1")
-    m_star, m_star_reg = _grid_maxima(spectrum, model, y)
+    N = block.N
+    grid = cheb_grid(N)
+    xs = grid if y is None else np.concatenate([grid, grid - 1j * (y / N)])
+    m, e = char_poly(block.d, block.e, xs)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(m)) + e * math.log(2.0)
+    m_star = (logs[:, :len(grid)] + N * model.g_tilde_grid(grid)).max(axis=1)
+    if y is None:
+        return m_star, np.full(len(m_star), math.nan)
+    center = model.g_grid(grid - 1j * (y / N)).real
+    m_star_reg = (logs[:, len(grid):] - N * center).max(axis=1)
     c_v = ordering_constant(model)
-    if m_star > m_star_reg + c_v * y + CV_MARGIN:
-        raise AssertionError(
-            f"ordering violated: {m_star} > {m_star_reg} + {c_v}*{y}"
-        )
-    return MaxRecord(N=spectrum.N, seed=spectrum.seed, m_star=m_star,
-                     m_star_reg=m_star_reg, y=y)
+    for a, b in zip(m_star, m_star_reg):
+        if a > b + c_v * y + CV_MARGIN:
+            raise AssertionError(f"ordering violated: {a} > {b} + {c_v}*{y}")
+    return m_star, m_star_reg
 
 
 def max_experiment(model, N, n_samples, y, seed, threads=1):
@@ -227,25 +182,34 @@ def max_experiment(model, N, n_samples, y, seed, threads=1):
 
     Deterministic in (model, N, n_samples, y, seed): sample i always draws
     from the substream derived for index i, whatever the thread count.
+    With y set, each record also carries the max over the grid shifted by
+    -iy/N, checked against the ordering bound (see _grid_maxima).
     """
     if model.name != "gue":
         raise ValueError("the exact sampler covers the quadratic model only")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if y is not None and y < 1.0:
+        raise ValueError("shift parameter y must be >= 1")
 
-    def one(i):
-        spec = sample_spectrum_gue(N, task_seed(seed, i))
-        if y is not None:
-            return regularized_max(spec, model, y)
-        m_star, _ = _grid_maxima(spec, model, None)
-        return MaxRecord(N=N, seed=spec.seed, m_star=m_star, m_star_reg=math.nan,
-                         y=math.nan)
+    # blocks as even as the cache budget allows; (2N+1) real or 2(2N+1)
+    # complex points per sample
+    per_sample = (2 * N + 1) * (8 if y is None else 32)
+    n_blocks = -(-n_samples * per_sample // _BLOCK_BYTES)
+    size = -(-n_samples // n_blocks)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, range(n_samples)))
-    else:
-        records = [one(i) for i in range(n_samples)]
+    def one(lo):
+        spectra = [sample_spectrum_gue(N, task_seed(seed, i))
+                   for i in range(lo, min(lo + size, n_samples))]
+        block = Spectrum(N=N, d=np.stack([s.d for s in spectra]),
+                         e=np.stack([s.e for s in spectra]), model="gue",
+                         seed=None, sampler="tridiagonal")
+        return [MaxRecord(N=N, seed=s.seed, m_star=float(a), m_star_reg=float(b),
+                          y=math.nan if y is None else y)
+                for s, a, b in zip(spectra, *_grid_maxima(block, model, y))]
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        records = [r for part in pool.map(one, range(0, n_samples, size)) for r in part]
 
     logN = math.log(N)
     ratio = np.array([r.m_star for r in records]) / logN
@@ -267,6 +231,6 @@ def experiment_rows(records):
     for i, r in enumerate(records):
         logN = math.log(r.N)
         rows.append([r.N, i, r.m_star, r.m_star / logN,
-                     r.m_star - (logN - 0.75 * math.log(logN))])
+                     r.m_star - (logN - 0.75 * math.log(logN)), r.m_star_reg])
     return rows
 

@@ -94,9 +94,11 @@ def _scaled_det(m, e):
 class OPTable:
     """Normalizing constants for the quadratic weight e^{-2N x^2}.
 
-    log_gamma_sq[n] = log(gamma_n^2) for the orthonormal family, from
-    gamma_n^2 = gamma_0^2 / (a_1^2 ... a_n^2) with a_k^2 = k/(4N).  The chains
-    take a_k^2 in closed form, so they run past n_max and never grow the table.
+    gamma_sq = (m, e) arrays with gamma_n^2 = m[n] * 2**e[n] for the
+    orthonormal family: the product gamma_0^2 / (a_1^2 ... a_n^2) with
+    a_k^2 = k/(4N), renormalized by an exact power of two every step, so its
+    relative error grows like sqrt(n) ulp.  The chains take a_k^2 in closed
+    form, so they run past n_max and never grow the table.
     """
 
     N: int
@@ -104,9 +106,15 @@ class OPTable:
     gamma0: float
 
     def __post_init__(self):
-        logs = np.zeros(self.n_max + 1)
-        logs[1:] = np.cumsum(np.log(_a2(self.N, np.arange(1, self.n_max + 1))))
-        self.log_gamma_sq = 2.0 * math.log(self.gamma0) - logs
+        m = np.empty(self.n_max + 1)
+        e = np.empty(self.n_max + 1, dtype=np.int64)
+        cur, ex = math.frexp(self.gamma0 ** 2)
+        for n in range(self.n_max + 1):
+            if n:
+                cur, s = math.frexp(cur / _a2(self.N, n))
+                ex += s
+            m[n], e[n] = cur, ex
+        self.gamma_sq = (m, e)
 
 
 def recurrence_table(model, N, n_max):
@@ -269,8 +277,8 @@ def _pack_rh(m, e, det, kind, q):
 
 def _tilde_factor(table):
     """-2 pi i gamma_{N-1}^2 as (m, e)."""
-    m, e = _exp2(math.log(2.0 * math.pi) + table.log_gamma_sq[table.N - 1])
-    return -1j * m, e
+    m, e = table.gamma_sq
+    return -2j * math.pi * m[table.N - 1], e[table.N - 1]
 
 
 def _y_cells(table, q):

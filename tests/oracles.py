@@ -112,9 +112,39 @@ def _mp_dps(N, n, q):
     return 40 + int(gap / 2.3) + 1
 
 
+def mp_faddeeva(z):
+    """w(z) = e^{-z^2} erfc(-iz) for Im z > 0 at mpmath's working precision.
+
+    From Im z >= 4 on, by Laplace's continued fraction
+    w(z) = (i/sqrt(pi)) / (z - a_1/(z - a_2/(z - ...))), a_k = k/2, run
+    backward from a fixed depth; far from the axis that is much faster than
+    erfc at thousands of digits.  The depth is where the increments of the
+    convergents, prod_{k<=n} a_k / (B_n B_{n+1}) with B the convergents'
+    denominators (B_0 = 1, B_1 = z, B_{k+1} = z B_k - a_k B_{k-1}), fall
+    below the working precision relative to w ~ 1/z, plus a margin; the
+    B_n run at 30 digits, since only their magnitudes count.  Nearer the
+    axis, erfc.
+    """
+    z = mpmath.mpc(z)
+    if z.imag < 4:
+        return mpmath.exp(-z * z) * mpmath.erfc(-1j * z)
+    log_tol = (8 - mpmath.mp.prec) * mpmath.log(2)
+    with mpmath.workdps(30):
+        zl = mpmath.mpc(z)
+        b_prev, b, log_a, n = mpmath.mpc(1), zl, mpmath.mpf(0), 0
+        while log_a - mpmath.log(abs(b_prev * b / zl)) > log_tol:
+            n += 1
+            b_prev, b = b, zl * b - mpmath.mpf(n) / 2 * b_prev
+            log_a += mpmath.log(mpmath.mpf(n) / 2)
+    t = mpmath.mpc(0)
+    for k in range(n + n // 8 + 8, 0, -1):
+        t = mpmath.mpf(k) / 2 / (z - t)
+    return 1j / mpmath.sqrt(mpmath.pi) / (z - t)
+
+
 def mp_chains(N, n, x, q):
     """pi_0 .. pi_n at x, h_0 .. h_n at q (Im q > 0) and gamma_{n-1}^2 by the
-    forward recurrences in mpmath, with h_0 = w(sqrt(2N) q)/2 from erfc: the
+    forward recurrences in mpmath, with h_0 = w(sqrt(2N) q)/2: the
     oracle for orthopoly's chains and for the determinants built from them.
     h runs with _mp_dps digits; pi, the dominant solution, with 40."""
     if complex(q).imag <= 0.0:
@@ -127,7 +157,7 @@ def mp_chains(N, n, x, q):
     with mpmath.workdps(_mp_dps(N, n, q)):
         q = mpmath.mpc(q)
         z = mpmath.sqrt(2 * N) * q
-        h0 = mpmath.exp(-z * z) * mpmath.erfc(-1j * z) / 2
+        h0 = mp_faddeeva(z) / 2
         h1 = q * h0 + 1 / (mpmath.sqrt(2 * N / mpmath.pi) * 2j * mpmath.pi)
         hs = _mp_forward(h0, h1, q, N, n)
     return pis, hs, gamma_sq

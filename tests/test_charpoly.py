@@ -1,19 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from charpolylab._rng import substream
-from charpolylab.charpoly import (VerificationCase, _char_poly_batch,
-                                  exp_moment_field, exp_pm2_moment, fs_balanced,
+from charpolylab.charpoly import (VerificationCase, exp_moment_field, exp_pm2_moment, fs_balanced,
                                   laplace_split, mc_abs2_moment, mc_char_ratio,
                                   mc_field_bias_moment, vandermonde_det,
                                   write_verification_report)
+from charpolylab.ensemble import char_poly, tridiagonal_draw
 from charpolylab.gaussfield import BiasSpec
 from charpolylab.hyperbolic import joukowsky
 from charpolylab.orthopoly import _scaled_det, recurrence_table
-from oracles import mp_fs_balanced
+from oracles import _mp_dps, mp_faddeeva, mp_fs_balanced
 
 
 def test_vandermonde():
@@ -61,7 +62,18 @@ def test_fs_balanced_vs_monte_carlo(table_cache):
 @pytest.mark.parametrize("N", [256, 1024, 2048])
 def test_fs_balanced_matches_mpmath(model, N, p, q):
     f = fs_balanced(recurrence_table(model, N, N + 16), [p], [q])
-    assert f == pytest.approx(mp_fs_balanced(N, p, q), rel=5e-11)
+    assert f == pytest.approx(mp_fs_balanced(N, p, q), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [-0.2 + 0.5j, 0.25 + 0.6j])
+def test_faddeeva_continued_fraction_matches_erfc(q):
+    # the q of both fs-verify cases at N = 256, at the digits mp_chains uses
+    N = 256
+    with mpmath.workdps(_mp_dps(N, N, q)):
+        z = mpmath.sqrt(2 * N) * mpmath.mpc(q)
+        assert z.imag >= 4  # the continued-fraction route
+        ref = mpmath.exp(-z * z) * mpmath.erfc(-1j * z)
+        assert abs(mp_faddeeva(z) - ref) <= mpmath.mpf(10) ** (5 - mpmath.mp.dps) * abs(ref)
 
 
 def test_fs_balanced_rejects_bad_input(table_cache):
@@ -227,12 +239,21 @@ def _raw_char_poly_batch(N, xs, rng, n_samples):
 
 
 def test_char_poly_batch_rescale_is_exact():
+    # the kernel of the Monte Carlo oracles and of the grid maxima, on complex
+    # and on real points (where it runs in real arithmetic)
     xs = [0.3 + 0.4j, -0.2 + 0.5j, 0.1 + 1e-3j]
     raw = _raw_char_poly_batch(64, xs, substream(9, 0), 500)
-    mant, exps = _char_poly_batch(64, xs, substream(9, 0), 500)
+    mant, exps = char_poly(*tridiagonal_draw(64, substream(9, 0), size=(500,)),
+                           np.array(xs))
     assert exps.dtype.kind == "i" and np.any(exps != 0)
     assert np.array_equal(np.ldexp(mant.real, exps), raw.real)
     assert np.array_equal(np.ldexp(mant.imag, exps), raw.imag)
+    xs = [0.3, -0.95, 1.2]
+    raw = _raw_char_poly_batch(64, xs, substream(9, 0), 500)
+    mant, exps = char_poly(*tridiagonal_draw(64, substream(9, 0), size=(500,)),
+                           np.array(xs))
+    assert mant.dtype == float and np.any(exps != 0)
+    assert np.array_equal(np.ldexp(mant, exps), raw.real) and not raw.imag.any()
 
 
 def test_monte_carlo_oracles_survive_determinant_underflow(model):

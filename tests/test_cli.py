@@ -129,6 +129,26 @@ def test_unwritable_output_fails():
     assert code == 2
 
 
+def test_output_onto_directory_exits_2_and_leaves_no_temp(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    assert main(["mem-verify", "--out", str(target)]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(target.iterdir()) == []
+
+
+def test_emit_leaves_other_temp_files_alone(tmp_path):
+    # each write has a temp file of its own, so a file named like another
+    # writer's temp is neither overwritten nor renamed away
+    path = tmp_path / "out.csv"
+    other = tmp_path / "out.csv.tmp"
+    other.write_text("another writer\n")
+    emit([[1]], path, "csv", header=["x"])
+    assert path.read_text() == "x\n1\n"
+    assert other.read_text() == "another writer\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+
 def test_gen_spectrum_roundtrip(tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["gen-spectrum", "--N", "16", "--seed", "4",

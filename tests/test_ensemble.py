@@ -1,14 +1,14 @@
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.linalg import cython_lapack, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from charpolylab import ensemble
+from charpolylab._rng import substream
 from charpolylab.cli import main
 from charpolylab.ensemble import make_model, sample_spectrum_gue
 
@@ -127,59 +127,30 @@ def test_make_model_quadrature_path(model):
     assert generic.g(q) == pytest.approx(model.g(q), abs=1e-9)
 
 
-def _tridiagonal_draw(N, seed):
-    # the (d, e) law of the beta = 2 model, as _sample_gue_eigs draws it
-    rng = np.random.default_rng(seed)
-    d = rng.standard_normal(N)
-    e = np.sqrt(rng.chisquare(2.0 * np.arange(N - 1, 0, -1)) / 2.0)
-    return d, e
-
-
-def _sterf_oracle(d, e):
-    return eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
-
-
 def test_sterf_matches_eigh_tridiagonal():
-    # the ctypes route is the one that releases the GIL on this scipy
-    assert ensemble._DSTERF is not None
+    # the eigenvalue route (gen-spectrum and the oracles): dsterf on the
+    # drawn (d, e), bit for bit as eigh_tridiagonal, and the draw untouched
     for N in (2, 3, 17, 128, 1000):
         for seed in range(3):
-            d, e = _tridiagonal_draw(N, seed)
-            d0, e0 = d.copy(), e.copy()
-            assert np.array_equal(ensemble._sterf(d, e), _sterf_oracle(d, e))
-            # dsterf works in place: the caller's arrays stay untouched
-            assert np.array_equal(d, d0) and np.array_equal(e, e0)
+            spec = sample_spectrum_gue(N, seed)
+            d0, e0 = spec.d.copy(), spec.e.copy()
+            ref = eigh_tridiagonal(spec.d, spec.e, eigvals_only=True,
+                                   lapack_driver="sterf")
+            assert np.array_equal(spec.eigenvalues, np.sort(ref) / (2.0 * math.sqrt(N)))
+            assert np.array_equal(spec.d, d0) and np.array_equal(spec.e, e0)
 
 
-def test_sterf_rejects_bad_input():
-    d, e = _tridiagonal_draw(8, 0)
-    for bad in (np.nan, np.inf):
-        d_bad = d.copy()
-        d_bad[3] = bad
-        with pytest.raises(ValueError):
-            ensemble._sterf(d_bad, e)
-        e_bad = e.copy()
-        e_bad[5] = bad
-        with pytest.raises(ValueError):
-            ensemble._sterf(d, e_bad)
-    with pytest.raises(ValueError):
-        ensemble._sterf(d, e[:-1])
-
-
-def test_sterf_signature_mismatch_falls_back(monkeypatch):
-    # ssterf's capsule is single precision: it must not be bound as dsterf
-    assert ensemble._dsterf_from_capsule(cython_lapack.__pyx_capi__["ssterf"]) is None
-    d, e = _tridiagonal_draw(300, 4)
-    fast = ensemble._sterf(d, e)
-    monkeypatch.setattr(ensemble, "_DSTERF", None)
-    assert np.array_equal(ensemble._sterf(d, e), fast)
-    assert np.array_equal(fast, _sterf_oracle(d, e))
-
-
-def test_sterf_on_thread_pool_matches_serial():
-    draws = [_tridiagonal_draw(1024, seed) for seed in range(4)]
-    serial = [ensemble._sterf(d, e) for d, e in draws]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        pooled = list(pool.map(lambda de: ensemble._sterf(*de), draws))
-    for a, b in zip(serial, pooled):
-        assert np.array_equal(a, b)
+def test_tridiagonal_draw_stream_use(rng):
+    # one draw and a batch take d, then e, from the stream: sample i of the
+    # max experiment and the Monte Carlo chunks keep their draws
+    for N in (1, 2, 9):
+        seed = int(rng.integers(2**32))
+        for size in ((), (3,)):
+            d, e = ensemble.tridiagonal_draw(N, substream(seed, 0), size=size)
+            ref = substream(seed, 0)
+            assert np.array_equal(d, ref.standard_normal(size + (N,)))
+            assert e.shape == size + (N - 1,)
+            if N > 1:
+                dof = 2.0 * np.arange(N - 1, 0, -1)
+                chi = ref.chisquare(dof, size=size + (N - 1,))
+                assert np.array_equal(e, np.sqrt(chi / 2.0))

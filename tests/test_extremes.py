@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charpolylab import extremes
-from charpolylab.ensemble import sample_spectrum_gue
+from charpolylab.ensemble import Spectrum, char_poly, sample_spectrum_gue
 from charpolylab.extremes import (cheb_grid, factor14_check, field_q,
                                   max_experiment, ordering_constant,
-                                  regularized_max, experiment_rows)
+                                  experiment_rows)
 
 
 def test_field_q_vanishes_at_infinity(model):
@@ -96,13 +96,17 @@ def test_shift_monotonicity_pointwise(model):
 
 
 def test_regularized_max_ordering(model):
-    for s in range(20):
-        spec = sample_spectrum_gue(256, 100 + s)
-        rec = regularized_max(spec, model, 2.0)
-        c_v = ordering_constant(model)
+    records, _ = max_experiment(model, 256, 20, 2.0, seed=100)
+    c_v = ordering_constant(model)
+    for rec in records:
         assert rec.m_star <= rec.m_star_reg + c_v * 2.0 + 1e-9
+        assert rec.y == 2.0
     with pytest.raises(ValueError):
-        regularized_max(spec, model, 0.5)
+        max_experiment(model, 256, 2, 0.5, seed=100)
+    # the ordering is checked on every sample: a bound no sample meets raises
+    with mock.patch.object(extremes, "ordering_constant", lambda m: -1e3):
+        with pytest.raises(AssertionError, match="ordering violated"):
+            max_experiment(model, 64, 3, 2.0, seed=100)
 
 
 def test_equilibrium_shift_bound(model):
@@ -115,11 +119,52 @@ def test_equilibrium_shift_bound(model):
     assert gap.max() >= 0.8 * bound
 
 
-def test_max_experiment_deterministic_across_threads(model):
-    r1, s1 = max_experiment(model, 64, 6, 1.5, seed=9, threads=1)
-    r2, s2 = max_experiment(model, 64, 6, 1.5, seed=9, threads=2)
-    assert [r.m_star for r in r1] == [r.m_star for r in r2]
+def _record_array(records):
+    return np.array([[r.N, r.seed, r.m_star, r.m_star_reg, r.y] for r in records])
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(2, 96), n_samples=st.integers(1, 9),
+       seed=st.integers(0, 2**63 - 1), y=st.sampled_from([None, 1.5]),
+       threads=st.sampled_from([1, 2, 3]),
+       block_bytes=st.sampled_from([1, 3000, 1 << 19]))
+def test_max_experiment_deterministic_across_threads(model, N, n_samples, seed, y,
+                                                     threads, block_bytes):
+    # every (sample, point) of the grid recurrence is elementwise, so neither
+    # the thread count nor the block size moves a bit
+    r1, s1 = max_experiment(model, N, n_samples, y, seed, threads=1)
+    with mock.patch.object(extremes, "_BLOCK_BYTES", block_bytes):
+        r2, s2 = max_experiment(model, N, n_samples, y, seed, threads=threads)
+    assert np.array_equal(_record_array(r1), _record_array(r2), equal_nan=True)
     assert s1 == s2
+
+
+def _eigen_logs(eigs, xs):
+    """sum_i log|x - lambda_i| by the eigenvalue route, in row chunks."""
+    out = np.empty(len(xs))
+    for lo in range(0, len(xs), 256):
+        out[lo:lo + 256] = np.log(np.abs(xs[lo:lo + 256, None] - eigs[None, :])).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("N", [64, 256, 1024, 4096])
+def test_grid_field_matches_eigen_route(model, N):
+    # the determinant recurrence against the solved spectrum on pinned draws:
+    # both grid maxima, and every point of the shifted grid, to 1e-9.  On the
+    # real grid single points next to an eigenvalue lose digits on both routes
+    y = 2.0
+    spec = sample_spectrum_gue(N, 2026 + N)
+    grid = cheb_grid(N)
+    shifted = grid - 1j * (y / N)
+    block = Spectrum(N=N, d=spec.d[None], e=spec.e[None], model="gue", seed=None,
+                     sampler="tridiagonal")
+    m_star, m_star_reg = extremes._grid_maxima(block, model, y)
+    eig_real = _eigen_logs(spec.eigenvalues, grid) + N * model.g_tilde_grid(grid)
+    eig_shift = _eigen_logs(spec.eigenvalues, shifted)
+    assert abs(m_star[0] - eig_real.max()) <= 1e-9
+    assert abs(m_star_reg[0] - (eig_shift - N * model.g_grid(shifted).real).max()) <= 1e-9
+    m, e = char_poly(spec.d, spec.e, shifted)
+    assert np.abs(np.log(np.abs(m)) + e * math.log(2.0) - eig_shift).max() <= 1e-9
 
 
 def test_max_experiment_rows(model):
@@ -129,49 +174,3 @@ def test_max_experiment_rows(model):
     logN = math.log(64)
     assert rows[0][3] == pytest.approx(rows[0][2] / logN)
     assert summary["ratio_quartiles"][0] <= summary["ratio_quartiles"][2]
-
-
-def _log_abs_sum_unblocked(eigs, pts, shift):
-    # the same op sequence as _log_abs_sum, on the whole grid at once
-    diff = np.asarray(pts, dtype=float)[:, None] - eigs[None, :]
-    with np.errstate(divide="ignore"):
-        if shift == 0.0:
-            return np.log(np.abs(diff)).sum(axis=1)
-        return 0.5 * np.log(diff * diff + shift * shift).sum(axis=1)
-
-
-@pytest.mark.parametrize("N", [300, 4096])
-def test_log_abs_sum_matches_unblocked(N):
-    eigs = sample_spectrum_gue(N, 11).eigenvalues
-    block = extremes._block_rows(N)
-    grid = np.linspace(-1.1, 1.1, 3 * block + 5)
-    for n_pts in (1, block - 1, block, block + 1, 3 * block + 5):
-        pts = grid[:n_pts]
-        for shift in (0.0, 2.0 / N):
-            assert np.array_equal(extremes._log_abs_sum(eigs, pts, shift),
-                                  _log_abs_sum_unblocked(eigs, pts, shift))
-
-
-def test_log_abs_sum_eigenvalue_hit():
-    eigs = sample_spectrum_gue(64, 2).eigenvalues
-    pts = np.concatenate([cheb_grid(64), eigs[[0, 31]]])
-    real = extremes._log_abs_sum(eigs, pts)
-    assert np.array_equal(real, _log_abs_sum_unblocked(eigs, pts, 0.0))
-    assert np.all(real[-2:] == -math.inf) and np.all(np.isfinite(real[:-2]))
-    shifted = extremes._log_abs_sum(eigs, pts, shift=2.0 / 64)
-    assert np.array_equal(shifted, _log_abs_sum_unblocked(eigs, pts, 2.0 / 64))
-    assert np.all(np.isfinite(shifted))
-
-
-@settings(max_examples=60, deadline=None)
-@given(eigs=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=40),
-       pts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=60),
-       shift=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
-       block=st.integers(1, 7))
-def test_log_abs_sum_property(eigs, pts, shift, block):
-    eigs = np.array(eigs)
-    pts = pts + eigs[:2].tolist()  # exact hits give -inf on the real axis
-    # shrink the buffer so the grid spans several blocks and a partial one
-    with mock.patch.object(extremes, "_LOGSUM_BUFFER_BYTES", 8 * len(eigs) * block):
-        got = extremes._log_abs_sum(eigs, pts, shift)
-    assert np.array_equal(got, _log_abs_sum_unblocked(eigs, pts, shift))

@@ -70,8 +70,21 @@ def test_gue_recurrence_coefficients(table_cache):
     tab = table_cache(16)
     assert orthopoly._a2(16, 1) == pytest.approx(1.0 / 64.0, rel=1e-15)
     assert orthopoly._a2(16, 5) == pytest.approx(5.0 / 64.0, rel=1e-15)
-    assert tab.log_gamma_sq[4] - tab.log_gamma_sq[5] == pytest.approx(
-        math.log(5.0 / 64.0), rel=1e-14)
+    m, e = tab.gamma_sq
+    assert math.ldexp(m[4], int(e[4] - e[5])) / m[5] == pytest.approx(5.0 / 64.0, rel=1e-15)
+    assert 0.5 <= m.min() and m.max() < 1.0 and e.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("N", [1024, 2048, 4096])
+def test_gamma_sq_matches_mpmath(model, N):
+    # the scaled product keeps gamma_{N-1}^2 to a few ulp; a summed log of
+    # the a_k^2 was off by 1.4e-11 relative at N = 2048
+    m, e = recurrence_table(model, N, N + 16).gamma_sq
+    with mpmath.workdps(40):
+        ref = mpmath.sqrt(2 * N / mpmath.pi) \
+            * mpmath.fprod(mpmath.mpf(4 * N) / k for k in range(1, N))
+        got = mpmath.ldexp(mpmath.mpf(m[N - 1]), int(e[N - 1]))
+        assert abs(got / ref - 1) < 1e-14
 
 
 def test_gamma0_closed_form(table_cache):
@@ -191,7 +204,8 @@ def test_h_casoratian_identity(model):
         hs = _h_chain(tab, N, q)
         for n in (2, N // 2, N):
             w = _value(pis, n) * _value(hs, n - 1) - _value(hs, n) * _value(pis, n - 1)
-            target = -1.0 / (2j * math.pi * math.exp(tab.log_gamma_sq[n - 1]))
+            m, e = tab.gamma_sq
+            target = -1.0 / (2j * math.pi * math.ldexp(m[n - 1], int(e[n - 1])))
             assert w == pytest.approx(target, rel=1e-10)
 
 
@@ -331,7 +345,7 @@ def test_ensure_rejects_general_model(model):
     tab = recurrence_table(model, 4, 8)
     for chain in (_pi_chain(tab, 50, 0.3), _h_chain(tab, 50, 0.3 + 0.01j)):
         assert [len(part) for part in chain] == [51, 51]
-    assert tab.n_max == 8 and len(tab.log_gamma_sq) == 9
+    assert tab.n_max == 8 and [len(part) for part in tab.gamma_sq] == [9, 9]
 
 
 def test_start_index_error_names_route_and_bound(model, monkeypatch):
