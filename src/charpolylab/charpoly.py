@@ -117,8 +117,6 @@ def laplace_split(A, B, C, D, p, q):
     idx = list(range(ell))
     for s_size in range(ell + 1):
         t_size = ell - s_size
-        if t_size > ell:
-            continue
         for S in itertools.combinations(idx, s_size):
             Sc = [i for i in idx if i not in S]
             for T in itertools.combinations(idx, t_size):

@@ -2,10 +2,11 @@
 emission for the verification and experiment commands.
 
 Every command is a pure function of its RunConfig (seed included): outputs
-are byte-identical across repeated runs and thread counts.  Files are
-written atomically (temp file + rename).  Exit codes: 0 success, 1 a
---check assertion failed, 2 configuration error, 3 a numerical or
-sampling routine broke down.
+are byte-identical across repeated runs and thread counts.  mem-verify,
+branch-verify and brw-verify are deterministic: they accept --seed and
+ignore it.  Files are written atomically (temp file + rename).  Exit codes:
+0 success, 1 a --check assertion failed, 2 configuration error, 3 a
+numerical or sampling routine broke down.
 """
 
 import argparse
@@ -187,7 +188,7 @@ def _cmd_fs_verify(cfg):
     return cases, checks
 
 
-def _mem_suite(seed, n_values=(64, 128, 256, 512)):
+def _mem_suite(n_values=(64, 128, 256, 512)):
     model = ensemble.gue_model()
     rows = []
     for N in n_values:
@@ -202,7 +203,7 @@ def _mem_suite(seed, n_values=(64, 128, 256, 512)):
 
 
 def _cmd_mem_verify(cfg):
-    rows = _mem_suite(cfg.seed)
+    rows = _mem_suite()
     if cfg.out_path:
         emit(rows, cfg.out_path, "csv", header=["N", "bias_id", "ratio", "abs_error"])
     errs = [r[3] for r in rows]
@@ -348,8 +349,9 @@ _RUNNERS = {
 }
 
 
-# DeterminantError is an ArithmeticError; LinAlgError is a failed dsterf or
-# covariance factor; RuntimeError the h-chain bound or the pair scatter
+# DeterminantError and the factor-14 and ordering violations are
+# ArithmeticErrors; LinAlgError is a failed dsterf or covariance factor;
+# RuntimeError the h-chain bound or the pair scatter
 _BREAKDOWNS = (ArithmeticError, np.linalg.LinAlgError, RuntimeError)
 
 

@@ -1,27 +1,26 @@
 """Equilibrium models and eigenvalue sampling for weights e^{-N V}.
 
 The packaged model is the quadratic potential V(x) = 2 x^2, normalized so
-the limiting density is the semicircle on [-1, 1]; general one-cut models
-can be built from a user-supplied density.  Spectra are drawn from the exact
-tridiagonal realization (quadratic V only).  The characteristic polynomial
-det(x - A) of a draw comes straight from that tridiagonal matrix, by the
-three-term determinant recurrence (char_poly), which every Monte Carlo and
-grid-maximum route runs; eigenvalues are solved only where they are the
-output (gen-spectrum) or an oracle.
+the limiting density is the semicircle on [-1, 1]; its g, g_tilde and
+Stieltjes transform are closed forms on scalars or arrays.  make_model
+builds one-cut models from a user-supplied density, with quadrature routes
+on scalars only.  Spectra are drawn from the exact tridiagonal realization
+(quadratic V only).  The characteristic polynomial det(x - A) of a draw
+comes straight from that tridiagonal matrix, by the three-term determinant
+recurrence (char_poly), which every Monte Carlo and grid-maximum route
+runs; eigenvalues are solved only where they are the output (gen-spectrum)
+or an oracle.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import lapack
 
 from ._rng import substream
-
-# The quadrature routes below import scipy.integrate (which loads
-# scipy.optimize and scipy.sparse) when first called: the closed-form
-# quadratic model never reaches them, so no command pays for that import.
 
 __all__ = [
     "EquilibriumModel",
@@ -34,181 +33,117 @@ __all__ = [
 ]
 
 
-def _quad_tilde_g(rho, support, x):
-    """-integral of log|x-u| rho(u) du by adaptive quadrature."""
+def _quad(rho, support, f, sing=math.nan):
+    """integral of f(u) rho(u) du over the support by adaptive quadrature,
+    for a real f, with a breakpoint at sing (if given) where f is not smooth."""
+    # imported on first call (it loads scipy.optimize and scipy.sparse): the
+    # closed-form quadratic model never gets here, so no command pays for it
     from scipy import integrate
 
+    cos, sin = math.cos, math.sin
     total = 0.0
     for a, b in support:
         # u = mid + hw*cos(phi) absorbs the square-root edge factor
         mid, hw = 0.5 * (a + b), 0.5 * (b - a)
 
         def integrand(phi):
-            u = mid + hw * math.cos(phi)
-            du = hw * math.sin(phi)
-            diff = abs(x - u)
-            if diff == 0.0:
-                return 0.0
-            return math.log(diff) * rho(u) * du
+            u = mid + hw * cos(phi)
+            return f(u) * rho(u) * hw * sin(phi)
 
-        sing = []
-        if a < x < b:
-            sing = [math.acos(min(1.0, max(-1.0, (x - mid) / hw)))]
-        val, _ = integrate.quad(integrand, 0.0, math.pi, points=sing or None,
+        points = ([math.acos(min(1.0, max(-1.0, (sing - mid) / hw)))]
+                  if a < sing < b else None)
+        val, _ = integrate.quad(integrand, 0.0, math.pi, points=points,
                                 limit=200, epsabs=1e-13, epsrel=1e-13)
         total += val
-    return -total
+    return total
+
+
+def _quad_tilde_g(rho, support, x):
+    """-integral of log|x-u| rho(u) du by quadrature (a node at u = x adds 0)."""
+    return -_quad(rho, support, lambda u: math.log(abs(x - u) or 1.0), sing=x)
 
 
 def _quad_g(rho, support, q):
     """integral of log(q-u) rho(u) du (principal branch) by quadrature."""
-    from scipy import integrate
-
-    total = 0.0 + 0.0j
-    for a, b in support:
-        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
-
-        def integrand_re(phi):
-            u = mid + hw * math.cos(phi)
-            return math.log(abs(q - u)) * rho(u) * hw * math.sin(phi)
-
-        def integrand_im(phi):
-            u = mid + hw * math.cos(phi)
-            return np.angle(q - u) * rho(u) * hw * math.sin(phi)
-
-        re, _ = integrate.quad(integrand_re, 0.0, math.pi, limit=200,
-                               epsabs=1e-13, epsrel=1e-13)
-        im, _ = integrate.quad(integrand_im, 0.0, math.pi, limit=200,
-                               epsabs=1e-13, epsrel=1e-13)
-        total += re + 1j * im
-    return total
+    return (_quad(rho, support, lambda u: math.log(abs(q - u)))
+            + 1j * _quad(rho, support, lambda u: cmath.phase(q - u)))
 
 
 def _quad_stieltjes(rho, support, q):
-    from scipy import integrate
+    """integral of rho(u) du / (q-u) by quadrature, with
+    1/(q-u) = (x-u - iy) / ((x-u)^2 + y^2) for q = x + iy."""
+    x, y2 = q.real, q.imag * q.imag
 
-    total = 0.0 + 0.0j
-    for a, b in support:
-        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
+    def re(u):
+        d = x - u
+        return d / (d * d + y2)
 
-        def integrand_re(phi):
-            u = mid + hw * math.cos(phi)
-            return (1.0 / (q - u)).real * rho(u) * hw * math.sin(phi)
-
-        def integrand_im(phi):
-            u = mid + hw * math.cos(phi)
-            return (1.0 / (q - u)).imag * rho(u) * hw * math.sin(phi)
-
-        re, _ = integrate.quad(integrand_re, 0.0, math.pi, limit=200,
-                               epsabs=1e-13, epsrel=1e-13)
-        im, _ = integrate.quad(integrand_im, 0.0, math.pi, limit=200,
-                               epsabs=1e-13, epsrel=1e-13)
-        total += re + 1j * im
-    return total
+    return (_quad(rho, support, re) - 1j * q.imag
+            * _quad(rho, support, lambda u: 1.0 / ((x - u) ** 2 + y2)))
 
 
 @dataclass
 class EquilibriumModel:
     """Potential V, equilibrium density rho, and its log-potential data.
 
-    g(q)       -- integral of log(q-u) rho(du), analytic off (-inf, right edge]
-    g_tilde(x) -- -integral of log|x-u| rho(du) on the real axis
-    stieltjes  -- g'(q)
-    ell_v      -- the Euler-Lagrange constant 2*int log|x-u| rho(du) - V(x)
+    g(q)         -- integral of log(q-u) rho(du), analytic off (-inf, right edge]
+    g_tilde(x)   -- -integral of log|x-u| rho(du) on the real axis
+    stieltjes(q) -- g'(q)
+    ell_v        -- the Euler-Lagrange constant 2*int log|x-u| rho(du) - V(x)
+
+    gue_model's g, g_tilde and stieltjes take a scalar (giving a scalar) or
+    an array; make_model's are quadrature routes and take scalars only.
     """
 
     name: str
     V: object
     rho: object
     support: list
+    g: object = field(repr=False)
+    g_tilde: object = field(repr=False)
+    stieltjes: object = field(repr=False)
     ell_v: float = None
     rho_max: float = None
-    _g: object = field(default=None, repr=False)
-    _g_tilde: object = field(default=None, repr=False)
-    _stieltjes: object = field(default=None, repr=False)
-    _g_vec: object = field(default=None, repr=False)
-    _g_tilde_vec: object = field(default=None, repr=False)
-
-    def g(self, q):
-        if self._g is not None:
-            return self._g(q)
-        return _quad_g(self.rho, self.support, q)
-
-    def g_tilde(self, x):
-        if self._g_tilde is not None:
-            return self._g_tilde(x)
-        return _quad_tilde_g(self.rho, self.support, x)
-
-    def g_grid(self, qs):
-        """Vectorized g over an array of points (closed form when available)."""
-        if self._g_vec is not None:
-            return self._g_vec(np.asarray(qs, dtype=complex))
-        return np.array([self.g(q) for q in qs])
-
-    def g_tilde_grid(self, xs):
-        if self._g_tilde_vec is not None:
-            return self._g_tilde_vec(np.asarray(xs, dtype=float))
-        return np.array([self.g_tilde(x) for x in xs])
-
-    def stieltjes(self, q):
-        if self._stieltjes is not None:
-            return self._stieltjes(q)
-        return _quad_stieltjes(self.rho, self.support, q)
 
     def ell_v_profile(self, n_grid=101, margin=0.02):
         """ell_V(x) = -2 g_tilde(x) - V(x) on an interior grid (should be flat)."""
-        xs = []
-        for a, b in self.support:
-            pad = margin * (b - a)
-            xs.append(np.linspace(a + pad, b - pad, n_grid))
-        xs = np.concatenate(xs)
+        xs = np.concatenate([np.linspace(a + margin * (b - a), b - margin * (b - a),
+                                         n_grid) for a, b in self.support])
         vals = np.array([-2.0 * self.g_tilde(x) - self.V(x) for x in xs])
         return xs, vals
 
 
-def _sqrt_cut(q):
-    """sqrt(q^2-1) with cut on [-1,1], ~ q at infinity."""
-    return np.sqrt(complex(q) - 1.0) * np.sqrt(complex(q) + 1.0)
+def _on_arrays(f, dtype):
+    """f evaluated on a 1-d array, also for a scalar: numpy's array loops may
+    fuse the multiply-adds of a complex product where its scalar arithmetic
+    does not, so a scalar takes a grid's loops and agrees with it bit for bit."""
+    def on_arrays(x):
+        x = np.asarray(x, dtype=dtype)
+        return f(x.reshape(-1)).reshape(x.shape)[()]
+    return on_arrays
 
 
 # For the semicircle, g(q) = q^2 - q s + log(q+s) - 1/2 - log 2 with
-# s = sqrt(q^2-1); since (q-s)(q+s) = 1 identically, the polynomial part
-# collapses to 1/(2(q+s)^2), stable at every scale.
+# s = sqrt(q^2-1) (cut on [-1, 1], ~ q at infinity); since (q-s)(q+s) = 1
+# identically, the polynomial part collapses to 1/(2(q+s)^2), stable at
+# every scale.
 
 def _gue_g(q):
-    q = complex(q)
-    u = q + _sqrt_cut(q)
+    u = q + np.sqrt(q - 1.0) * np.sqrt(q + 1.0)
     return np.log(u) - math.log(2.0) + 0.5 / (u * u)
 
 
 def _gue_g_tilde(x):
-    x = float(x)
-    if abs(x) <= 1.0:
-        return -(x * x - 0.5 - math.log(2.0))
-    ax = abs(x)
-    u = ax + math.sqrt(ax * ax - 1.0)
-    return -(math.log(u) - math.log(2.0) + 0.5 / (u * u))
+    # off [-1, 1] -g_tilde = g(|x|); |x| is clipped to 1 inside, where the
+    # outer branch is discarded, so no log or square root sees a bad value
+    a = np.maximum(np.abs(x), 1.0)
+    u = a + np.sqrt(a * a - 1.0)
+    return np.where(a > 1.0, -(np.log(u) - math.log(2.0) + 0.5 / (u * u)),
+                    -(x * x - 0.5 - math.log(2.0)))
 
 
 def _gue_stieltjes(q):
-    q = complex(q)
-    return 2.0 / (q + _sqrt_cut(q))
-
-
-def _gue_g_vec(qs):
-    u = qs + np.sqrt(qs - 1.0) * np.sqrt(qs + 1.0)
-    return np.log(u) - math.log(2.0) + 0.5 / (u * u)
-
-
-def _gue_g_tilde_vec(xs):
-    ax = np.abs(xs)
-    out = -(xs * xs - 0.5 - math.log(2.0))
-    outside = ax > 1.0
-    if np.any(outside):
-        a = ax[outside]
-        u = a + np.sqrt(a * a - 1.0)
-        out[outside] = -(np.log(u) - math.log(2.0) + 0.5 / (u * u))
-    return out
+    return 2.0 / (q + np.sqrt(q - 1.0) * np.sqrt(q + 1.0))
 
 
 def gue_model():
@@ -225,29 +160,24 @@ def gue_model():
         return (2.0 / math.pi) * math.sqrt(t) if t > 0.0 else 0.0
 
     return EquilibriumModel(
-        name="gue",
-        V=V,
-        rho=rho,
-        support=[(-1.0, 1.0)],
-        ell_v=-1.0 - 2.0 * math.log(2.0),
-        rho_max=2.0 / math.pi,
-        _g=_gue_g,
-        _g_tilde=_gue_g_tilde,
-        _stieltjes=_gue_stieltjes,
-        _g_vec=_gue_g_vec,
-        _g_tilde_vec=_gue_g_tilde_vec,
-    )
+        "gue", V, rho, [(-1.0, 1.0)], g=_on_arrays(_gue_g, complex),
+        g_tilde=_on_arrays(_gue_g_tilde, float),
+        stieltjes=_on_arrays(_gue_stieltjes, complex),
+        ell_v=-1.0 - 2.0 * math.log(2.0), rho_max=2.0 / math.pi)
 
 
 def make_model(name, V, rho, support, ell_tol=1e-8):
     """Build a model from a supplied density; validates ell_V constancy."""
-    model = EquilibriumModel(name=name, V=V, rho=rho, support=list(support))
+    support = list(support)
+    model = EquilibriumModel(name, V, rho, support,
+                             g=partial(_quad_g, rho, support),
+                             g_tilde=partial(_quad_tilde_g, rho, support),
+                             stieltjes=partial(_quad_stieltjes, rho, support))
     xs, vals = model.ell_v_profile()
     if vals.std() > ell_tol:
         raise ValueError(
             f"ell_V varies by std {vals.std():.2e} over the support grid; "
-            "the supplied density is not the equilibrium density for V"
-        )
+            "the supplied density is not the equilibrium density for V")
     model.ell_v = float(vals.mean())
     model.rho_max = max(rho(x) for x in xs)
     return model

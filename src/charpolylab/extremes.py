@@ -27,6 +27,7 @@ __all__ = [
     "cheb_grid",
     "factor14_check",
     "Factor14Violation",
+    "OrderingViolation",
     "max_experiment",
     "CV_MARGIN",
     "ordering_constant",
@@ -40,8 +41,12 @@ EXPERIMENT_CSV_FIELDS = ["N", "seed_index", "m_star", "m_star_over_logN",
 CV_MARGIN = 1e-9
 
 
-class Factor14Violation(AssertionError):
+class Factor14Violation(ArithmeticError):
     """A polynomial beat the factor-14 grid bound (theoretically impossible)."""
+
+
+class OrderingViolation(ArithmeticError):
+    """A grid maximum beat its off-axis bound m_star_reg + C_V y (impossible)."""
 
 
 # bytes of one (block x points) working array of the grid recurrence: its
@@ -157,7 +162,7 @@ def _grid_maxima(block, model, y):
     the max over the Chebyshev grid; m_star_reg the max over the grid
     shifted by -iy/N (NaN when y is None), which must satisfy the ordering
     m_star <= m_star_reg + C_V y with C_V = pi * sup rho (the exact
-    equilibrium shift bound).
+    equilibrium shift bound), or OrderingViolation is raised.
     """
     N = block.N
     grid = cheb_grid(N)
@@ -165,15 +170,15 @@ def _grid_maxima(block, model, y):
     m, e = char_poly(block.d, block.e, xs)
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(m)) + e * math.log(2.0)
-    m_star = (logs[:, :len(grid)] + N * model.g_tilde_grid(grid)).max(axis=1)
+    m_star = (logs[:, :len(grid)] + N * model.g_tilde(grid)).max(axis=1)
     if y is None:
         return m_star, np.full(len(m_star), math.nan)
-    center = model.g_grid(grid - 1j * (y / N)).real
+    center = model.g(grid - 1j * (y / N)).real
     m_star_reg = (logs[:, len(grid):] - N * center).max(axis=1)
     c_v = ordering_constant(model)
     for a, b in zip(m_star, m_star_reg):
         if a > b + c_v * y + CV_MARGIN:
-            raise AssertionError(f"ordering violated: {a} > {b} + {c_v}*{y}")
+            raise OrderingViolation(f"ordering violated: {a} > {b} + {c_v}*{y}")
     return m_star, m_star_reg
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from charpolylab import cli, momentlab, orthopoly
+from charpolylab import cli, extremes, momentlab, orthopoly
 from charpolylab._rng import substream
 from charpolylab.orthopoly import DeterminantError
 from charpolylab.cli import (ConfigError, RunConfig, build_config, emit, main,
@@ -237,6 +237,22 @@ def test_numerical_breakdown_exits_3(monkeypatch, capsys, exc):
     assert run(RunConfig(command="gen-spectrum", check=True)) == 3
     err = capsys.readouterr().err
     assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def _beat_dense_max(orig):
+    # the dense sup beats the grid max by e^3 > 14
+    return lambda f, lo, hi: orig(f, lo, hi) + 3.0
+
+
+@pytest.mark.parametrize("argv,attr,patch", [
+    (["max-experiment"], "ordering_constant", lambda orig: lambda m: -1e3),
+    (["upperbound-verify"], "_golden_max_vec", _beat_dense_max),
+], ids=["ordering", "factor14"])
+def test_violated_bound_exits_3(monkeypatch, capsys, argv, attr, patch):
+    monkeypatch.setattr(extremes, attr, patch(getattr(extremes, attr)))
+    assert main(argv + ["--N", "16", "--samples", "2"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_start_index_breakdown_explains_itself(monkeypatch, capsys):

@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.linalg import eigh_tridiagonal
 
@@ -64,6 +66,29 @@ def test_g_quadrature_oracle(model):
     q = 0.3 + 0.7j
     assert model.g(q) == pytest.approx(
         ensemble._quad_g(model.rho, model.support, q), abs=1e-9)
+
+
+_EDGE = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1e-9, 1e-9)).map(sum)
+_RE = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e6, 1e6), _EDGE,
+                st.sampled_from([-1.0, 0.0, 1.0]))
+_IM = st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(st.tuples(_RE, _IM), min_size=1, max_size=9))
+def test_closed_forms_agree_on_scalars_and_arrays(points):
+    # one closed form each for g, g' and g_tilde: an array gives the
+    # elementwise scalar values bit for bit, a scalar gives a scalar, and no
+    # point (on the cut, at the edges, at 0) raises a warning
+    model = ensemble.gue_model()
+    qs = np.array([complex(x, y) for x, y in points])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, args in ((model.g, qs), (model.stieltjes, qs),
+                        (model.g_tilde, qs.real.copy())):
+            scalars = [f(v) for v in args.tolist()]
+            assert all(np.ndim(v) == 0 for v in scalars)
+            assert np.array(scalars).tobytes() == f(args).tobytes()
 
 
 def test_sampler_n1_is_gaussian():

@@ -59,11 +59,18 @@ def test_package_imports_resolve():
 def test_cli_import_skips_quadrature_stack():
     # scipy.integrate pulls in scipy.optimize and scipy.sparse; only the
     # quadrature oracles need it, and only h0_closed needs scipy.special, so
-    # no command pays for an import it does not run
-    code = ("import sys, charpolylab.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
-            "'scipy.sparse', 'scipy.special') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert out.stdout.strip() == "[]"
+    # no command pays for an import it does not run.  The quadratic model's
+    # closed forms serve the commands themselves: a model that fell back to
+    # quadrature would load the stack here
+    runs = [("", ("scipy.integrate", "scipy.optimize", "scipy.sparse",
+                  "scipy.special")),
+            ("charpolylab.cli.main(['max-experiment', '--N', '8', '--samples', "
+             "'2']); charpolylab.cli.main(['mem-verify']); ",
+             ("scipy.integrate", "scipy.optimize", "scipy.sparse"))]
+    for run, modules in runs:
+        code = (f"import sys, charpolylab.cli; {run}"
+                f"print(sorted(m for m in {modules!r} if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert out.stdout.strip() == "[]", run
