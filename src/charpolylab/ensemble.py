@@ -71,15 +71,19 @@ def _quad_g(rho, support, q):
 
 def _quad_stieltjes(rho, support, q):
     """integral of rho(u) du / (q-u) by quadrature, with
-    1/(q-u) = (x-u - iy) / ((x-u)^2 + y^2) for q = x + iy."""
-    x, y2 = q.real, q.imag * q.imag
+    1/(q-u) = (x-u - iy) / ((x-u)^2 + y^2) for q = x + iy; the imaginary
+    part is integrated only off the real axis."""
+    x, y = q.real, q.imag
+    y2 = y * y
 
     def re(u):
         d = x - u
         return d / (d * d + y2)
 
-    return (_quad(rho, support, re) - 1j * q.imag
-            * _quad(rho, support, lambda u: 1.0 / ((x - u) ** 2 + y2)))
+    val = complex(_quad(rho, support, re))
+    if y != 0.0:
+        val -= 1j * y * _quad(rho, support, lambda u: 1.0 / ((x - u) ** 2 + y2))
+    return val
 
 
 @dataclass
@@ -107,8 +111,11 @@ class EquilibriumModel:
 
     def ell_v_profile(self, n_grid=101, margin=0.02):
         """ell_V(x) = -2 g_tilde(x) - V(x) on an interior grid (should be flat)."""
-        xs = np.concatenate([np.linspace(a + margin * (b - a), b - margin * (b - a),
-                                         n_grid) for a, b in self.support])
+        xs = []
+        for a, b in self.support:
+            pad = margin * (b - a)
+            xs.append(np.linspace(a + pad, b - pad, n_grid))
+        xs = np.concatenate(xs)
         vals = np.array([-2.0 * self.g_tilde(x) - self.V(x) for x in xs])
         return xs, vals
 
@@ -160,24 +167,33 @@ def gue_model():
         return (2.0 / math.pi) * math.sqrt(t) if t > 0.0 else 0.0
 
     return EquilibriumModel(
-        "gue", V, rho, [(-1.0, 1.0)], g=_on_arrays(_gue_g, complex),
+        name="gue",
+        V=V,
+        rho=rho,
+        support=[(-1.0, 1.0)],
+        g=_on_arrays(_gue_g, complex),
         g_tilde=_on_arrays(_gue_g_tilde, float),
         stieltjes=_on_arrays(_gue_stieltjes, complex),
-        ell_v=-1.0 - 2.0 * math.log(2.0), rho_max=2.0 / math.pi)
+        ell_v=-1.0 - 2.0 * math.log(2.0),
+        rho_max=2.0 / math.pi,
+    )
 
 
 def make_model(name, V, rho, support, ell_tol=1e-8):
     """Build a model from a supplied density; validates ell_V constancy."""
     support = list(support)
-    model = EquilibriumModel(name, V, rho, support,
-                             g=partial(_quad_g, rho, support),
-                             g_tilde=partial(_quad_tilde_g, rho, support),
-                             stieltjes=partial(_quad_stieltjes, rho, support))
+    model = EquilibriumModel(
+        name=name, V=V, rho=rho, support=support,
+        g=partial(_quad_g, rho, support),
+        g_tilde=partial(_quad_tilde_g, rho, support),
+        stieltjes=partial(_quad_stieltjes, rho, support),
+    )
     xs, vals = model.ell_v_profile()
     if vals.std() > ell_tol:
         raise ValueError(
             f"ell_V varies by std {vals.std():.2e} over the support grid; "
-            "the supplied density is not the equilibrium density for V")
+            "the supplied density is not the equilibrium density for V"
+        )
     model.ell_v = float(vals.mean())
     model.rho_max = max(rho(x) for x in xs)
     return model

@@ -104,11 +104,8 @@ class BiasSpec:
 def bias_variance(bias, kernel):
     """Variance of B(W) under the kernel, from the covariance quadratic form."""
     pts, wts = bias.points_and_weights()
-    var = 0.0
-    for zi, wi in zip(pts, wts):
-        for zk, wk in zip(pts, wts):
-            var += wi * wk * kernel.cov(zi, zk)
-    return var
+    w = np.array(wts)
+    return float(w @ kernel.matrix(pts) @ w)
 
 
 def exp_moment_g(bias):
@@ -117,27 +114,15 @@ def exp_moment_g(bias):
     Evaluates prod_{Z x W} |1-z conj(w)|^2 over the product of the diagonal
     factors of Z and W, in log domain.  Equals exp(Var(B(G))/2).
     """
-    Z = bias.plus_points
-    W = bias.minus_points
+    Z, W = bias.plus_points, bias.minus_points
     log_val = 0.0
-    for z in Z:
-        for w in W:
-            g = abs(1.0 - z * np.conj(w))
-            if g < 1e-15:
-                raise ValueError("degenerate bias: near-coincident conjugate pair")
-            log_val += 2.0 * math.log(g)
-    for z in Z:
-        for z2 in Z:
-            g = abs(1.0 - z * np.conj(z2))
-            if g < 1e-15:
-                raise ValueError("degenerate bias: near-coincident conjugate pair")
-            log_val -= math.log(g)
-    for w in W:
-        for w2 in W:
-            g = abs(1.0 - w * np.conj(w2))
-            if g < 1e-15:
-                raise ValueError("degenerate bias: near-coincident conjugate pair")
-            log_val -= math.log(g)
+    for A, B, weight in ((Z, W, 2.0), (Z, Z, -1.0), (W, W, -1.0)):
+        for a in A:
+            for b in B:
+                g = abs(1.0 - a * np.conj(b))
+                if g < 1e-15:
+                    raise ValueError("degenerate bias: near-coincident conjugate pair")
+                log_val += weight * math.log(g)
     return math.exp(log_val)
 
 

@@ -332,9 +332,9 @@ def lower_bound_mc(params, n_samples, seed):
     prod1 = np.outer(ey_emp, ey_emp)
     leaf_pts = np.asarray(points[:m])
     ref_pts = leaf_pts / zeta_leaf * zeta_ref
-    c_LL = kern.cov(leaf_pts[:, None], leaf_pts[None, :])
+    c_LL = kern.matrix(leaf_pts)
     c_LR = kern.cov(leaf_pts[:, None], ref_pts[None, :])
-    c_RR = kern.cov(ref_pts[:, None], ref_pts[None, :])
+    c_RR = kern.matrix(ref_pts)
     cov_bb = 4.0 * (c_LL - c_LR - c_LR.T + c_RR)  # Cov(B_1, B_2) across rays
     var_b = 4.0 * (c_ll + c_rr - 2.0 * c_lr)
     # E e^{B1+B2} = e^{(Var B1 + Var B2)/2 + Cov(B1,B2)}, Var B_i = var_b by rotation

@@ -68,6 +68,19 @@ def test_g_quadrature_oracle(model):
         ensemble._quad_g(model.rho, model.support, q), abs=1e-9)
 
 
+def test_quad_stieltjes_real_point(model, monkeypatch):
+    # on the real axis the imaginary part is exactly 0 and is not integrated
+    calls = []
+    quad = integrate.quad
+    monkeypatch.setattr(integrate, "quad",
+                        lambda *args, **kw: calls.append(1) or quad(*args, **kw))
+    val = ensemble._quad_stieltjes(model.rho, model.support, 2.0)
+    assert len(calls) == 1 and val.imag == 0.0
+    assert val.real == pytest.approx(model.stieltjes(2.0), rel=1e-8)
+    ensemble._quad_stieltjes(model.rho, model.support, 2.0 + 0.5j)
+    assert len(calls) == 3
+
+
 _EDGE = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1e-9, 1e-9)).map(sum)
 _RE = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e6, 1e6), _EDGE,
                 st.sampled_from([-1.0, 0.0, 1.0]))
