@@ -172,7 +172,7 @@ def _cmd_fs_verify(cfg):
     fixed = [((0.3 + 0.4j,), (-0.2 + 0.5j,)),
              ((-0.35 + 0.45j,), (0.25 + 0.6j,))]
     for i, (p, q) in enumerate(fixed):
-        table = orthopoly.recurrence_table(model, cfg.N, cfg.N + 16)
+        table = orthopoly.recurrence_table(model, cfg.N)
         f = charpoly.fs_balanced(table, p, q)
         mc, se = charpoly.mc_char_ratio(cfg.N, p, q, cfg.n_samples,
                                         task_seed(cfg.seed, i))
@@ -196,7 +196,7 @@ def _mem_suite(n_values=(64, 128, 256, 512)):
         z = 1j * rr
         w = 1j * rr * np.exp(1j * 0.4 * N ** -0.5)
         bias = BiasSpec(plus_points=(z,), minus_points=(w,))
-        table = orthopoly.recurrence_table(model, N, N + 8)
+        table = orthopoly.recurrence_table(model, N)
         ratio = momentlab.mem_ratio(table, model, bias)
         rows.append([N, "singleton_pair_ray", ratio, abs(ratio - 1.0)])
     return rows
@@ -261,8 +261,7 @@ def _lower_bound_params(cfg):
 def _cmd_lowerbound_sim(cfg):
     params = _lower_bound_params(cfg)
     res = momentlab.lower_bound_mc(params, cfg.n_samples, cfg.seed)
-    print(f"route: covariance factorization = {res.factorization} "
-          f"({res.n_points} points)", file=sys.stderr)
+    print(f"route: covariance factor = {res.factorization}", file=sys.stderr)
     doc = res.to_json_dict()
     if cfg.out_path:
         validate_against_schema(doc, summary_schema()["lowerbound_sim"])
@@ -295,7 +294,7 @@ def _cmd_upperbound_verify(cfg):
         worst_ratio = max(worst_ratio,
                           extremes.factor14_check(deg, roots=roots)["max_ratio"])
     # Laplace transform bound over the verification grid
-    tab = orthopoly.recurrence_table(model, 64, 64 + 16)
+    tab = orthopoly.recurrence_table(model, 64)
     c_emp = 0.0
     for x in (-0.6, -0.2, 0.0, 0.3, 0.7):
         for im in (1.0 / 64, 0.05, 0.2, 1.0):

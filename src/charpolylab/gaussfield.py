@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from ._rng import substream
 from .hyperbolic import hyp_dist
@@ -130,31 +131,32 @@ def exp_moment_g(bias):
 class FieldSample:
     """Realizations of a Gaussian field at a fixed point set.
 
-    values has shape (n_samples, n_points); reproducible from (points, seed).
+    values has shape (n_samples, n_points); factorization names the
+    covariance factor's route, its rank and its residual.
     """
 
-    points: np.ndarray
     values: np.ndarray
-    seed: int
-    kind: str
     factorization: str
 
 
 def _factor_covariance(cov):
-    """Cholesky factor of cov, falling back to clipped eigendecomposition."""
+    """F (n x rank), rows in cov's order, with F F^T = cov: Cholesky with
+    complete pivoting (LAPACK dpstrf at its default tolerance), which stops
+    at the numerical rank.  F F^T is positive semidefinite, so the check
+    ||F F^T - cov||_F <= 1e-8 * mean variance also bounds cov's eigenvalues
+    below by minus that; LinAlgError if it fails.
+    """
     n = cov.shape[0]
-    try:
-        return np.linalg.cholesky(cov), "cholesky"
-    except np.linalg.LinAlgError:
-        pass
-    vals, vecs = np.linalg.eigh(cov)
-    floor = -1e-8 * (np.trace(cov) / n)
-    if vals.min() < floor:
+    c, piv, rank, _ = lapack.dpstrf(cov, lower=1)
+    F = np.empty((n, rank))
+    F[piv - 1] = np.tril(c[:, :rank])
+    resid = np.linalg.norm(F @ F.T - cov)
+    bound = 1e-8 * np.trace(cov) / n
+    route = f"pivoted Cholesky, rank {rank} of {n} points"
+    if not resid <= bound:
         raise np.linalg.LinAlgError(
-            f"covariance eigenvalue {vals.min():.3e} below tolerance {floor:.3e}; "
-            "points are too close to degenerate"
-        )
-    return vecs * np.sqrt(np.clip(vals, 0.0, None)), "eigen"
+            f"{route}: residual {resid:.1e} above bound {bound:.1e}")
+    return F, f"{route}, residual {resid:.1e} <= {bound:.1e}"
 
 
 # rows per matrix product in sample_gauss
@@ -164,32 +166,31 @@ _ROW_BLOCK = 64
 def sample_gauss(points, kernel, n_samples, seed):
     """Draw i.i.d. centered Gaussian vectors with the kernel covariance.
 
-    Row i's standard normals are drawn from the Philox substream keyed by
-    (seed, i).  The factor is applied in blocks of _ROW_BLOCK rows, one matrix
-    product per block; blocks start at multiples of _ROW_BLOCK and the last
-    one is zero-padded to full size, so every row goes through the same
-    product shape at the same position and row i's values depend only on
-    (seed, i): a shorter run is a bit-exact prefix of a longer one.
+    Row i's standard normals, one per column of the covariance factor, are
+    drawn from the Philox substream keyed by (seed, i).  The factor is
+    applied in blocks of _ROW_BLOCK rows, one matrix product per block;
+    blocks start at multiples of _ROW_BLOCK and the last one is zero-padded
+    to full size, so every row goes through the same product shape at the
+    same position and row i's values depend only on (seed, i): a shorter run
+    is a bit-exact prefix of a longer one.
     """
     pts = np.asarray(points, dtype=complex)
     if len(set(pts.tolist())) != len(pts):
         raise ValueError("sample points must be pairwise distinct")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    cov = kernel.matrix(pts)
-    L, fact = _factor_covariance(cov)
-    npts = len(pts)
+    F, fact = _factor_covariance(kernel.matrix(pts))
+    npts, rank = F.shape
     n_blocks = -(-n_samples // _ROW_BLOCK)
     values = np.empty((n_blocks * _ROW_BLOCK, npts))
-    x = np.empty((_ROW_BLOCK, npts))
+    x = np.empty((_ROW_BLOCK, rank))
     for lo in range(0, n_samples, _ROW_BLOCK):
         rows = min(_ROW_BLOCK, n_samples - lo)
         for r in range(rows):
-            x[r] = substream(seed, lo + r).standard_normal(npts)
+            x[r] = substream(seed, lo + r).standard_normal(rank)
         x[rows:] = 0.0
-        np.matmul(x, L.T, out=values[lo:lo + _ROW_BLOCK])
-    return FieldSample(points=pts, values=values[:n_samples], seed=int(seed),
-                       kind=kernel.kind, factorization=fact)
+        np.matmul(x, F.T, out=values[lo:lo + _ROW_BLOCK])
+    return FieldSample(values=values[:n_samples], factorization=fact)
 
 
 def brw_check(grid, kernel):

@@ -5,7 +5,7 @@ the Cauchy-Schwarz counting experiment.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -223,7 +223,7 @@ class LowerBoundResult:
     eta: int
     r: int
     n0: int
-    b: tuple
+    b: list
     n_omega: int
     n_samples: int
     barrier_vacuous: bool
@@ -235,22 +235,14 @@ class LowerBoundResult:
     per_m_bins: list
     field_max_exceed_frac: float
     bias_max_exceed_frac: float
-    # numerical route of the Gaussian sample, not part of the JSON record:
-    # "cholesky" or "eigen" (FieldSample.factorization) over n_points points
+    # numerical route of the Gaussian sample (FieldSample.factorization),
+    # not part of the JSON record
     factorization: str
-    n_points: int
 
     def to_json_dict(self):
-        return {
-            "n": self.n, "delta": self.delta, "eta": self.eta, "r": self.r,
-            "n0": self.n0, "b": list(self.b), "n_omega": self.n_omega,
-            "n_samples": self.n_samples, "barrier_vacuous": self.barrier_vacuous,
-            "p_z_positive": self.p_z_positive, "p_z_se": self.p_z_se,
-            "cs_ratio": self.cs_ratio, "cs_ratio_se": self.cs_ratio_se,
-            "one_point": self.one_point, "per_m_bins": self.per_m_bins,
-            "field_max_exceed_frac": self.field_max_exceed_frac,
-            "bias_max_exceed_frac": self.bias_max_exceed_frac,
-        }
+        doc = asdict(self)
+        del doc["factorization"]
+        return doc
 
 
 def lower_bound_mc(params, n_samples, seed):
@@ -276,7 +268,6 @@ def lower_bound_mc(params, n_samples, seed):
     kern = kernel_g()
     zeta_leaf = ray_point(params.n0)
     zeta_ref = ray_point(params.b[params.r])
-    center_pt = 1j * zeta_ref
 
     points = [w * zeta_leaf for w in omegas]
     index_of = {complex(p): i for i, p in enumerate(points)}
@@ -292,7 +283,6 @@ def lower_bound_mc(params, n_samples, seed):
     barrier_idx = np.array([[intern(w * ray_point(params.b[k]))
                              for k in range(params.r + 1, params.eta + 1)]
                             for w in omegas], dtype=int)
-    center_idx = intern(center_pt)
 
     sample = sample_gauss(points, kern, n_samples, seed)
     vals = sample.values
@@ -360,17 +350,18 @@ def lower_bound_mc(params, n_samples, seed):
         })
 
     target = (1.0 - 2.0 * params.delta) * params.n
-    center_max = (leaf - vals[:, center_idx][:, None]).max(axis=1)
+    # the common center i zeta_ref is the h = 0 ray's reference point
+    center_max = (leaf - rayref[:, m // 2][:, None]).max(axis=1)
     field_frac = float((center_max > target).mean())
     bias_frac = float((2.0 * center_max > target).mean())
 
     return LowerBoundResult(
         n=params.n, delta=params.delta, eta=params.eta, r=params.r,
-        n0=params.n0, b=params.b, n_omega=m, n_samples=n_samples,
+        n0=params.n0, b=list(params.b), n_omega=m, n_samples=n_samples,
         barrier_vacuous=params.barrier_vacuous,
         p_z_positive=p_z, p_z_se=p_z_se,
         cs_ratio=cs_ratio, cs_ratio_se=cs_se,
         one_point=one_point, per_m_bins=bins,
         field_max_exceed_frac=field_frac, bias_max_exceed_frac=bias_frac,
-        factorization=sample.factorization, n_points=len(points),
+        factorization=sample.factorization,
     )

@@ -97,19 +97,19 @@ class OPTable:
     gamma_sq = (m, e) arrays with gamma_n^2 = m[n] * 2**e[n] for the
     orthonormal family: the product gamma_0^2 / (a_1^2 ... a_n^2) with
     a_k^2 = k/(4N), renormalized by an exact power of two every step, so its
-    relative error grows like sqrt(n) ulp.  The chains take a_k^2 in closed
-    form, so they run past n_max and never grow the table.
+    relative error grows like sqrt(n) ulp; degrees 0..N (n_max = N).  The
+    chains take a_k^2 in closed form, so they run past N and never grow it.
     """
 
     N: int
-    n_max: int
     gamma0: float
 
     def __post_init__(self):
-        m = np.empty(self.n_max + 1)
-        e = np.empty(self.n_max + 1, dtype=np.int64)
+        self.n_max = self.N
+        m = np.empty(self.N + 1)
+        e = np.empty(self.N + 1, dtype=np.int64)
         cur, ex = math.frexp(self.gamma0 ** 2)
-        for n in range(self.n_max + 1):
+        for n in range(self.N + 1):
             if n:
                 cur, s = math.frexp(cur / _a2(self.N, n))
                 ex += s
@@ -117,17 +117,15 @@ class OPTable:
         self.gamma_sq = (m, e)
 
 
-def recurrence_table(model, N, n_max):
-    """Normalizing constants for e^{-2N x^2} up to degree n_max >= N, with
-    gamma_0 = (2N/pi)^{1/4}.
-
-    Any model other than the quadratic one is rejected.
+def recurrence_table(model, N, _n_max=None):
+    """Normalizing constants for e^{-2N x^2} up to degree N, with
+    gamma_0 = (2N/pi)^{1/4}; any model but the quadratic one is rejected.
+    The third argument is ignored: the acceptance criteria, held unchanged
+    in tests/test_acceptance.py, still pass a table size.
     """
     if model.name != "gue":
         raise ValueError(f"model {model.name!r} has no closed-form recurrence")
-    if n_max < N:
-        raise ValueError("n_max must be >= N")
-    return OPTable(N=N, n_max=n_max, gamma0=(2.0 * N / math.pi) ** 0.25)
+    return OPTable(N=N, gamma0=(2.0 * N / math.pi) ** 0.25)
 
 
 def _rescale(prev, cur):

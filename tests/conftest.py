@@ -14,11 +14,10 @@ def model():
 def table_cache(model):
     cache = {}
 
-    def get(N, n_max=None):
-        key = N
-        if key not in cache:
-            cache[key] = recurrence_table(model, N, n_max or N + 16)
-        return cache[key]
+    def get(N):
+        if N not in cache:
+            cache[N] = recurrence_table(model, N)
+        return cache[N]
 
     return get
 

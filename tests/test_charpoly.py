@@ -61,7 +61,7 @@ def test_fs_balanced_vs_monte_carlo(table_cache):
                                  (-0.35 + 0.45j, 0.25 + 0.6j)])
 @pytest.mark.parametrize("N", [256, 1024, 2048])
 def test_fs_balanced_matches_mpmath(model, N, p, q):
-    f = fs_balanced(recurrence_table(model, N, N + 16), [p], [q])
+    f = fs_balanced(recurrence_table(model, N), [p], [q])
     assert f == pytest.approx(mp_fs_balanced(N, p, q), rel=1e-12)
 
 

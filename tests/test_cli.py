@@ -6,6 +6,7 @@ import pytest
 
 from charpolylab import cli, extremes, momentlab, orthopoly
 from charpolylab._rng import substream
+from charpolylab.gaussfield import GaussKernel, cov_g
 from charpolylab.orthopoly import DeterminantError
 from charpolylab.cli import (ConfigError, RunConfig, build_config, emit, main,
                              run, summary_schema, validate_against_schema)
@@ -186,10 +187,26 @@ def test_lowerbound_sim_reports_route_on_stderr(tmp_path, capsys):
                  "--seed", "3", "--out", str(out)]) == 0
     captured = capsys.readouterr()
     routes = [line for line in captured.err.splitlines() if line.startswith("route:")]
-    assert routes == ["route: covariance factorization = eigen (20 points)"]
+    # the 19 distinct points of the n = 4, eta = 1 grid are full rank
+    assert len(routes) == 1
+    head, resid = routes[0].split(", residual ")
+    assert head == "route: covariance factor = pivoted Cholesky, rank 19 of 19 points"
+    value, bound = map(float, resid.split(" <= "))
+    assert bound == 8.6e-09 and value <= bound
     assert "route" not in captured.out
     doc = json.loads(out.read_text())
     assert "factorization" not in doc and "n_points" not in doc
+
+
+def test_indefinite_covariance_exits_3(monkeypatch, capsys):
+    neg = GaussKernel("neg", lambda z, w: -cov_g(z, w))
+    monkeypatch.setattr(momentlab, "kernel_g", lambda: neg)
+    assert main(["lowerbound-sim", "--n", "4", "--eta", "1", "--samples", "20"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: LinAlgError: pivoted Cholesky, rank 0 of 19 "
+                             "points: residual "), err
+    assert " above bound " in err[0]
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -226,7 +243,7 @@ def test_check_exit_codes(monkeypatch):
     ArithmeticError("imaginary residue on a real moment"),
     DeterminantError("det M deviates from 1"),
     ZeroDivisionError("r_weight is infinite at a support edge"),
-    np.linalg.LinAlgError("covariance eigenvalue below tolerance"),
+    np.linalg.LinAlgError("covariance factor residual above bound"),
     RuntimeError("backward recurrence start index exceeds hard cap"),
 ], ids=["arithmetic", "determinant", "zero_division", "linalg", "runtime"])
 def test_numerical_breakdown_exits_3(monkeypatch, capsys, exc):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from charpolylab._rng import substream
-from charpolylab.gaussfield import (BiasSpec, _factor_covariance, bias_variance,
-                                    brw_check, cov_g, cov_t, exp_moment_g,
-                                    kernel_g, kernel_t, sample_gauss)
+from charpolylab.gaussfield import (BiasSpec, GaussKernel, _factor_covariance,
+                                    bias_variance, brw_check, cov_g, cov_t,
+                                    exp_moment_g, kernel_g, kernel_t,
+                                    sample_gauss)
 from charpolylab.hyperbolic import hyp_dist, ray_point
+from charpolylab.momentlab import LowerBoundParams, omega_grid
 from oracles import mobius_to_zero
 
 
@@ -137,14 +139,15 @@ def test_sample_gauss_determinism_and_rows():
     assert np.array_equal(a.values[:10], c.values)
 
 
-@pytest.mark.parametrize("pts", [
-    [0.1, 0.5j, -0.3 + 0.2j, 0.7, -0.6j],
-    [0.5, 0.5 + 1e-9, 0.5 + 2e-9j, -0.4],
-], ids=["cholesky", "eigen"])
-def test_sample_gauss_row_blocks_match_per_row_product(pts):
-    # the row-block product against the per-row L @ x it replaces, and
+@pytest.mark.parametrize("pts,rank", [
+    ([0.1, 0.5j, -0.3 + 0.2j, 0.7, -0.6j], 5),
+    ([0.5, 0.5 + 1e-9, 0.5 + 2e-9j, -0.4], 2),
+], ids=["full_rank", "near_degenerate"])
+def test_sample_gauss_row_blocks_match_per_row_product(pts, rank):
+    # the row-block product against the per-row F @ x it replaces, and
     # bit-exact prefixes across block boundaries
-    L, fact = _factor_covariance(kernel_g().matrix(np.asarray(pts, dtype=complex)))
+    F, fact = _factor_covariance(kernel_g().matrix(np.asarray(pts, dtype=complex)))
+    assert F.shape == (len(pts), rank)
     runs = {n: sample_gauss(pts, kernel_g(), n, seed=13) for n in (1, 63, 64, 65, 130)}
     assert {r.factorization for r in runs.values()} == {fact}
     full = runs[130].values
@@ -152,14 +155,45 @@ def test_sample_gauss_row_blocks_match_per_row_product(pts):
         assert run.values.shape == (n, len(pts))
         assert np.array_equal(run.values, full[:n])
     for i in range(130):
-        ref = L @ substream(13, i).standard_normal(len(pts))
+        ref = F @ substream(13, i).standard_normal(F.shape[1])
         assert np.allclose(full[i], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-def test_sample_gauss_degenerate_cluster_falls_back():
+def test_sample_gauss_degenerate_cluster_rank_one():
     pts = [0.5, 0.5 + 1e-9, 0.5 + 2e-9j]
     sample = sample_gauss(pts, kernel_g(), 10, seed=1)
-    assert sample.factorization == "eigen"
+    assert sample.factorization.startswith("pivoted Cholesky, rank 1 of 3 points, ")
+    # one standard normal per row: the three columns coincide to 1e-8
+    assert np.ptp(sample.values, axis=1).max() < 1e-8 * np.abs(sample.values).max()
+
+
+def test_factor_rejects_indefinite_covariance():
+    neg = GaussKernel("neg", lambda z, w: -cov_g(z, w))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^pivoted Cholesky, rank 0 of 3 points: residual "
+                             r"\S+ above bound -\S+$"):
+        sample_gauss([0.1, 0.5j, -0.3 + 0.2j], neg, 5, seed=1)
+
+
+def test_sampled_covariance_on_rank_deficient_ray_grid():
+    # lowerbound-sim's n = 8 point set: the leaf ring and the oversampled
+    # reference ring (the barrier ring is the leaf ring), 326 points of lower
+    # numerical rank; checked on 22 points around the center i zeta_ref
+    params = LowerBoundParams(n=8, delta=0.2, eta=3)
+    omegas = omega_grid(params)
+    m = len(omegas)
+    pts = np.concatenate([omegas * ray_point(params.n0),
+                          omegas * ray_point(params.b[params.r])])
+    n = 20_000
+    sample = sample_gauss(pts, kernel_g(), n, seed=17)
+    rank = int(sample.factorization.split("rank ")[1].split(" of")[0])
+    assert rank < len(pts)
+    rays = m // 2 + np.array([-40, -10, -3, -2, -1, 0, 1, 2, 3, 10, 40])
+    sub = np.concatenate([rays, rays + m])
+    emp = np.cov(sample.values[:, sub].T, bias=True)
+    kern = kernel_g().matrix(pts[sub])
+    se = np.sqrt((np.outer(np.diag(kern), np.diag(kern)) + kern ** 2) / n)
+    assert (np.abs(emp - kern) / se).max() <= 4.0
 
 
 def test_sample_gauss_duplicate_points_rejected():

@@ -57,7 +57,7 @@ def test_mem_ratio_uniform_over_rotations(model):
     # the bias pair is used
     from charpolylab.orthopoly import recurrence_table
     N = 256
-    table = recurrence_table(model, N, N + 8)
+    table = recurrence_table(model, N)
     rr = 1.0 - N ** -0.5
     gap = 0.4 * N ** -0.5
     errs = []

@@ -79,7 +79,7 @@ def test_gue_recurrence_coefficients(table_cache):
 def test_gamma_sq_matches_mpmath(model, N):
     # the scaled product keeps gamma_{N-1}^2 to a few ulp; a summed log of
     # the a_k^2 was off by 1.4e-11 relative at N = 2048
-    m, e = recurrence_table(model, N, N + 16).gamma_sq
+    m, e = recurrence_table(model, N).gamma_sq
     with mpmath.workdps(40):
         ref = mpmath.sqrt(2 * N / mpmath.pi) \
             * mpmath.fprod(mpmath.mpf(4 * N) / k for k in range(1, N))
@@ -102,7 +102,7 @@ def test_gamma0_quadrature_agreement(model, table_cache):
 
 def test_orthogonality_by_quadrature(model):
     N = 8
-    tab = recurrence_table(model, N, 8)
+    tab = recurrence_table(model, N)
 
     def pi_val(n, x):
         return _value(_pi_chain(tab, n, x), n).real
@@ -123,7 +123,7 @@ def test_eval_pi_basics(table_cache):
 
 
 def test_eval_pi_log_domain_large_N(model):
-    tab = recurrence_table(model, 512, 520)
+    tab = recurrence_table(model, 512)
     m, e = _pi_chain(tab, 512, 0.5)
     log_mag = math.log(abs(m[512])) + e[512] * math.log(2.0)
     assert math.isfinite(log_mag)
@@ -154,7 +154,7 @@ def test_h_conjugation_antisymmetry(model, table_cache):
 def test_h_conjugation_antisymmetry_property(model, N, x, y, n):
     # both the forward and the backward (Miller) route of the chain, also
     # past the table's n_max
-    tab = recurrence_table(model, N, N + 8)
+    tab = recurrence_table(model, N)
     q = complex(x, y)
     um, ue = _h_chain(tab, n, q)
     lm, le = _h_chain(tab, n, q.conjugate())
@@ -199,7 +199,7 @@ def test_h_casoratian_identity(model):
     # pi_n h_{n-1} - h_n pi_{n-1} = -1/(2 pi i gamma_{n-1}^2) exactly;
     # pins the normalization of the whole h chain at every index
     for N, q in ((4, 0.3 + 0.5j), (16, 0.2 + 0.4j), (64, -0.4 + 0.3j)):
-        tab = recurrence_table(model, N, N + 8)
+        tab = recurrence_table(model, N)
         pis = _pi_chain(tab, N, q)
         hs = _h_chain(tab, N, q)
         for n in (2, N // 2, N):
@@ -214,19 +214,19 @@ def test_h_casoratian_identity(model):
 def test_h_chain_matches_mpmath(model, N, im):
     # Im q = 1/N takes the backward route with a start index near 100 N
     q = 0.2 + 1j * im / N
-    tab = recurrence_table(model, N, N + 8)
+    tab = recurrence_table(model, N)
     _, hs, _ = mp_chains(N, N, q, q)
     m, e = _h_chain(tab, N, q)
     for n in (0, N - 2, N - 1, N):
         assert abs(mpmath.mpc(m[n]) * mpmath.ldexp(1, int(e[n])) / hs[n] - 1) <= 1e-12
-    assert tab.n_max == N + 8
+    assert tab.n_max == N
 
 
 @pytest.mark.parametrize("N", [2048, 4096])
 def test_y_matrix_at_im_q_one_over_n(model, N):
-    tab = recurrence_table(model, N, N + 8)
+    tab = recurrence_table(model, N)
     assert abs(y_matrix(tab, 0.2 + 1j / N).det - 1.0) <= 1e-9
-    assert tab.n_max == N + 8
+    assert tab.n_max == N
 
 
 def test_h_real_axis_rejected(table_cache):
@@ -242,7 +242,7 @@ def test_y_matrix_det(table_cache):
 
 def test_y_matrix_jump(model):
     N = 4
-    tab = recurrence_table(model, N, N + 8)
+    tab = recurrence_table(model, N)
     x = 0.3
     eps = 1e-6
     Yp = y_matrix(tab, x + 1j * eps)
@@ -255,7 +255,7 @@ def test_y_matrix_jump(model):
 
 def test_y_matrix_asymptotics(model):
     N = 4
-    tab = recurrence_table(model, N, N + 8)
+    tab = recurrence_table(model, N)
     q = 50.0 + 0.05j
     Y = y_matrix(tab, q)
     full = Y.entries * np.exp(Y.log_scale)
@@ -264,12 +264,12 @@ def test_y_matrix_asymptotics(model):
 
 
 def test_m_matrix_det_and_boundedness(model):
-    tab = recurrence_table(model, 64, 80)
+    tab = recurrence_table(model, 64)
     M = m_matrix(tab, model, 0.1 + 0.2j)
     assert M.det == pytest.approx(1.0, abs=1e-9)
     consts = []
     for N in (16, 32):
-        tabN = recurrence_table(model, N, N + 16)
+        tabN = recurrence_table(model, N)
         worst = 0.0
         for x in (-0.5, 0.0, 0.4):
             for im in (0.05, 0.3, 1.0):
@@ -287,7 +287,7 @@ def test_m_matrix_converges_to_parametrix(model):
     Minf = global_parametrix_onecut(x + 1e-13j).entries
     diffs = []
     for N in (64, 128):
-        tab = recurrence_table(model, N, N + 8)
+        tab = recurrence_table(model, N)
         q = x + 2j * N ** (-1.0 + delta)
         M = m_matrix(tab, model, q)
         diffs.append(np.abs(M.entries * math.exp(M.log_scale) - Minf).max())
@@ -335,23 +335,21 @@ def test_det_error_raises(model, table_cache, monkeypatch):
 
 
 def test_ensure_rejects_general_model(model):
-    # only the quadratic weight has a table, it reaches at least gamma_N, and
+    # only the quadratic weight has a table, it holds gamma_0 .. gamma_N, and
     # the chains run past its n_max without growing it
     generic = make_model("quadratic", model.V, model.rho, model.support)
     with pytest.raises(ValueError):
-        recurrence_table(generic, 4, 8)
-    with pytest.raises(ValueError, match="n_max must be >= N"):
-        recurrence_table(model, 8, 7)
-    tab = recurrence_table(model, 4, 8)
+        recurrence_table(generic, 4)
+    tab = recurrence_table(model, 4)
     for chain in (_pi_chain(tab, 50, 0.3), _h_chain(tab, 50, 0.3 + 0.01j)):
         assert [len(part) for part in chain] == [51, 51]
-    assert tab.n_max == 8 and [len(part) for part in tab.gamma_sq] == [9, 9]
+    assert tab.n_max == 4 and [len(part) for part in tab.gamma_sq] == [5, 5]
 
 
 def test_start_index_error_names_route_and_bound(model, monkeypatch):
     monkeypatch.setattr(orthopoly, "_BACKWARD_HARD_CAP", 100)
     monkeypatch.setattr(orthopoly, "_BACKWARD_CAP_PER_N", 1)
-    tab = recurrence_table(model, 8, 16)
+    tab = recurrence_table(model, 8)
     with pytest.raises(RuntimeError) as exc:
         _h_chain(tab, 40, 0.2 + 0.5j)
     assert str(exc.value) == ("backward h-chain at N=8, q=(0.2+0.5j): start index "
