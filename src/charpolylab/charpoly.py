@@ -33,8 +33,6 @@ __all__ = [
     "laplace_split",
     "exp_pm2_moment",
     "mc_char_ratio",
-    "mc_abs2_moment",
-    "mc_field_bias_moment",
     "VerificationCase",
     "write_verification_report",
 ]
@@ -225,17 +223,6 @@ def exp_pm2_moment(table, model, q, sign):
 # Monte Carlo oracles over the exact tridiagonal ensemble
 # ---------------------------------------------------------------------------
 
-def _mc_dets(N, xs, n_samples, seed, chunk):
-    """det(x - A) at xs over n_samples tridiagonal draws, in chunks of at
-    most `chunk` draws; chunk j draws from substream(seed, j).  Yields the
-    chunk's first sample index and char_poly's (mantissas, exponents)."""
-    xs = np.array(xs, dtype=complex)
-    for task, lo in enumerate(range(0, n_samples, chunk)):
-        d, e = tridiagonal_draw(N, substream(seed, task),
-                                size=(min(chunk, n_samples - lo),))
-        yield lo, *char_poly(d, e, xs)
-
-
 def _batched_mean(values, n_batches=50):
     """Mean and batch-means standard error of a 1-d array."""
     values = np.asarray(values)
@@ -246,46 +233,29 @@ def _batched_mean(values, n_batches=50):
 
 
 def mc_char_ratio(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
-    """Monte Carlo E[prod det(p - A) / prod det(q - A)] with batch-means SE."""
-    ps = [complex(v) for v in p_pts]
-    qs = [complex(v) for v in q_pts]
-    vals = np.empty(n_samples, dtype=complex)
-    for lo, dets, exps in _mc_dets(N, ps + qs, n_samples, seed, chunk):
-        num = np.prod(dets[:, :len(ps)], axis=1) if ps else 1.0
-        den = np.prod(dets[:, len(ps):], axis=1) if qs else 1.0
-        shift = exps[:, :len(ps)].sum(axis=1) - exps[:, len(ps):].sum(axis=1)
-        vals[lo:lo + len(dets)] = _ldexp(num / den, shift)
-    return _batched_mean(vals)
+    """Monte Carlo E[prod det(p - A) / prod det(q - A)] with batch-means SE.
 
-
-def mc_abs2_moment(N, model, q, sign, n_samples, seed, chunk=200_000):
-    """Monte Carlo E exp(+-2 Q_N(q)) = E |det(q-A)|^{+-2} e^{-+2N Re g(q)}."""
-    q = complex(q)
-    # the centering e^{-+2N Re g(q)} as 2**(k + f), folded into each value's
-    # exponent so that neither it nor |det|^{+-2} over- or underflows alone
-    k, f = divmod(-sign * 2.0 * N * model.g(q).real / math.log(2.0), 1.0)
-    vals = np.empty(n_samples)
-    for lo, dets, exps in _mc_dets(N, [q], n_samples, seed, chunk):
-        vals[lo:lo + len(dets)] = np.ldexp(np.abs(dets[:, 0]) ** (2 * sign) * 2.0 ** f,
-                                           2 * sign * exps[:, 0] + int(k))
-    return _batched_mean(vals)
-
-
-def mc_field_bias_moment(model, N, bias, n_samples, seed, chunk=100_000):
-    """Monte Carlo E exp(B(Z)) for the matrix field, via sampled spectra."""
-    Z = bias.plus_points
-    W = bias.minus_points
-    p_pts = [joukowsky(z) for z in Z]
-    q_pts = [joukowsky(w) for w in W]
-    xs = p_pts + q_pts
-    log_center = sum(2.0 * model.g(x).real for x in p_pts) \
-        - sum(2.0 * model.g(x).real for x in q_pts)
-    vals = np.empty(n_samples)
-    for lo, dets, exps in _mc_dets(N, xs, n_samples, seed, chunk):
-        logs = 2.0 * (np.log(np.abs(dets)) + exps * math.log(2.0))
-        w = logs[:, :len(p_pts)].sum(axis=1) - logs[:, len(p_pts):].sum(axis=1)
-        vals[lo:lo + len(dets)] = np.exp(w - N * log_center)
-    return _batched_mean(vals)
+    p_pts and q_pts hold one case's points, or, with a leading case axis,
+    one row of points per case; every case then reads the same draws and
+    the result is one (mean, SE) per case.  Draws come in chunks of at most
+    `chunk`, chunk j from substream(seed, j)."""
+    ps = np.array(p_pts, dtype=complex)
+    one_case = ps.ndim == 1
+    ps = np.atleast_2d(ps)
+    n = ps.shape[1]
+    # cases x points x samples: the sample axis is the long one
+    xs = np.concatenate([ps, np.atleast_2d(np.array(q_pts, dtype=complex))],
+                        axis=1)[..., None]
+    vals = np.empty((len(xs), n_samples), dtype=complex)
+    for task, lo in enumerate(range(0, n_samples, chunk)):
+        d, e = tridiagonal_draw(N, substream(seed, task),
+                                size=(min(chunk, n_samples - lo),))
+        dets, exps = char_poly(d, e, xs)
+        vals[:, lo:lo + len(d)] = _ldexp(
+            np.prod(dets[:, :n], axis=1) / np.prod(dets[:, n:], axis=1),
+            exps[:, :n].sum(axis=1) - exps[:, n:].sum(axis=1))
+    out = [_batched_mean(v) for v in vals]
+    return out[0] if one_case else out
 
 
 @dataclass

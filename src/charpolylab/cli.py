@@ -166,16 +166,16 @@ def _cmd_max_experiment(cfg):
 
 
 def _cmd_fs_verify(cfg):
-    model = ensemble.gue_model()
+    table = orthopoly.recurrence_table(ensemble.gue_model(), cfg.N)
     cases = []
     checks = []
     fixed = [((0.3 + 0.4j,), (-0.2 + 0.5j,)),
              ((-0.35 + 0.45j,), (0.25 + 0.6j,))]
-    for i, (p, q) in enumerate(fixed):
-        table = orthopoly.recurrence_table(model, cfg.N)
+    # one draw serves both cases: their Monte Carlo errors are correlated
+    mcs = charpoly.mc_char_ratio(cfg.N, [p for p, _ in fixed], [q for _, q in fixed],
+                                 cfg.n_samples, task_seed(cfg.seed, 0))
+    for i, ((p, q), (mc, se)) in enumerate(zip(fixed, mcs)):
         f = charpoly.fs_balanced(table, p, q)
-        mc, se = charpoly.mc_char_ratio(cfg.N, p, q, cfg.n_samples,
-                                        task_seed(cfg.seed, i))
         cases.append(charpoly.VerificationCase(
             case_id=f"balanced_l1_case{i}", N=cfg.N,
             formula_value=float(f.real), mc_value=float(mc.real),

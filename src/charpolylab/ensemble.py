@@ -249,26 +249,29 @@ def char_poly(d, e, xs):
     """det(x - A) at each x in xs for A = T(d, e) / (2 sqrt N), as
     (mantissa, exponent) arrays with value mantissa * 2**exponent.
 
-    d and e are draws of tridiagonal_draw, with or without a leading sample
-    axis; the result has shape d.shape[:-1] + (len(xs),), real for real xs.
-    The three-term recurrence D_k = (x - a_k) D_{k-1} - b_{k-1}^2 D_{k-2}
-    runs vectorized over samples and points, with each a_k and b_k^2 formed
-    per step.  Every _RESCALE steps D_k and D_{k-1} are divided by 2**s,
-    s the binary exponent of |D_k|: a power-of-two scale is exact, so no
-    determinant over- or underflows and, wherever the unscaled recurrence
+    d and e are draws of tridiagonal_draw, with or without leading sample
+    axes.  The state, and the result, take the broadcast shape of xs against
+    d.shape[:-1], real for real xs: xs[:, None] against one sample axis
+    gives points x samples, d[:, None] and e[:, None] against a 1-d xs give
+    samples x points.  Every step is one numpy call per array, so put the
+    longer axis last, where numpy's inner loop runs.  The three-term
+    recurrence D_k = (x - a_k) D_{k-1} - b_{k-1}^2 D_{k-2} forms each a_k
+    and b_k^2 per step.  Every _RESCALE steps D_k and D_{k-1} are divided by
+    2**s, s the binary exponent of |D_k|: a power-of-two scale is exact, so
+    no determinant over- or underflows and, wherever the unscaled recurrence
     stays in double range, mantissa * 2**exponent is its value bit for bit.
     """
     N = d.shape[-1]
     s = 2.0 * math.sqrt(N)
     xs = np.asarray(xs)
-    D = xs - (d[..., :1] / s)
+    D = xs - d[..., 0] / s
     Dm1 = np.ones_like(D)
     t = np.empty_like(D)
     exps = np.zeros(D.shape, dtype=np.int64)
     for k in range(1, N):
-        np.subtract(xs, (d[..., k] / s)[..., None], out=t)
+        np.subtract(xs, d[..., k] / s, out=t)
         t *= D
-        Dm1 *= np.square(e[..., k - 1] / s)[..., None]
+        Dm1 *= np.square(e[..., k - 1] / s)
         np.subtract(t, Dm1, out=Dm1)
         D, Dm1 = Dm1, D
         if k % _RESCALE == 0:

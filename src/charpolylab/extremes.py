@@ -167,7 +167,7 @@ def _grid_maxima(block, model, y):
     N = block.N
     grid = cheb_grid(N)
     xs = grid if y is None else np.concatenate([grid, grid - 1j * (y / N)])
-    m, e = char_poly(block.d, block.e, xs)
+    m, e = char_poly(block.d[:, None], block.e[:, None], xs)
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(m)) + e * math.log(2.0)
     m_star = (logs[:, :len(grid)] + N * model.g_tilde(grid)).max(axis=1)

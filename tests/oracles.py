@@ -1,5 +1,6 @@
-"""Scalar reference implementations that the tests compare the package's
-vectorized or closed-form routes against.  Nothing under src/ calls them."""
+"""Reference implementations, scalar or Monte Carlo, that the tests compare
+the package's vectorized or closed-form routes against.  Nothing under src/
+calls them."""
 
 import math
 
@@ -7,7 +8,10 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from charpolylab.hyperbolic import pseudo_dist
+from charpolylab._rng import substream
+from charpolylab.charpoly import _batched_mean
+from charpolylab.ensemble import char_poly, tridiagonal_draw
+from charpolylab.hyperbolic import joukowsky, pseudo_dist
 
 
 def h0_quadrature(model, N, q):
@@ -170,3 +174,44 @@ def mp_fs_balanced(N, p, q):
     with mpmath.workdps(40):
         t = -2j * mpmath.pi * gamma_sq
         return complex(t * (hs[N - 1] * pis[N] - hs[N] * pis[N - 1]))
+
+
+def _mc_dets(N, xs, n_samples, seed, chunk):
+    """det(x - A) at xs over n_samples tridiagonal draws, in chunks of at
+    most `chunk` draws, chunk j from substream(seed, j) as in mc_char_ratio.
+    Yields the chunk's first sample index and char_poly's (mantissas,
+    exponents), points x samples."""
+    xs = np.array(xs, dtype=complex)[:, None]
+    for task, lo in enumerate(range(0, n_samples, chunk)):
+        d, e = tridiagonal_draw(N, substream(seed, task),
+                                size=(min(chunk, n_samples - lo),))
+        yield lo, *char_poly(d, e, xs)
+
+
+def mc_abs2_moment(N, model, q, sign, n_samples, seed, chunk=200_000):
+    """Monte Carlo E exp(+-2 Q_N(q)) = E |det(q-A)|^{+-2} e^{-+2N Re g(q)},
+    the oracle for charpoly.exp_pm2_moment."""
+    q = complex(q)
+    # the centering e^{-+2N Re g(q)} as 2**(k + f), folded into each value's
+    # exponent so that neither it nor |det|^{+-2} over- or underflows alone
+    k, f = divmod(-sign * 2.0 * N * model.g(q).real / math.log(2.0), 1.0)
+    vals = np.empty(n_samples)
+    for lo, dets, exps in _mc_dets(N, [q], n_samples, seed, chunk):
+        vals[lo:lo + dets.shape[1]] = np.ldexp(np.abs(dets[0]) ** (2 * sign) * 2.0 ** f,
+                                               2 * sign * exps[0] + int(k))
+    return _batched_mean(vals)
+
+
+def mc_field_bias_moment(model, N, bias, n_samples, seed, chunk=100_000):
+    """Monte Carlo E exp(B(Z)) for the matrix field, the oracle for
+    charpoly.exp_moment_field."""
+    p_pts = [joukowsky(z) for z in bias.plus_points]
+    q_pts = [joukowsky(w) for w in bias.minus_points]
+    log_center = sum(2.0 * model.g(x).real for x in p_pts) \
+        - sum(2.0 * model.g(x).real for x in q_pts)
+    vals = np.empty(n_samples)
+    for lo, dets, exps in _mc_dets(N, p_pts + q_pts, n_samples, seed, chunk):
+        logs = 2.0 * (np.log(np.abs(dets)) + exps * math.log(2.0))
+        w = logs[:len(p_pts)].sum(axis=0) - logs[len(p_pts):].sum(axis=0)
+        vals[lo:lo + dets.shape[1]] = np.exp(w - N * log_center)
+    return _batched_mean(vals)

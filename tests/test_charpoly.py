@@ -7,14 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from charpolylab._rng import substream
 from charpolylab.charpoly import (VerificationCase, exp_moment_field, exp_pm2_moment, fs_balanced,
-                                  laplace_split, mc_abs2_moment, mc_char_ratio,
-                                  mc_field_bias_moment, vandermonde_det,
+                                  laplace_split, mc_char_ratio, vandermonde_det,
                                   write_verification_report)
 from charpolylab.ensemble import char_poly, tridiagonal_draw
 from charpolylab.gaussfield import BiasSpec
 from charpolylab.hyperbolic import joukowsky
 from charpolylab.orthopoly import _scaled_det, recurrence_table
-from oracles import _mp_dps, mp_faddeeva, mp_fs_balanced
+from oracles import (_mp_dps, mc_abs2_moment, mc_field_bias_moment, mp_faddeeva,
+                     mp_fs_balanced)
 
 
 def test_vandermonde():
@@ -243,17 +243,52 @@ def test_char_poly_batch_rescale_is_exact():
     # and on real points (where it runs in real arithmetic)
     xs = [0.3 + 0.4j, -0.2 + 0.5j, 0.1 + 1e-3j]
     raw = _raw_char_poly_batch(64, xs, substream(9, 0), 500)
-    mant, exps = char_poly(*tridiagonal_draw(64, substream(9, 0), size=(500,)),
-                           np.array(xs))
+    mant, exps = (a.T for a in char_poly(*tridiagonal_draw(64, substream(9, 0), size=(500,)),
+                                         np.array(xs)[:, None]))
     assert exps.dtype.kind == "i" and np.any(exps != 0)
     assert np.array_equal(np.ldexp(mant.real, exps), raw.real)
     assert np.array_equal(np.ldexp(mant.imag, exps), raw.imag)
     xs = [0.3, -0.95, 1.2]
     raw = _raw_char_poly_batch(64, xs, substream(9, 0), 500)
-    mant, exps = char_poly(*tridiagonal_draw(64, substream(9, 0), size=(500,)),
-                           np.array(xs))
+    mant, exps = (a.T for a in char_poly(*tridiagonal_draw(64, substream(9, 0), size=(500,)),
+                                         np.array(xs)[:, None]))
     assert mant.dtype == float and np.any(exps != 0)
     assert np.array_equal(np.ldexp(mant, exps), raw.real) and not raw.imag.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 100), n_samples=st.integers(1, 40), n_points=st.integers(1, 6),
+       real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_char_poly_layouts_agree_bitwise(N, n_samples, n_points, real, seed):
+    # the state takes the broadcast shape of xs against the sample axes: the
+    # Monte Carlo oracle puts samples inner, the grid maxima put points inner
+    rng = np.random.default_rng(seed)
+    d, e = tridiagonal_draw(N, rng, size=(n_samples,))
+    xs = rng.uniform(-1.5, 1.5, n_points)
+    if not real:
+        xs = xs + 1j * rng.uniform(-1.0, 1.0, n_points)
+    m_in, e_in = char_poly(d, e, xs[:, None])
+    m_out, e_out = char_poly(d[:, None], e[:, None], xs)
+    assert m_in.shape == (n_points, n_samples) and m_out.shape == (n_samples, n_points)
+    assert m_in.dtype == m_out.dtype == xs.dtype
+    assert np.array_equal(e_in.T, e_out)
+    assert np.array_equal(np.ascontiguousarray(m_in.T).view(np.uint64),
+                          m_out.view(np.uint64))
+
+
+@pytest.mark.parametrize("p,q", [
+    ([(0.3 + 0.4j,), (-0.35 + 0.45j,), (0.1 - 0.2j,)],
+     [(-0.2 + 0.5j,), (0.25 + 0.6j,), (0.5 + 0.3j,)]),
+    ([(0.3 + 0.4j, -0.1 + 0.5j), (-0.35 + 0.45j, 0.2 - 0.3j)],
+     [(0.2 + 0.6j, -0.3 - 0.5j), (0.25 + 0.6j, 0.6 + 0.2j)])])
+def test_mc_char_ratio_case_axis_matches_one_case_calls(p, q):
+    # every case reads the same draws, so each gives its one-case call's bits
+    cases = mc_char_ratio(16, p, q, 1_000, seed=7, chunk=300)
+    assert len(cases) == len(p)
+    for (mc, se), pc, qc in zip(cases, p, q):
+        one_mc, one_se = mc_char_ratio(16, pc, qc, 1_000, seed=7, chunk=300)
+        assert np.array([mc, se]).view(np.uint64).tolist() == \
+            np.array([one_mc, one_se]).view(np.uint64).tolist()
 
 
 def test_monte_carlo_oracles_survive_determinant_underflow(model):

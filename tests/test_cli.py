@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from charpolylab import cli, extremes, momentlab, orthopoly
-from charpolylab._rng import substream
+from charpolylab import charpoly, cli, extremes, momentlab, orthopoly
+from charpolylab._rng import substream, task_seed
 from charpolylab.gaussfield import GaussKernel, cov_g
 from charpolylab.orthopoly import DeterminantError
 from charpolylab.cli import (ConfigError, RunConfig, build_config, emit, main,
@@ -179,6 +179,33 @@ def test_fs_verify_at_n2048_passes(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert all(np.isfinite(float(r["mc_value"])) for r in rows)
+
+
+def test_fs_verify_draws_once_per_chunk(monkeypatch):
+    # both cases read one draw per chunk of at most 200,000 samples
+    sizes = []
+    draw = charpoly.tridiagonal_draw
+
+    def counted(*args, **kwargs):
+        sizes.append(kwargs["size"])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(charpoly, "tridiagonal_draw", counted)
+    assert main(["fs-verify", "--N", "4", "--samples", "200001"]) == 0
+    assert sizes == [(200_000,), (1,)]
+
+
+def test_fs_verify_case0_row_is_the_one_case_oracle(tmp_path):
+    out = tmp_path / "fs.csv"
+    assert main(["fs-verify", "--N", "16", "--samples", "3000", "--seed", "9",
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        row = next(csv.DictReader(fh))
+    mc, se = charpoly.mc_char_ratio(16, (0.3 + 0.4j,), (-0.2 + 0.5j,), 3000,
+                                    task_seed(9, 0))
+    assert row["case_id"] == "balanced_l1_case0"
+    assert float(row["mc_value"]) == float(mc.real)
+    assert float(row["mc_stderr"]) == float(se)
 
 
 def test_lowerbound_sim_reports_route_on_stderr(tmp_path, capsys):
