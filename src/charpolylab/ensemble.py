@@ -108,16 +108,25 @@ class EquilibriumModel:
     stieltjes: object = field(repr=False)
     ell_v: float = None
     rho_max: float = None
+    _profile: tuple = field(default=None, init=False, repr=False, compare=False)
 
-    def ell_v_profile(self, n_grid=101, margin=0.02):
-        """ell_V(x) = -2 g_tilde(x) - V(x) on an interior grid (should be flat)."""
-        xs = []
-        for a, b in self.support:
-            pad = margin * (b - a)
-            xs.append(np.linspace(a + pad, b - pad, n_grid))
-        xs = np.concatenate(xs)
-        vals = np.array([-2.0 * self.g_tilde(x) - self.V(x) for x in xs])
-        return xs, vals
+    def ell_v_profile(self):
+        """ell_V(x) = -2 g_tilde(x) - V(x) on 101 points of each support
+        interval, 2% in from its ends (should be flat).
+
+        Computed on the first call and kept, read-only, on the model: one
+        quadrature per point for make_model's models.
+        """
+        if self._profile is None:
+            xs = []
+            for a, b in self.support:
+                pad = 0.02 * (b - a)
+                xs.append(np.linspace(a + pad, b - pad, 101))
+            xs = np.concatenate(xs)
+            vals = np.array([-2.0 * self.g_tilde(x) - self.V(x) for x in xs])
+            xs.flags.writeable = vals.flags.writeable = False
+            self._profile = (xs, vals)
+        return self._profile
 
 
 def _on_arrays(f, dtype):

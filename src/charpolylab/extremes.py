@@ -8,8 +8,7 @@ model's determinant recurrence (ensemble.char_poly), run on blocks of
 samples sized so that each (block x points) working array stays in a 2 MiB
 L2 cache.  The recurrence's numpy steps release the GIL, so the blocks run
 in parallel on the thread pool; a block's values are elementwise in its
-samples, so outputs are the same for any thread count.  field_q keeps the
-eigenvalue route as the oracle.
+samples, so outputs are the same for any thread count.
 """
 
 import math
@@ -23,7 +22,6 @@ from .ensemble import Spectrum, char_poly, sample_spectrum_gue
 
 __all__ = [
     "MaxRecord",
-    "field_q",
     "cheb_grid",
     "factor14_check",
     "Factor14Violation",
@@ -52,20 +50,6 @@ class OrderingViolation(ArithmeticError):
 # bytes of one (block x points) working array of the grid recurrence: its
 # three arrays stay resident in a per-core L2 cache of 2 MiB
 _BLOCK_BYTES = 1 << 19
-
-
-def field_q(spectrum, model, q):
-    """Q(q) = sum log|q - lambda_i| - N * Re g(q).
-
-    On the real axis the centering uses the log-potential -g_tilde (valid on
-    and off the support); off the axis it uses Re g.  An eigenvalue hit
-    yields -inf.
-    """
-    q = complex(q)
-    with np.errstate(divide="ignore"):
-        logsum = float(np.log(np.abs(q - spectrum.eigenvalues)).sum())
-    center = -model.g_tilde(q.real) if q.imag == 0.0 else model.g(q).real
-    return logsum - spectrum.N * center
 
 
 def cheb_grid(N):

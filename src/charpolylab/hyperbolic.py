@@ -64,7 +64,7 @@ def ray_point(j):
 
 def branch_profile_grid(h, j, thetas):
     """Error of the branching approximation of d(zeta_h, e^{i theta} zeta_j)
-    over a whole theta grid.
+    over a whole theta grid, for one (h, j) pair or a block of them.
 
     The exact distance comes from the hyperbolic law of cosines with side
     lengths h and j and angle theta between them; the approximation is
@@ -72,19 +72,40 @@ def branch_profile_grid(h, j, thetas):
     (theta = 0, where the log term is +inf).  Returns (errors, refined):
     errors = exact - approx, and refined holds |error| e^k |theta| on the
     points with k = min(h, j) > -log|sin(theta/2)| and 0 elsewhere.
+
+    h and j broadcast against each other, and each pair broadcasts as a
+    column against the grid thetas: scalars give arrays of thetas' shape,
+    and a length-n j (or h) with a 1-d grid gives (n, len(thetas)) blocks.
+    The theta-only terms cos theta and -log|sin(theta/2)| are computed once
+    per call.  The profile is symmetric in h and j, bit for bit (cosh is
+    even, and h + j and min(h, j) commute), so a sweep over all pairs needs
+    only j >= h.
+
+    cosh(h + j), cosh(h - j) and e^k stay scalar math calls, one per pair,
+    gathered into a column: np.cosh and np.exp differ from math.cosh and
+    math.exp in the last bit at some integer arguments in [-25, 50], and
+    the scalar calls keep every row of a block bit-identical to the
+    pair-by-pair evaluation.
     """
     thetas = np.asarray(thetas, dtype=float)
-    h = float(h)
-    j = float(j)
+    h, j = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(j, dtype=float))
+    shape = h.shape + (1,) * thetas.ndim
+
+    def per_pair(f):
+        return np.array([f(a, b) for a, b in zip(h.flat, j.flat)]).reshape(shape)
+
+    cosh_plus = per_pair(lambda a, b: 0.5 * math.cosh(a + b))
+    cosh_minus = per_pair(lambda a, b: 0.5 * math.cosh(a - b))
+    exp_k = per_pair(lambda a, b: math.exp(min(a, b)))
+    k = np.minimum(h, j).reshape(shape)
     cos_t = np.cos(thetas)
-    cosh_a = 0.5 * math.cosh(h + j) * (1.0 - cos_t) + 0.5 * math.cosh(h - j) * (1.0 + cos_t)
+    cosh_a = cosh_plus * (1.0 - cos_t) + cosh_minus * (1.0 + cos_t)
     exact = np.arccosh(np.maximum(cosh_a, 1.0))
     s = np.abs(np.sin(thetas / 2.0))
     with np.errstate(divide="ignore"):
         log_term = np.where(s > 0.0, -np.log(np.maximum(s, 1e-300)), np.inf)
-    approx = h + j - 2.0 * np.minimum(log_term, min(h, j))
+    approx = (h + j).reshape(shape) - 2.0 * np.minimum(log_term, k)
     errors = exact - approx
-    k = min(h, j)
     in_regime = (s > 0.0) & (k > log_term)
-    refined = np.where(in_regime, np.abs(errors) * math.exp(k) * np.abs(thetas), 0.0)
+    refined = np.where(in_regime, np.abs(errors) * exp_k * np.abs(thetas), 0.0)
     return errors, refined

@@ -245,6 +245,32 @@ class LowerBoundResult:
         return doc
 
 
+def _depth_bins(depth, emp2, prod1, exact2, b_ref, slack):
+    """The two-point table: over the pairs i < j of each branch depth m, the
+    means of E[Y_i Y_j] and of the exact Gaussian E e^{B_i + B_j}, each over
+    the mean of E Y_i E Y_j, and the largest exact / (product e^{m - b_ref + slack}).
+
+    Each bin's entries are gathered once, by index pairs into the upper
+    triangle, so no whole-triangle copy is made.
+    """
+    rows, cols = np.triu_indices(len(depth), k=1)
+    dvals = depth[rows, cols]
+    bins = []
+    for mval in np.unique(dvals).tolist():
+        sel = np.flatnonzero(dvals == mval)
+        r, c = rows[sel], cols[sel]
+        e_emp, e_ind, e_exact = emp2[r, c], prod1[r, c], exact2[r, c]
+        lemma_bound = e_exact / (e_ind * math.exp(mval - b_ref + slack))
+        bins.append({
+            "m": mval,
+            "n_pairs": len(sel),
+            "factorization_ratio": float(e_emp.mean() / e_ind.mean()),
+            "exact_pair_over_product": float(e_exact.mean() / e_ind.mean()),
+            "lemma_bound_constant": float(lemma_bound.max()),
+        })
+    return bins
+
+
 def lower_bound_mc(params, n_samples, seed):
     """Sample the comparison field on the ray grid and run the biased
     second-moment bookkeeping.
@@ -331,23 +357,7 @@ def lower_bound_mc(params, n_samples, seed):
     exact2 = np.exp(var_b + cov_bb)
     depth = branch_depth(omegas, params.n0)
     slack = params.n / params.eta + params.eta * math.sqrt(params.n)
-    bins = []
-    iu = np.triu_indices(m, k=1)
-    dvals = depth[iu]
-    for mval in sorted(set(dvals.tolist())):
-        sel = dvals == mval
-        e_emp = emp2[iu][sel].mean()
-        e_ind = prod1[iu][sel].mean()
-        e_exact = exact2[iu][sel].mean()
-        lemma_bound = exact2[iu][sel] / (prod1[iu][sel]
-                                         * math.exp(mval - params.b[params.r] + slack))
-        bins.append({
-            "m": int(mval),
-            "n_pairs": int(sel.sum()),
-            "factorization_ratio": float(e_emp / e_ind),
-            "exact_pair_over_product": float(e_exact / e_ind),
-            "lemma_bound_constant": float(lemma_bound.max()),
-        })
+    bins = _depth_bins(depth, emp2, prod1, exact2, params.b[params.r], slack)
 
     target = (1.0 - 2.0 * params.delta) * params.n
     # the common center i zeta_ref is the h = 0 ray's reference point

@@ -36,6 +36,20 @@ def h0_quadrature(model, N, q):
     return (re + 1j * im) / (2j * math.pi)
 
 
+def field_q(spectrum, model, q):
+    """Q(q) = sum log|q - lambda_i| - N * Re g(q) by the eigenvalue route.
+
+    On the real axis the centering uses the log-potential -g_tilde (valid on
+    and off the support); off the axis it uses Re g.  An eigenvalue hit
+    yields -inf.
+    """
+    q = complex(q)
+    with np.errstate(divide="ignore"):
+        logsum = float(np.log(np.abs(q - spectrum.eigenvalues)).sum())
+    center = -model.g_tilde(q.real) if q.imag == 0.0 else model.g(q).real
+    return logsum - spectrum.N * center
+
+
 def mobius_to_zero(y, z):
     """Disk automorphism sending y to 0, evaluated at z: (z-y)/(1-z*conj(y))."""
     for p in (y, z):
@@ -65,6 +79,27 @@ def branch_profile(h, j, theta):
     log_term = math.inf if s == 0.0 else -math.log(s)
     approx = h + j - 2.0 * min(log_term, h, j)
     return {"exact": exact, "approx": approx, "error": exact - approx}
+
+
+def branch_profile_row(h, j, thetas):
+    """hyperbolic.branch_profile_grid for one (h, j) pair, with every term
+    computed in that pair's own scalar and array operations: the bitwise
+    reference for the broadcast row blocks."""
+    thetas = np.asarray(thetas, dtype=float)
+    h = float(h)
+    j = float(j)
+    cos_t = np.cos(thetas)
+    cosh_a = 0.5 * math.cosh(h + j) * (1.0 - cos_t) + 0.5 * math.cosh(h - j) * (1.0 + cos_t)
+    exact = np.arccosh(np.maximum(cosh_a, 1.0))
+    s = np.abs(np.sin(thetas / 2.0))
+    with np.errstate(divide="ignore"):
+        log_term = np.where(s > 0.0, -np.log(np.maximum(s, 1e-300)), np.inf)
+    approx = h + j - 2.0 * np.minimum(log_term, min(h, j))
+    errors = exact - approx
+    k = min(h, j)
+    in_regime = (s > 0.0) & (k > log_term)
+    refined = np.where(in_regime, np.abs(errors) * math.exp(k) * np.abs(thetas), 0.0)
+    return errors, refined
 
 
 def _pseudo_product(A, B):
@@ -215,3 +250,25 @@ def mc_field_bias_moment(model, N, bias, n_samples, seed, chunk=100_000):
         w = logs[:len(p_pts)].sum(axis=0) - logs[len(p_pts):].sum(axis=0)
         vals[lo:lo + dets.shape[1]] = np.exp(w - N * log_center)
     return _batched_mean(vals)
+
+
+def depth_bins_loop(depth, emp2, prod1, exact2, b_ref, slack):
+    """The per-depth two-point table by boolean masks over whole copies of
+    the upper triangle, four per bin: the oracle for momentlab._depth_bins."""
+    bins = []
+    iu = np.triu_indices(len(depth), k=1)
+    dvals = depth[iu]
+    for mval in sorted(set(dvals.tolist())):
+        sel = dvals == mval
+        e_emp = emp2[iu][sel].mean()
+        e_ind = prod1[iu][sel].mean()
+        e_exact = exact2[iu][sel].mean()
+        lemma_bound = exact2[iu][sel] / (prod1[iu][sel] * math.exp(mval - b_ref + slack))
+        bins.append({
+            "m": int(mval),
+            "n_pairs": int(sel.sum()),
+            "factorization_ratio": float(e_emp / e_ind),
+            "exact_pair_over_product": float(e_exact / e_ind),
+            "lemma_bound_constant": float(lemma_bound.max()),
+        })
+    return bins

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from charpolylab.gaussfield import GaussKernel, cov_g
 from charpolylab.orthopoly import DeterminantError
 from charpolylab.cli import (ConfigError, RunConfig, build_config, emit, main,
                              run, summary_schema, validate_against_schema)
+from oracles import branch_profile_row
 
 
 def test_emit_csv_roundtrip(tmp_path):
@@ -206,6 +208,23 @@ def test_fs_verify_case0_row_is_the_one_case_oracle(tmp_path):
     assert row["case_id"] == "balanced_l1_case0"
     assert float(row["mc_value"]) == float(mc.real)
     assert float(row["mc_stderr"]) == float(se)
+
+
+def test_branch_verify_is_the_pair_by_pair_sweep(tmp_path):
+    out = tmp_path / "bv.csv"
+    assert main(["branch-verify", "--out", str(out)]) == 0
+    thetas = np.linspace(-math.pi, math.pi, 10001)[1:-1]
+    rows, max_c = [], 0.0
+    for h in range(26):
+        for j in range(26):
+            errors, refined = branch_profile_row(h, j, thetas)
+            rows.append([h, j, float(np.abs(errors).max())])
+            max_c = max(max_c, float(refined.max()))
+    ref = tmp_path / "ref.csv"
+    emit(rows, ref, "csv", header=["h", "j", "max_abs_error"])
+    assert out.read_bytes() == ref.read_bytes()
+    summary, _ = cli._cmd_branch_verify(build_config("branch-verify", {}, {}))
+    assert summary == {"max_abs_error": max(r[2] for r in rows), "refined_constant": max_c}
 
 
 def test_lowerbound_sim_reports_route_on_stderr(tmp_path, capsys):

@@ -160,6 +160,19 @@ def test_make_model_quadrature_path(model):
     assert generic.g(q) == pytest.approx(model.g(q), abs=1e-9)
 
 
+def test_make_model_profile_is_computed_once(model):
+    generic = make_model("quadratic", model.V, model.rho, model.support)
+    xs, vals = generic.ell_v_profile()
+    assert len(xs) == len(vals) == 101
+    assert generic.ell_v == float(vals.mean())
+    assert generic.rho_max == max(model.rho(x) for x in xs)
+    generic.g_tilde = None  # a second quadrature pass would fail here
+    again = generic.ell_v_profile()
+    assert again[0] is xs and again[1] is vals
+    with pytest.raises(ValueError):
+        vals[0] = 0.0
+
+
 def test_sterf_matches_eigh_tridiagonal():
     # the eigenvalue route (gen-spectrum and the oracles): dsterf on the
     # drawn (d, e), bit for bit as eigh_tridiagonal, and the draw untouched

@@ -56,6 +56,21 @@ def test_kernel_matrix_matches_pointwise_cov(rng):
         assert np.allclose(mat, ref, rtol=1e-13, atol=1e-15)
 
 
+def test_kernel_g_matrix_matches_log_series(rng):
+    # -(1/2) log|1 - u| = (1/2) Re sum_{k>=1} u^k / k with u = z conj(w); for
+    # |z|, |w| <= 0.9 the terms after k = 400 are below 0.81^400 / 400 ~ 1e-39
+    pts = random_disk_points(rng, 25)
+    u = pts[:, None] * np.conj(pts)[None, :]
+    series = np.zeros_like(u)
+    power = np.ones_like(u)
+    for k in range(1, 401):
+        power = power * u
+        series += power / k
+    mat = kernel_g().matrix(pts)
+    assert np.abs(pts).max() <= 0.9
+    np.testing.assert_allclose(mat, 0.5 * series.real, rtol=1e-13, atol=1e-15)
+
+
 def test_bias_spec_validation():
     with pytest.raises(ValueError):
         BiasSpec(plus_points=(1.2,), minus_points=())

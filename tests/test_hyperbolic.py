@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from charpolylab.hyperbolic import (branch_profile_grid, hyp_dist, joukowsky,
                                     pseudo_dist, ray_point)
-from oracles import branch_profile, mobius_to_zero
+from oracles import branch_profile, branch_profile_row, mobius_to_zero
 
 
 def random_disk_points(rng, n, rmax=0.95):
@@ -161,3 +161,41 @@ def test_branch_profile_bound_stable_across_grids():
 
     coarse, fine = sweep(2001), sweep(4001)
     assert abs(fine - coarse) <= 0.1 * max(coarse, 0.1)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_branch_profile_grid_row_blocks_match_pairs():
+    # branch-verify's sweep: one block call per h over j >= h, read for all
+    # 676 pairs through the (h, j) symmetry; the pair calls and the blocks
+    # both match the per-pair scalar reference bit for bit
+    thetas = np.linspace(-math.pi, math.pi, 10001)[1:-1]
+    blocks = [branch_profile_grid(h, np.arange(h, 26), thetas) for h in range(26)]
+    for h in range(26):
+        assert blocks[h][0].shape == blocks[h][1].shape == (26 - h, len(thetas))
+        for j in range(26):
+            lo, hi = min(h, j), max(h, j)
+            ref_errors, ref_refined = branch_profile_row(h, j, thetas)
+            errors, refined = branch_profile_grid(h, j, thetas)
+            assert _bits(errors) == _bits(ref_errors), (h, j)
+            assert _bits(refined) == _bits(ref_refined), (h, j)
+            assert _bits(blocks[lo][0][hi - lo]) == _bits(ref_errors), (h, j)
+            assert _bits(blocks[lo][1][hi - lo]) == _bits(ref_refined), (h, j)
+
+
+_depth = st.floats(0.0, 30.0, allow_subnormal=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=_depth, j=_depth)
+def test_branch_profile_grid_symmetric_in_h_and_j(h, j):
+    thetas = np.linspace(-math.pi, math.pi, 2001)[1:-1]
+    for a, b in zip(branch_profile_grid(h, j, thetas), branch_profile_grid(j, h, thetas)):
+        assert _bits(a) == _bits(b)
+    # a column of h against scalar j gives the per-pair rows too
+    errors, refined = branch_profile_grid([h, j], j, thetas)
+    for row, a in enumerate((h, j)):
+        e1, r1 = branch_profile_grid(a, j, thetas)
+        assert _bits(errors[row]) == _bits(e1) and _bits(refined[row]) == _bits(r1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charpolylab import momentlab
 from charpolylab._rng import substream
 from charpolylab.gaussfield import BiasSpec, kernel_g, sample_gauss
 from charpolylab.hyperbolic import hyp_dist, pseudo_dist, ray_point
@@ -12,7 +13,7 @@ from charpolylab.momentlab import (LowerBoundParams, PairConfiguration,
                                    matching_subset_sup, mem_ratio, omega_grid,
                                    pair_config_validate,
                                    random_pair_configuration)
-from oracles import matching_ratio
+from oracles import depth_bins_loop, matching_ratio
 
 
 def test_lower_bound_params():
@@ -247,3 +248,14 @@ def test_lower_bound_mc_deterministic():
     a = lower_bound_mc(params, 60, seed=5)
     b = lower_bound_mc(params, 60, seed=5)
     assert a.to_json_dict() == b.to_json_dict()
+
+
+def test_depth_bins_match_triangle_loop(monkeypatch):
+    seen = []
+    gather = momentlab._depth_bins
+    monkeypatch.setattr(momentlab, "_depth_bins",
+                        lambda *args: seen.append(args) or gather(*args))
+    res = lower_bound_mc(LowerBoundParams(n=8, delta=0.2, eta=3), 60, seed=5)
+    (args,) = seen
+    assert len(res.per_m_bins) > 2
+    assert res.per_m_bins == depth_bins_loop(*args)
