@@ -135,13 +135,13 @@ def laplace_split(A, B, C, D, p, q):
     return total
 
 
-def exp_moment_field(table, model, bias, imag_tol=1e-8):
+def exp_moment_field(table, model, bias):
     """E exp(B(Z)) for the matrix field Z = Q_N o J, by the scaled determinant.
 
     The bias points are pulled to the plane via p = J(conj(Z) u Z),
     q = J(conj(W) u W); the determinant uses the normalized-matrix entries so
     no raw e^{+-N g} appears.  The result must be real positive; a relative
-    imaginary residue above imag_tol raises.
+    imaginary residue above 1e-8 raises.
     """
     Z = bias.plus_points
     W = bias.minus_points
@@ -172,7 +172,7 @@ def exp_moment_field(table, model, bias, imag_tol=1e-8):
         m, e = entries(complex(x))
         rows.append(_vandermonde_row(m[::-1, col], e[::-1, col], x, ell))
     val = _det_over_vandermonde(rows, q_pts, p_pts)
-    if abs(val.imag) > imag_tol * max(abs(val), 1e-300):
+    if abs(val.imag) > 1e-8 * max(abs(val), 1e-300):
         raise ArithmeticError(f"imaginary residue {val.imag:.2e} on a real moment")
     if val.real <= 0.0:
         raise ArithmeticError(f"nonpositive exponential moment {val}")
@@ -223,11 +223,10 @@ def exp_pm2_moment(table, model, q, sign):
 # Monte Carlo oracles over the exact tridiagonal ensemble
 # ---------------------------------------------------------------------------
 
-def _batched_mean(values, n_batches=50):
-    """Mean and batch-means standard error of a 1-d array."""
+def _batched_mean(values):
+    """Mean and batch-means standard error of a 1-d array, over 50 batches."""
     values = np.asarray(values)
-    n = len(values)
-    nb = min(n_batches, n)
+    nb = min(50, len(values))
     means = np.array([c.mean() for c in np.array_split(values, nb)])
     return values.mean(), np.abs(means).std(ddof=1) / math.sqrt(nb) if nb > 1 else 0.0
 

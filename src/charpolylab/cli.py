@@ -26,11 +26,6 @@ from .gaussfield import BiasSpec
 __all__ = ["RunConfig", "run", "emit", "main", "validate_against_schema",
            "summary_schema"]
 
-COMMANDS = ("gen-spectrum", "max-experiment", "fs-verify", "mem-verify",
-            "branch-verify", "matching-verify", "lowerbound-sim",
-            "upperbound-verify", "brw-verify")
-
-
 # commands that need more than the common minimums: log(log N) needs N >= 2,
 # and matching-verify compares the first half of its samples with all of them
 _COMMAND_MINIMUMS = {
@@ -47,22 +42,20 @@ class RunConfig:
     n: int = 8
     n_samples: int = 100
     seed: int = 1
-    threads: int = 0  # 0 -> CHARPOLY_THREADS or 1
+    threads: int = None  # None -> CHARPOLY_THREADS or 1
     out_path: str = None
     check: bool = False
     delta: float = 0.2
     eta: int = 3
     y: float = 2.0
     epsilon: float = 0.3
-    stride: int = 1
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.threads == 0:
+        if self.threads is None:
             self.threads = int(os.environ.get("CHARPOLY_THREADS", "1"))
-        minimums = {"N": 1, "n": 2, "n_samples": 1, "threads": 1, "eta": 1,
-                    "stride": 1, "y": 1}
+        minimums = {"N": 1, "n": 2, "n_samples": 1, "threads": 1, "eta": 1, "y": 1}
         minimums.update(_COMMAND_MINIMUMS.get(self.command, {}))
         for name, lo in minimums.items():
             if getattr(self, name) < lo:
@@ -77,7 +70,7 @@ class RunConfig:
             raise ConfigError("epsilon must lie in (0, 1/2]")
         if self.command == "lowerbound-sim":
             try:
-                _lower_bound_params(self)
+                momentlab.LowerBoundParams(n=self.n, delta=self.delta, eta=self.eta)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
 
@@ -121,9 +114,6 @@ def validate_against_schema(obj, schema):
         elif t == "integer":
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{where}: expected integer, got {value!r}")
-        elif t == "string":
-            if not isinstance(value, str):
-                raise ValueError(f"{where}: expected string")
         elif t == "boolean":
             if not isinstance(value, bool):
                 raise ValueError(f"{where}: expected boolean")
@@ -188,10 +178,10 @@ def _cmd_fs_verify(cfg):
     return cases, checks
 
 
-def _mem_suite(n_values=(64, 128, 256, 512)):
+def _mem_suite():
     model = ensemble.gue_model()
     rows = []
-    for N in n_values:
+    for N in (64, 128, 256, 512):
         rr = 1.0 - N ** -0.5
         z = 1j * rr
         w = 1j * rr * np.exp(1j * 0.4 * N ** -0.5)
@@ -254,13 +244,8 @@ def _cmd_matching_verify(cfg):
     return {"sup_first_half": float(half), "sup_full": float(full)}, checks
 
 
-def _lower_bound_params(cfg):
-    return momentlab.LowerBoundParams(n=cfg.n, delta=cfg.delta, eta=cfg.eta,
-                                      stride=cfg.stride)
-
-
 def _cmd_lowerbound_sim(cfg):
-    params = _lower_bound_params(cfg)
+    params = momentlab.LowerBoundParams(n=cfg.n, delta=cfg.delta, eta=cfg.eta)
     res = momentlab.lower_bound_mc(params, cfg.n_samples, cfg.seed)
     print(f"route: covariance factor = {res.factorization}", file=sys.stderr)
     doc = res.to_json_dict()
@@ -347,6 +332,7 @@ _RUNNERS = {
     "upperbound-verify": _cmd_upperbound_verify,
     "brw-verify": _cmd_brw_verify,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 # DeterminantError and the factor-14 and ordering violations are
@@ -389,38 +375,35 @@ def _parse_config_file(path):
     return values
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
-_INT_KEYS = {"N", "n", "n_samples", "seed", "threads", "eta", "stride"}
-_FLOAT_KEYS = {"delta", "y", "epsilon"}
+# RunConfig's fields are the configuration keys; two are spelled
+# differently as flags and may be spelled that way in a config file too
+_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
 _ALIAS = {"samples": "n_samples", "out": "out_path"}
+_FLAGS = {name: key for key, name in _ALIAS.items()}
 
 
 _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False}
 
 
-def _coerce(key, val):
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key == "check":
-        if val.lower() not in _BOOLS:
-            raise ConfigError(f"check must be true/false, 1/0 or yes/no; got {val!r}")
-        return _BOOLS[val.lower()]
-    return val
+def _coerce(key, kind, val):
+    try:
+        return _BOOLS[val.lower()] if kind is bool else kind(val)
+    except (KeyError, ValueError):
+        expected = "true/false, 1/0 or yes/no" if kind is bool else kind.__name__
+        raise ConfigError(f"{key} must be {expected}; got {val!r}") from None
 
 
 def build_config(command, file_values, flag_values):
     kwargs = {"command": command}
     for source in (file_values, flag_values):
         for key, val in source.items():
-            key = _ALIAS.get(key, key)
-            if key == "command":
+            name = _ALIAS.get(key, key)
+            if name == "command":
                 continue
-            if key not in _FIELD_NAMES:
-                raise ConfigError(f"unknown configuration key {key!r}")
-            kwargs[key] = _coerce(key, val) if isinstance(val, str) else val
+            if name not in _TYPES:
+                raise ConfigError(f"unknown configuration key {name!r}")
+            kwargs[name] = _coerce(key, _TYPES[name], val) if isinstance(val, str) else val
     return RunConfig(**kwargs)
 
 
@@ -429,18 +412,9 @@ def main(argv=None):
                                      description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key-value config file")
-    parser.add_argument("--N", type=int, default=None)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None, dest="n_samples")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--out", default=None, dest="out_path")
-    parser.add_argument("--check", action="store_true", default=None)
-    parser.add_argument("--delta", type=float, default=None)
-    parser.add_argument("--eta", type=int, default=None)
-    parser.add_argument("--y", type=float, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--stride", type=int, default=None)
+    for name, kind in _TYPES.items():
+        how = {"action": "store_true"} if kind is bool else {"type": kind}
+        parser.add_argument("--" + _FLAGS.get(name, name), dest=name, default=None, **how)
     args = parser.parse_args(argv)
 
     try:

@@ -188,7 +188,7 @@ def gue_model():
     )
 
 
-def make_model(name, V, rho, support, ell_tol=1e-8):
+def make_model(name, V, rho, support):
     """Build a model from a supplied density; validates ell_V constancy."""
     support = list(support)
     model = EquilibriumModel(
@@ -198,7 +198,7 @@ def make_model(name, V, rho, support, ell_tol=1e-8):
         stieltjes=partial(_quad_stieltjes, rho, support),
     )
     xs, vals = model.ell_v_profile()
-    if vals.std() > ell_tol:
+    if vals.std() > 1e-8:
         raise ValueError(
             f"ell_V varies by std {vals.std():.2e} over the support grid; "
             "the supplied density is not the equilibrium density for V"

@@ -59,14 +59,14 @@ def cheb_grid(N):
     return np.cos(np.pi * np.arange(2 * N + 1) / (2 * N))
 
 
-def _golden_max_vec(f, lo, hi, iters=40):
+def _golden_max_vec(f, lo, hi):
     """Vectorized golden-section maximization of f on brackets [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo.copy(), hi.copy()
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(40):
         go_right = fc < fd
         a = np.where(go_right, c, a)
         b = np.where(go_right, b, d)
@@ -80,17 +80,13 @@ def _golden_max_vec(f, lo, hi, iters=40):
 def factor14_check(N, roots=None, cheb_coeffs=None):
     """Ratio of the dense-grid sup of |P| on [-1,1] to its Chebyshev-grid max.
 
-    P has degree exactly N, given either by its roots or by coefficients in
-    the Chebyshev basis.  The dense proxy is the 8N+1 extrema grid plus one
+    P has degree exactly N >= 1, given either by its roots or by coefficients
+    in the Chebyshev basis.  The dense proxy is the 8N+1 extrema grid plus one
     golden-section polish per interior grid peak.  Raises Factor14Violation
     beyond 14 (which no degree-N polynomial can reach).
     """
     if (roots is None) == (cheb_coeffs is None):
         raise ValueError("supply exactly one of roots or cheb_coeffs")
-    if N == 0:
-        c = 1.0 if roots is not None else float(np.asarray(cheb_coeffs).ravel()[0])
-        lc = math.log(abs(c)) if c != 0.0 else -math.inf
-        return {"max_ratio": 1.0, "grid_max": lc, "dense_max": lc}
     if roots is not None:
         roots = np.asarray(roots, dtype=complex)
         if len(roots) != N:

@@ -101,10 +101,10 @@ def pair_config_validate(config):
     return True
 
 
-def _scatter_centers(rng, count, min_sep, radius=0.9, max_tries=5000):
+def _scatter_centers(rng, count, min_sep):
     pts = []
-    for _ in range(max_tries):
-        z = radius * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+    for _ in range(5000):
+        z = 0.9 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
         if all(pseudo_dist(z, p) >= min_sep for p in pts):
             pts.append(z)
             if len(pts) == count:
@@ -112,13 +112,13 @@ def _scatter_centers(rng, count, min_sep, radius=0.9, max_tries=5000):
     raise RuntimeError("could not scatter separated centers; lower epsilon")
 
 
-def random_pair_configuration(k, ell, epsilon, rng, tight_frac=0.05):
+def random_pair_configuration(k, ell, epsilon, rng):
     """A random valid pair-configuration: l tight pairs plus k separated ones."""
     centers = _scatter_centers(rng, ell + 2 * k, 1.5 * epsilon)
     pairs = []
     for j in range(ell):
         c = centers[j]
-        off = tight_frac * epsilon * cmath.exp(2j * math.pi * rng.random())
+        off = 0.05 * epsilon * cmath.exp(2j * math.pi * rng.random())
         pairs.append((c, c + off * (1 - abs(c) ** 2)))
     for i in range(k):
         pairs.append((centers[ell + 2 * i], centers[ell + 2 * i + 1]))
@@ -142,7 +142,6 @@ class LowerBoundParams:
     n: int
     delta: float
     eta: int
-    stride: int = 1
     n0: int = field(init=False)
     b: tuple = field(init=False)
     r: int = field(init=False)
@@ -150,8 +149,8 @@ class LowerBoundParams:
     def __post_init__(self):
         if not 0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
-        if self.eta < 1 or self.n < 2 or self.stride < 1:
-            raise ValueError("need eta >= 1, n >= 2, stride >= 1")
+        if self.eta < 1 or self.n < 2:
+            raise ValueError("need eta >= 1, n >= 2")
         if self.n > 12:
             raise ValueError("depth capped at 12 (point count grows like e^n)")
         self.n0 = int((1.0 - self.delta) * self.n)
@@ -182,8 +181,7 @@ class LowerBoundParams:
 def omega_grid(params):
     """Angular lattice e^{i(pi/2 + h e^{-n0})}, |h| < N^{-delta} e^{n0}."""
     hmax = math.ceil(params.n_eff ** (-params.delta) * math.exp(params.n0)) - 1
-    m = hmax // params.stride
-    hs = params.stride * np.arange(-m, m + 1)
+    hs = np.arange(-hmax, hmax + 1)
     return np.exp(1j * (math.pi / 2.0 + hs * math.exp(-params.n0)))
 
 

@@ -117,12 +117,9 @@ class OPTable:
         self.gamma_sq = (m, e)
 
 
-def recurrence_table(model, N, _n_max=None):
+def recurrence_table(model, N):
     """Normalizing constants for e^{-2N x^2} up to degree N, with
-    gamma_0 = (2N/pi)^{1/4}; any model but the quadratic one is rejected.
-    The third argument is ignored: the acceptance criteria, held unchanged
-    in tests/test_acceptance.py, still pass a table size.
-    """
+    gamma_0 = (2N/pi)^{1/4}; any model but the quadratic one is rejected."""
     if model.name != "gue":
         raise ValueError(f"model {model.name!r} has no closed-form recurrence")
     return OPTable(N=N, gamma0=(2.0 * N / math.pi) ** 0.25)
@@ -255,14 +252,14 @@ class RHMatrix:
             )
 
 
-def _unit_det(m, e, kind, q, det_tol=1e-6):
+def _unit_det(m, e, kind, q):
     """Determinant of the 2x2 cells m * 2**e, which must sit at 1; formed
     before any exponentiation so a breakdown surfaces before it corrupts a
     moment."""
     det = complex(_ldexp(*_scaled_det(m, e)))
-    if abs(det - 1.0) > det_tol:
+    if abs(det - 1.0) > 1e-6:
         raise DeterminantError(
-            f"det {kind} = {det} at q={complex(q)} deviates from 1 beyond {det_tol:g}"
+            f"det {kind} = {det} at q={complex(q)} deviates from 1 beyond 1e-06"
         )
     return det
 

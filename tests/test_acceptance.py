@@ -84,7 +84,7 @@ def test_criterion_3_fs_oracle(model):
              (6, (-0.35 + 0.45j,), (0.25 + 0.6j,))]
     zs = []
     for i, (N, p, q) in enumerate(cases):
-        table = recurrence_table(model, N, N + 16)
+        table = recurrence_table(model, N)
         f = fs_balanced(table, p, q)
         mc, se = mc_char_ratio(N, p, q, 1_000_000, task_seed(SEED, 100 + i))
         zs.append(abs(mc - f) / (se * math.sqrt(2.0)))
@@ -103,7 +103,7 @@ def test_criterion_4_determinant_suite(model):
         N = int(rng.integers(2, 65))
         q = complex(rng.uniform(-1.5, 1.5),
                     rng.choice([-1, 1]) * rng.uniform(0.05, 1.0))
-        table = recurrence_table(model, N, N + 8)
+        table = recurrence_table(model, N)
         worst_det = max(worst_det,
                         abs(y_matrix(table, q).det - 1.0),
                         abs(m_matrix(table, model, q).det - 1.0),
@@ -122,7 +122,7 @@ def test_criterion_4_determinant_suite(model):
         direct = np.linalg.det(np.vstack([top, bot]))
         denom = max(abs(direct), 1e-30)
         worst_split = max(worst_split, abs(split - direct) / denom)
-    table8 = recurrence_table(model, 8, 24)
+    table8 = recurrence_table(model, 8)
     pts = [0.3 + 0.5j, -0.2 + 0.6j, 0.1 - 0.7j]
     worst_unity = max(abs(fs_balanced(table8, pts[:l], pts[:l]) - 1.0)
                       for l in (1, 2, 3))
@@ -175,7 +175,7 @@ def test_criterion_6_mem_ratio(model):
         rr = 1.0 - N ** -0.5
         bias = BiasSpec(plus_points=(1j * rr,),
                         minus_points=(1j * rr * np.exp(1j * 0.4 * N ** -0.5),))
-        table = recurrence_table(model, N, N + 8)
+        table = recurrence_table(model, N)
         errs.append(abs(mem_ratio(table, model, bias) - 1.0))
     elapsed = time.time() - t0
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
@@ -276,7 +276,7 @@ def test_criterion_10_matching_lemma():
 
 
 def test_criterion_11_laplace_bound(model):
-    table = recurrence_table(model, 64, 96)
+    table = recurrence_table(model, 64)
     c_emp = 0.0
     for x in (-0.8, -0.4, 0.0, 0.3, 0.6, 0.9):
         for im in (1.0 / 64, 0.05, 0.2, 0.5, 1.0):

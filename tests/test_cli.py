@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -92,11 +94,59 @@ def test_config_file_bad_check_value_exits_2(tmp_path, capsys, text):
     assert err.startswith("configuration error:") and len(err.splitlines()) == 1
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    for text in ("frobnicate 3\n", "model gue\n"):
+    for text in ("frobnicate 3\n", "model gue\n", "stride 5\n"):
         cfgfile.write_text(text)
         assert main(["max-experiment", "--config", str(cfgfile)]) == 2
+        key = text.split()[0]
+        assert capsys.readouterr().err == (
+            f"configuration error: unknown configuration key {key!r}\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("samples 1.5", "samples must be int; got '1.5'"),
+    ("n_samples = ten", "n_samples must be int; got 'ten'"),
+    ("delta 0.2.1", "delta must be float; got '0.2.1'"),
+])
+def test_config_file_type_error_names_the_key(tmp_path, capsys, text, message):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text + "\n")
+    assert main(["matching-verify", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_flags_and_config_keys_are_the_runconfig_fields(monkeypatch, capsys):
+    fields_of = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
+    spelled = {"n_samples": "samples", "out_path": "out"}
+    with pytest.raises(SystemExit):
+        main(["gen-spectrum", "--help"])
+    flags = set(re.findall(r"--(\w+)", capsys.readouterr().out)) - {"help", "config"}
+    assert flags == {spelled.get(name, name) for name in fields_of}
+    # each field is set by its one flag and by its config keys (the field
+    # name and the flag's spelling), to a value of the field's type
+    values = {"N": "5", "n": "3", "n_samples": "7", "seed": "11", "threads": "3",
+              "out_path": "x.csv", "check": "true", "delta": "0.25", "eta": "2",
+              "y": "1.5", "epsilon": "0.4"}
+    assert set(values) == set(fields_of)
+    monkeypatch.delenv("CHARPOLY_THREADS", raising=False)
+    default = RunConfig(command="gen-spectrum")
+    seen = []
+    monkeypatch.setattr(cli, "run", seen.append)
+    for name, text in values.items():
+        flag = spelled.get(name, name)
+        main(["gen-spectrum", f"--{flag}"] + ([] if name == "check" else [text]))
+        value = getattr(seen[-1], name)
+        assert type(value) is fields_of[name] and value != getattr(default, name)
+        for key in {name, flag}:
+            assert getattr(build_config("gen-spectrum", {key: text}, {}), name) == value
+
+
+def test_stride_flag_rejected_by_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lowerbound-sim", "--stride", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stride 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -109,9 +159,10 @@ def test_unknown_config_key_rejected(tmp_path):
     ["matching-verify", "--epsilon", "0"],
     ["matching-verify", "--epsilon", "1"],
     ["matching-verify", "--epsilon", "0.6", "--samples", "100"],
+    ["branch-verify", "--threads", "0"],
 ], ids=["depth_over_cap", "eta_over_depth", "shift_below_one",
         "max_experiment_n1", "upperbound_n1", "matching_one_sample",
-        "epsilon_zero", "epsilon_one", "epsilon_over_half"])
+        "epsilon_zero", "epsilon_one", "epsilon_over_half", "zero_threads"])
 def test_out_of_range_parameters_exit_2(args, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err

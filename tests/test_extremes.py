@@ -48,7 +48,9 @@ def test_cheb_grid():
 
 
 def test_factor14_constant():
-    assert factor14_check(0, cheb_coeffs=[3.0])["max_ratio"] == 1.0
+    # no command checks degree 0: its Chebyshev grid does not exist
+    with pytest.raises(ValueError):
+        factor14_check(0, cheb_coeffs=[3.0])
 
 
 def test_factor14_chebyshev_extremal():

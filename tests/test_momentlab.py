@@ -42,13 +42,6 @@ def test_omega_grid():
     assert spacing == pytest.approx(math.exp(-p.n0), rel=1e-12)
 
 
-def test_omega_grid_stride():
-    p = LowerBoundParams(n=10, delta=0.2, eta=3, stride=5)
-    om = omega_grid(p)
-    assert om[len(om) // 2] == pytest.approx(1j, abs=1e-15)
-    assert np.angle(om[1] / om[0]) == pytest.approx(5 * math.exp(-p.n0), rel=1e-12)
-
-
 def test_mem_ratio_empty(model, table_cache):
     assert mem_ratio(table_cache(8), model, BiasSpec()) == 1.0
 
