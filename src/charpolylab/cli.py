@@ -1,12 +1,12 @@
-"""Batch runner: configuration, seeding, parallel execution, and CSV/JSON
-emission for the verification and experiment commands.
+"""Command line for the charpolylab verification and experiment commands.
 
-Every command is a pure function of its RunConfig (seed included): outputs
-are byte-identical across repeated runs and thread counts.  mem-verify,
-branch-verify and brw-verify are deterministic: they accept --seed and
-ignore it.  Files are written atomically (temp file + rename).  Exit codes:
-0 success, 1 a --check assertion failed, 2 configuration error, 3 a
-numerical or sampling routine broke down.
+It handles configuration, seeding, parallel execution, and CSV/JSON
+emission.  Every command is a pure function of its RunConfig (seed
+included): outputs are byte-identical across repeated runs and thread
+counts.  mem-verify, branch-verify and brw-verify are deterministic: they
+accept --seed and ignore it.  Files are written atomically (temp file +
+rename).  Exit codes: 0 success, 1 a --check assertion failed, 2
+configuration error, 3 a numerical or sampling routine broke down.
 """
 
 import argparse
@@ -399,8 +399,6 @@ def build_config(command, file_values, flag_values):
     for source in (file_values, flag_values):
         for key, val in source.items():
             name = _ALIAS.get(key, key)
-            if name == "command":
-                continue
             if name not in _TYPES:
                 raise ConfigError(f"unknown configuration key {name!r}")
             kwargs[name] = _coerce(key, _TYPES[name], val) if isinstance(val, str) else val
@@ -409,7 +407,7 @@ def build_config(command, file_values, flag_values):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="charpolylab",
-                                     description=__doc__.splitlines()[0])
+                                     description=__doc__.split("\n\n")[0])
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key-value config file")
     for name, kind in _TYPES.items():

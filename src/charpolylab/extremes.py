@@ -81,35 +81,70 @@ def factor14_check(N, roots=None, cheb_coeffs=None):
     """Ratio of the dense-grid sup of |P| on [-1,1] to its Chebyshev-grid max.
 
     P has degree exactly N >= 1, given either by its roots or by coefficients
-    in the Chebyshev basis.  The dense proxy is the 8N+1 extrema grid plus one
-    golden-section polish per interior grid peak.  Raises Factor14Violation
-    beyond 14 (which no degree-N polynomial can reach).
+    in the Chebyshev basis.  The dense proxy is the 8N+1 extrema grid
+    cos(pi j / 8N) plus a golden-section polish of each interior grid peak
+    that can win.  Raises Factor14Violation beyond 14 (which no degree-N
+    polynomial can reach).  Node j = 4k is bitwise the Chebyshev node
+    cos(pi k / 2N), as pi*4k/8N rounds exactly like pi*k/2N, so the grid max
+    is read off the dense values.  Real roots stay real: |x - r| is the
+    complex hypot(x - r, 0) bit for bit.  From Chebyshev coefficients the
+    dense values are one DCT-I of the zero-padded coefficients, and a polish
+    point is sum_k c_k cos(k arccos x) as an elementwise product and sum, so
+    no BLAS pool enters its bits.
+
+    Only peaks within log 2 of the dense max are polished, and none of the
+    others could raise the max.  Let M = sup |P|, reached at angle t0 where P
+    has phase phi.  Re(e^{-i phi} P(cos t)) is a real trigonometric
+    polynomial of degree N with maximum M, so by the Bernstein-Szego
+    inequality it stays at or above M cos(N d) at distance d <= pi/N from t0;
+    a dense node lies within pi/(16N), so the dense max is at least
+    cos(pi/16) M > 0.98 M.  Each point of a peak's bracket lies within
+    pi/(16N) of one of its three nodes, none above the peak node, and
+    Bernstein's |dP/dt| <= N M bounds the rise over that distance by
+    pi M / 16: a peak below half the dense max keeps its whole bracket below
+    (1/2 + pi/16) M < 0.70 M.  Brackets are polished elementwise, so the kept
+    peaks get the bits they get with every peak polished.
     """
     if (roots is None) == (cheb_coeffs is None):
         raise ValueError("supply exactly one of roots or cheb_coeffs")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    dense = np.cos(np.pi * np.arange(8 * N + 1) / (8 * N))[::-1]  # ascending
     if roots is not None:
         roots = np.asarray(roots, dtype=complex)
         if len(roots) != N:
             raise ValueError("degree (root count) must equal N")
+        if not roots.imag.any():
+            roots = roots.real
 
         def log_abs(x):
-            x = np.asarray(x, dtype=float)
             with np.errstate(divide="ignore"):
                 return np.log(np.abs(x[:, None] - roots[None, :])).sum(axis=1)
+
+        vals = log_abs(dense)
     else:
         cheb_coeffs = np.asarray(cheb_coeffs, dtype=float)
         if len(cheb_coeffs) != N + 1 or cheb_coeffs[-1] == 0.0:
             raise ValueError("coefficient length must be N+1 with nonzero lead")
+        k = np.arange(N + 1)
 
         def log_abs(x):
+            terms = np.cos(np.arccos(x)[:, None] * k) * cheb_coeffs
             with np.errstate(divide="ignore"):
-                return np.log(np.abs(np.polynomial.chebyshev.chebval(x, cheb_coeffs)))
+                return np.log(np.abs(terms.sum(axis=1)))
 
-    grid_max = log_abs(cheb_grid(N)).max()
-    dense = np.cos(np.pi * np.arange(8 * N + 1) / (8 * N))[::-1]  # ascending
-    vals = log_abs(dense)
-    interior = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
+        # even extension of length 16N: its FFT at j = 0..8N is
+        # c_0 + sum_k c_k cos(pi j k / 8N), descending in x
+        ext = np.zeros(16 * N)
+        ext[0] = cheb_coeffs[0]
+        ext[1:N + 1] = ext[:-N - 1:-1] = cheb_coeffs[1:] / 2.0
+        with np.errstate(divide="ignore"):
+            vals = np.log(np.abs(np.fft.rfft(ext).real))[::-1]
+
+    grid_max = vals[::4].max()
     dense_max = vals.max()
+    interior = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
+    interior = interior[vals[interior] > dense_max - math.log(2.0)]
     if len(interior):
         peak_max = _golden_max_vec(log_abs, dense[interior - 1], dense[interior + 1])
         dense_max = max(dense_max, peak_max.max())

@@ -11,6 +11,7 @@ from scipy import integrate
 from charpolylab._rng import substream
 from charpolylab.charpoly import _batched_mean
 from charpolylab.ensemble import char_poly, tridiagonal_draw
+from charpolylab.extremes import _golden_max_vec, cheb_grid
 from charpolylab.hyperbolic import joukowsky, pseudo_dist
 
 
@@ -48,6 +49,34 @@ def field_q(spectrum, model, q):
         logsum = float(np.log(np.abs(q - spectrum.eigenvalues)).sum())
     center = -model.g_tilde(q.real) if q.imag == 0.0 else model.g(q).real
     return logsum - spectrum.N * center
+
+
+def factor14_unpruned(N, roots=None, cheb_coeffs=None):
+    """Dense-to-Chebyshev-grid sup ratio of |P| with every interior grid peak
+    polished, the grid evaluated on its own and roots taken as complex: the
+    oracle for extremes.factor14_check.  Returns max_ratio only, unchecked
+    against 14.
+    """
+    if roots is not None:
+        roots = np.asarray(roots, dtype=complex)
+
+        def log_abs(x):
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(x[:, None] - roots[None, :])).sum(axis=1)
+    else:
+        def log_abs(x):
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(np.polynomial.chebyshev.chebval(x, cheb_coeffs)))
+
+    grid_max = log_abs(cheb_grid(N)).max()
+    dense = np.cos(np.pi * np.arange(8 * N + 1) / (8 * N))[::-1]
+    vals = log_abs(dense)
+    interior = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
+    dense_max = vals.max()
+    if len(interior):
+        peak_max = _golden_max_vec(log_abs, dense[interior - 1], dense[interior + 1])
+        dense_max = max(dense_max, peak_max.max())
+    return math.exp(dense_max - grid_max)
 
 
 def mobius_to_zero(y, z):

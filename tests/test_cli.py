@@ -96,7 +96,9 @@ def test_config_file_bad_check_value_exits_2(tmp_path, capsys, text):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    for text in ("frobnicate 3\n", "model gue\n", "stride 5\n"):
+    # the command is the positional argument, never a configuration key
+    for text in ("frobnicate 3\n", "model gue\n", "stride 5\n",
+                 "command max-experiment\n"):
         cfgfile.write_text(text)
         assert main(["max-experiment", "--config", str(cfgfile)]) == 2
         key = text.split()[0]
@@ -114,6 +116,15 @@ def test_config_file_type_error_names_the_key(tmp_path, capsys, text, message):
     cfgfile.write_text(text + "\n")
     assert main(["matching-verify", "--config", str(cfgfile)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_help_opens_with_a_complete_sentence(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    description = " ".join(capsys.readouterr().out.split("\n\n")[1].split())
+    assert description == ("Command line for the charpolylab verification and "
+                           "experiment commands.")
 
 
 def test_flags_and_config_keys_are_the_runconfig_fields(monkeypatch, capsys):
@@ -363,10 +374,18 @@ def _beat_dense_max(orig):
     (["upperbound-verify"], "_golden_max_vec", _beat_dense_max),
 ], ids=["ordering", "factor14"])
 def test_violated_bound_exits_3(monkeypatch, capsys, argv, attr, patch):
-    monkeypatch.setattr(extremes, attr, patch(getattr(extremes, attr)))
+    patched, calls = patch(getattr(extremes, attr)), []
+
+    def counted(*args):
+        calls.append(args)
+        return patched(*args)
+
+    monkeypatch.setattr(extremes, attr, counted)
     assert main(argv + ["--N", "16", "--samples", "2"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    # the patch was reached: a change that skips it cannot pass silently
+    assert calls
 
 
 def test_start_index_breakdown_explains_itself(monkeypatch, capsys):

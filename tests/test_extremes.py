@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charpolylab import extremes
+from charpolylab._rng import substream
 from charpolylab.ensemble import Spectrum, char_poly, sample_spectrum_gue
 from charpolylab.extremes import (cheb_grid, factor14_check, max_experiment,
                                   ordering_constant, experiment_rows)
-from oracles import field_q
+from oracles import factor14_unpruned, field_q
 
 
 def test_field_q_vanishes_at_infinity(model):
@@ -84,6 +85,55 @@ def test_factor14_input_validation():
         factor14_check(4, roots=[0.1, 0.2])
     with pytest.raises(ValueError):
         factor14_check(4)
+
+
+def _criterion_8_families(n_each):
+    """The first n_each polynomials of each random family in criterion 8's
+    stream: real roots, conjugate root pairs, Chebyshev coefficients."""
+    rng = substream(20260808, 8)
+    real, pairs, coeffs = [], [], []
+    for _ in range(400):
+        deg = int(rng.integers(1, 257))
+        real.append(rng.uniform(-1, 1, deg))
+    for _ in range(300):
+        deg = 2 * int(rng.integers(1, 129))
+        half = (rng.uniform(-1.05, 1.05, deg // 2)
+                + 1j * rng.uniform(0.0, 0.2, deg // 2))
+        pairs.append(np.concatenate([half, np.conj(half)]))
+    for _ in range(n_each):
+        deg = int(rng.integers(1, 257))
+        c = rng.standard_normal(deg + 1)
+        c[-1] = c[-1] if c[-1] != 0 else 1.0
+        coeffs.append(c)
+    return real[:n_each], pairs[:n_each], coeffs
+
+
+def test_factor14_matches_unpruned_polish():
+    # pruning and the real-arithmetic route keep the root families' bits; the
+    # DCT grid and the cosine-sum polish move the coefficient family slightly
+    real, pairs, coeffs = _criterion_8_families(50)
+    for roots in real + pairs:
+        assert (factor14_check(len(roots), roots=roots)["max_ratio"]
+                == factor14_unpruned(len(roots), roots=roots))
+    for c in coeffs[:12] + [np.eye(17)[16], np.eye(65)[64]]:
+        assert factor14_check(len(c) - 1, cheb_coeffs=c)["max_ratio"] == pytest.approx(
+            factor14_unpruned(len(c) - 1, cheb_coeffs=c), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(re=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=32),
+       lift=st.floats(0.0, 0.3), kind=st.sampled_from(["real", "conjugate", "complex"]))
+def test_factor14_roots_bitwise_as_unpruned(re, lift, kind):
+    re = np.array(re)
+    if kind == "real":
+        roots = re
+    elif kind == "conjugate":
+        half = re[:max(1, len(re) // 2)] + 1j * lift
+        roots = np.concatenate([half, np.conj(half)])
+    else:
+        roots = re + 1j * lift * np.cos(np.arange(len(re)))
+    assert (factor14_check(len(roots), roots=roots)["max_ratio"]
+            == factor14_unpruned(len(roots), roots=roots))
 
 
 def test_shift_monotonicity_pointwise(model):
