@@ -6,6 +6,7 @@ and thread count, so results depend only on the seed and the task index.
 """
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 defers it to first use; load it here)
 
 
 def substream(seed, *path):

@@ -55,7 +55,11 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.threads is None:
             self.threads = int(os.environ.get("CHARPOLY_THREADS", "1"))
-        minimums = {"N": 1, "n": 2, "n_samples": 1, "threads": 1, "eta": 1, "y": 1}
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
+        minimums = {"N": 1, "n": 2, "n_samples": 1, "seed": 0, "threads": 1,
+                    "eta": 1, "y": 1}
         minimums.update(_COMMAND_MINIMUMS.get(self.command, {}))
         for name, lo in minimums.items():
             if getattr(self, name) < lo:

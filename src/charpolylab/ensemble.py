@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import lapack
 
 from ._rng import substream
 
@@ -226,6 +225,9 @@ class Spectrum:
 
     @cached_property
     def eigenvalues(self):
+        # only gen-spectrum and the tests read eigenvalues, so only they load scipy
+        from scipy.linalg import lapack
+
         # dsterf rejects an empty off-diagonal
         w, info = (self.d, 0) if self.N == 1 else lapack.dsterf(self.d, self.e)
         if info != 0:

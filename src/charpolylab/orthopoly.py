@@ -156,21 +156,66 @@ def _pi_chain(table, n, x):
     return _forward(1.0, x, x, table.N, n)
 
 
+# Weideman's rational series for the Faddeeva function (SIAM J. Numer.
+# Anal. 31, 1994), 40 terms: w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi)
+# (L - iz)) with Z = (L + iz) / (L - iz) and p the polynomial whose
+# coefficients are the Fourier coefficients of (L^2 + t^2) e^{-t^2} at
+# t = L tan(theta / 2), taken by one FFT.
+_W_TERMS = 40
+_W_L = math.sqrt(_W_TERMS / math.sqrt(2.0))
+_RSQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def _weideman_coeffs():
+    M = 2 * _W_TERMS
+    t = _W_L * np.tan(np.arange(1 - M, M) * math.pi / (2 * M))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (_W_L ** 2 + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * M)
+    return a[_W_TERMS:0:-1].tolist()  # highest degree first, for Horner
+
+
+_W_COEFFS = _weideman_coeffs()
+
+
+def _faddeeva_series(z):
+    """w(z) for Im z >= 0 by Weideman's series; the branch for |z| < 8."""
+    lz = _W_L - 1j * z
+    Z = (_W_L + 1j * z) / lz
+    p = 0j
+    for c in _W_COEFFS:
+        p = p * Z + c
+    return 2.0 * p / (lz * lz) + _RSQRT_PI / lz
+
+
+def _faddeeva_cf(z):
+    """w(z) for Im z > 0 by Laplace's continued fraction
+    (i / sqrt(pi)) / (z - (1/2) / (z - 1 / (z - (3/2) / (z - ...)))), run
+    backward from depth 40; the branch for |z| >= 8."""
+    t = 0j
+    for k in range(40, 0, -1):
+        t = 0.5 * k / (z - t)
+    return 1j * _RSQRT_PI / (z - t)
+
+
+def _faddeeva(z):
+    """The Faddeeva function w(z) = e^{-z^2} erfc(-iz) for Im z > 0, to
+    about 1e-15 relative (tested against mpmath over the chains' domain)."""
+    return _faddeeva_series(z) if abs(z) < 8.0 else _faddeeva_cf(z)
+
+
 def h0_closed(table, q):
     """h_0 for the quadratic weight via the Faddeeva function.
 
     The 1/(2 pi i) prefactor makes all h_n conjugate-antisymmetric:
     h_n(conj q) = -conj(h_n(q)).
     """
-    from scipy.special import wofz  # only the formula commands need it
-
     q = complex(q)
     if q.imag == 0.0:
         raise ValueError("Cauchy transform undefined on the real axis")
     s = math.sqrt(2.0 * table.N)
     if q.imag > 0:
-        return 0.5 * wofz(s * q)
-    return -np.conj(0.5 * wofz(s * np.conj(q)))
+        return 0.5 * _faddeeva(s * q)
+    return -(0.5 * _faddeeva(s * q.conjugate())).conjugate()
 
 
 def _dominance_gaps(N, ks, q):

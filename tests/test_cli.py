@@ -7,13 +7,18 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from charpolylab import charpoly, cli, extremes, momentlab, orthopoly
+from charpolylab import (charpoly, cli, extremes, gaussfield, momentlab,
+                         orthopoly)
 from charpolylab._rng import substream, task_seed
 from charpolylab.gaussfield import GaussKernel, cov_g
 from charpolylab.orthopoly import DeterminantError
 from charpolylab.cli import (ConfigError, RunConfig, build_config, emit, main,
                              run, summary_schema, validate_against_schema)
 from oracles import branch_profile_row
+
+# the LAPACK that factors the Gaussian field's covariance in this install
+_LAPACK = ("scipy.linalg.lapack.dpstrf" if gaussfield._DPSTRF is None
+           else "numpy's bundled OpenBLAS dpstrf")
 
 
 def test_emit_csv_roundtrip(tmp_path):
@@ -171,9 +176,17 @@ def test_stride_flag_rejected_by_argparse(capsys):
     ["matching-verify", "--epsilon", "1"],
     ["matching-verify", "--epsilon", "0.6", "--samples", "100"],
     ["branch-verify", "--threads", "0"],
+    ["max-experiment", "--seed", "-1"],
+    ["fs-verify", "--seed", "-1"],
+    ["max-experiment", "--y", "nan"],
+    ["max-experiment", "--y", "inf"],
+    ["lowerbound-sim", "--delta", "nan"],
+    ["matching-verify", "--epsilon=-inf"],
 ], ids=["depth_over_cap", "eta_over_depth", "shift_below_one",
         "max_experiment_n1", "upperbound_n1", "matching_one_sample",
-        "epsilon_zero", "epsilon_one", "epsilon_over_half", "zero_threads"])
+        "epsilon_zero", "epsilon_one", "epsilon_over_half", "zero_threads",
+        "max_experiment_negative_seed", "fs_verify_negative_seed",
+        "shift_nan", "shift_inf", "delta_nan", "epsilon_minus_inf"])
 def test_out_of_range_parameters_exit_2(args, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
@@ -299,11 +312,28 @@ def test_lowerbound_sim_reports_route_on_stderr(tmp_path, capsys):
     assert len(routes) == 1
     head, resid = routes[0].split(", residual ")
     assert head == "route: covariance factor = pivoted Cholesky, rank 19 of 19 points"
+    resid, lapack = resid.split(", by ")
     value, bound = map(float, resid.split(" <= "))
     assert bound == 8.6e-09 and value <= bound
+    assert lapack == _LAPACK
     assert "route" not in captured.out
     doc = json.loads(out.read_text())
     assert "factorization" not in doc and "n_points" not in doc
+
+
+def test_lowerbound_sim_falls_back_to_scipy_lapack(tmp_path, capsys, monkeypatch):
+    # without numpy's bundled dpstrf the factor comes from scipy's: the same
+    # bytes, and the route line names the LAPACK that ran
+    args = ["lowerbound-sim", "--n", "9", "--samples", "40", "--seed", "3", "--out"]
+    bundled, fallback = tmp_path / "bundled.json", tmp_path / "scipy.json"
+    assert main(args + [str(bundled)]) == 0
+    monkeypatch.setattr(gaussfield, "_DPSTRF", None)
+    assert main(args + [str(fallback)]) == 0
+    routes = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("route:")]
+    assert [r.rsplit(", by ", 1)[1] for r in routes] == [
+        _LAPACK, "scipy.linalg.lapack.dpstrf"]
+    assert bundled.read_bytes() == fallback.read_bytes()
 
 
 def test_indefinite_covariance_exits_3(monkeypatch, capsys):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from charpolylab import gaussfield, momentlab
 from charpolylab._rng import substream
-from charpolylab.gaussfield import (BiasSpec, GaussKernel, _factor_covariance,
-                                    bias_variance, brw_check, cov_g, cov_t,
-                                    exp_moment_g, kernel_g, kernel_t,
-                                    sample_gauss)
+from charpolylab.gaussfield import (BiasSpec, GaussKernel, _dpstrf,
+                                    _factor_covariance, bias_variance,
+                                    brw_check, cov_g, cov_t, exp_moment_g,
+                                    kernel_g, kernel_t, sample_gauss)
 from charpolylab.hyperbolic import hyp_dist, ray_point
 from charpolylab.momentlab import LowerBoundParams, omega_grid
 from oracles import mobius_to_zero
@@ -172,6 +173,50 @@ def test_sample_gauss_row_blocks_match_per_row_product(pts, rank):
     for i in range(130):
         ref = F @ substream(13, i).standard_normal(F.shape[1])
         assert np.allclose(full[i], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+class _Captured(Exception):
+    pass
+
+
+def _lowerbound_covariance(n, monkeypatch):
+    """The covariance lowerbound-sim factors at depth n (delta 0.2, eta 3)."""
+    def capture(points, kernel, n_samples, seed):
+        raise _Captured(kernel.matrix(np.asarray(points, dtype=complex)))
+    monkeypatch.setattr(momentlab, "sample_gauss", capture)
+    with pytest.raises(_Captured) as exc:
+        momentlab.lower_bound_mc(LowerBoundParams(n=n, delta=0.2, eta=3), 1, 0)
+    return exc.value.args[0]
+
+
+@pytest.mark.skipif(gaussfield._DPSTRF is None,
+                    reason="numpy carries no bundled OpenBLAS dpstrf")
+@pytest.mark.parametrize("n,points,rank", [(9, 726, 464), (10, 1614, 826),
+                                          (None, 120, 40)],
+                         ids=["lowerbound_n9", "lowerbound_n10", "gram_rank40"])
+def test_dpstrf_matches_scipy(n, points, rank, monkeypatch):
+    # the binding to numpy's OpenBLAS against scipy's dpstrf, bit for bit
+    from scipy.linalg import lapack
+    if n is None:
+        x = np.random.default_rng(40).standard_normal((points, 40))
+        cov = x @ x.T
+    else:
+        cov = _lowerbound_covariance(n, monkeypatch)
+    assert cov.shape == (points, points)
+    c, piv, got_rank, name = _dpstrf(cov)
+    ref_c, ref_piv, ref_rank, info = lapack.dpstrf(cov, lower=1)
+    assert name == "numpy's bundled OpenBLAS dpstrf"
+    assert got_rank == ref_rank == rank and info == (rank < points)
+    assert np.array_equal(piv, ref_piv) and np.array_equal(c, ref_c)
+
+
+@pytest.mark.skipif(gaussfield._DPSTRF is None,
+                    reason="numpy carries no bundled OpenBLAS dpstrf")
+@pytest.mark.parametrize("shape", [(3, 2), (3,)])
+def test_dpstrf_rejects_non_square(shape):
+    # LAPACK would read n^2 entries from a buffer that has fewer
+    with pytest.raises(ValueError, match="square"):
+        _dpstrf(np.ones(shape))
 
 
 def test_sample_gauss_degenerate_cluster_rank_one():

@@ -13,7 +13,7 @@ from charpolylab.orthopoly import (DeterminantError, global_parametrix_onecut,
                                    h0_closed, m_matrix, r_weight,
                                    recurrence_table, y_matrix, _exp2, _h_chain,
                                    _ldexp, _pi_chain)
-from oracles import h0_quadrature, mp_chains
+from oracles import h0_quadrature, mp_chains, mp_faddeeva
 
 
 def _value(chain, n):
@@ -169,6 +169,44 @@ def test_h0_large_q_decay(table_cache):
     q = 1e3j
     target = -(tab.gamma0 ** -2) / (2j * math.pi * q)
     assert h0_closed(tab, q) == pytest.approx(target, rel=1e-4)
+
+
+def _faddeeva_domain():
+    """z = sqrt(2N) q for N = 4 .. 4096 (powers of two), 40 q per N with
+    |Re q| <= 1.5 and Im q from 1/N to 1.5 (log-uniform), plus the corners
+    of each N's box: the arguments h0_closed takes in the chains."""
+    rng = np.random.default_rng(2024)
+    zs = []
+    for N in 2 ** np.arange(2, 13):
+        qs = rng.uniform(-1.5, 1.5, 40) + 1j * np.exp(
+            rng.uniform(math.log(1.0 / N), math.log(1.5), 40))
+        corners = [complex(x, y) for x in (-1.5, 0.0, 1.5) for y in (1.0 / N, 1.5)]
+        zs.extend(math.sqrt(2.0 * N) * np.concatenate([qs, corners]))
+    return zs
+
+
+def test_faddeeva_matches_mpmath():
+    zs = _faddeeva_domain()
+    with mpmath.workdps(40):
+        ref = np.array([complex(mp_faddeeva(z)) for z in zs])
+    ours = np.array([orthopoly._faddeeva(z) for z in zs])
+    assert (np.abs(ours - ref) / np.abs(ref)).max() <= 4e-15
+
+
+def test_faddeeva_matches_wofz():
+    from scipy.special import wofz
+    zs = np.array(_faddeeva_domain())
+    ours = np.array([orthopoly._faddeeva(z) for z in zs])
+    assert (np.abs(ours - wofz(zs)) / np.abs(wofz(zs))).max() <= 5e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(0.0, math.pi))
+def test_faddeeva_branches_agree_at_switch(theta):
+    # Weideman's series and the continued fraction meet on |z| = 8
+    z = cmath.rect(8.0, theta)
+    cf = orthopoly._faddeeva_cf(z)
+    assert abs(orthopoly._faddeeva_series(z) - cf) <= 2e-15 * abs(cf)
 
 
 def test_h_recurrence_vs_quadrature(model, table_cache):

@@ -5,6 +5,7 @@ names the benchmark's span recorder rebinds, so a deletion that would break
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -57,20 +58,31 @@ def test_package_imports_resolve():
 
 
 def test_cli_import_skips_quadrature_stack():
-    # scipy.integrate pulls in scipy.optimize and scipy.sparse; only the
-    # quadrature oracles need it, and only h0_closed needs scipy.special, so
-    # no command pays for an import it does not run.  The quadratic model's
-    # closed forms serve the commands themselves: a model that fell back to
-    # quadrature would load the stack here
-    runs = [("", ("scipy.integrate", "scipy.optimize", "scipy.sparse",
-                  "scipy.special")),
-            ("charpolylab.cli.main(['max-experiment', '--N', '8', '--samples', "
-             "'2']); charpolylab.cli.main(['mem-verify']); ",
-             ("scipy.integrate", "scipy.optimize", "scipy.sparse"))]
-    for run, modules in runs:
-        code = (f"import sys, charpolylab.cli; {run}"
-                f"print(sorted(m for m in {modules!r} if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-        assert out.stdout.strip() == "[]", run
+    # scipy serves only gen-spectrum's eigenvalues, the quadrature routes of
+    # make_model's models and the fallback for a numpy without the bundled
+    # OpenBLAS dpstrf.  So importing the CLI loads no scipy module, and, when
+    # that dpstrf is found, neither do tiny runs of the eight benchmarked
+    # commands: h0 comes from orthopoly's own Faddeeva routine.  A command
+    # whose quadratic model fell back to quadrature would load it here
+    runs = [["max-experiment", "--N", "8", "--y", "2", "--samples", "2"],
+            ["mem-verify"],
+            ["upperbound-verify", "--N", "8", "--samples", "2"],
+            ["fs-verify", "--N", "8", "--samples", "10"],
+            ["lowerbound-sim", "--n", "4", "--eta", "1", "--samples", "5"],
+            ["matching-verify", "--samples", "2"],
+            ["brw-verify"],
+            ["branch-verify"]]
+    code = ("import json, sys, charpolylab.cli as cli\n"
+            "def scipy(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "after_import = scipy()\n"
+            f"codes = [cli.main(a) for a in {runs!r}]\n"
+            "print(json.dumps([after_import, codes, scipy(),"
+            " cli.gaussfield._DPSTRF is not None]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    after_import, codes, after_runs, bundled = json.loads(out.stdout.splitlines()[-1])
+    assert after_import == []
+    assert codes == [0] * len(runs)
+    if bundled:
+        assert after_runs == []
