@@ -23,7 +23,7 @@ from ._emit import emit
 from ._rng import substream
 from .ensemble import char_poly, tridiagonal_draw
 from .hyperbolic import joukowsky
-from .orthopoly import (m_cells, _exp2, _h_chain, _ldexp, _pi_chain,
+from .orthopoly import (m_matrix, _exp2, _h_chain, _ldexp, _pi_chain,
                         _scaled_det, _tilde_factor)
 
 __all__ = [
@@ -139,9 +139,9 @@ def exp_moment_field(table, model, bias):
     """E exp(B(Z)) for the matrix field Z = Q_N o J, by the scaled determinant.
 
     The bias points are pulled to the plane via p = J(conj(Z) u Z),
-    q = J(conj(W) u W); the determinant uses the normalized-matrix entries so
-    no raw e^{+-N g} appears.  The result must be real positive; a relative
-    imaginary residue above 1e-8 raises.
+    q = J(conj(W) u W); the determinant uses the normalized matrix's (m, e)
+    cells so no raw e^{+-N g} appears.  The result must be real positive; a
+    relative imaginary residue above 1e-8 raises.
     """
     Z = bias.plus_points
     W = bias.minus_points
@@ -155,21 +155,19 @@ def exp_moment_field(table, model, bias):
     ell = len(p_pts)
     m_cache = {}
 
-    def entries(v):
+    def cells(v):
         # conjugation carries M11, M22 to their conjugates and flips the
         # sign of M12, M21 (the Cauchy transforms are conjugate-antisymmetric)
         if v not in m_cache:
-            if v.imag >= 0:
-                m_cache[v] = m_cells(table, model, v)[0]
-            else:
-                (m, e), _ = m_cells(table, model, np.conj(v))
-                m_cache[v] = np.conj(m) * [[1, -1], [-1, 1]], e
+            M = m_matrix(table, model, v if v.imag >= 0 else np.conj(v))
+            m = M.m if v.imag >= 0 else np.conj(M.m) * [[1, -1], [-1, 1]]
+            m_cache[v] = m, M.e
         return m_cache[v]
 
     # q-rows (M22, M12), p-rows (M21, M11)
     rows = []
     for x, col in [(v, 1) for v in q_pts] + [(v, 0) for v in p_pts]:
-        m, e = entries(complex(x))
+        m, e = cells(complex(x))
         rows.append(_vandermonde_row(m[::-1, col], e[::-1, col], x, ell))
     val = _det_over_vandermonde(rows, q_pts, p_pts)
     if abs(val.imag) > 1e-8 * max(abs(val), 1e-300):

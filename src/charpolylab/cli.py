@@ -27,10 +27,12 @@ __all__ = ["RunConfig", "run", "emit", "main", "validate_against_schema",
            "summary_schema"]
 
 # commands that need more than the common minimums: log(log N) needs N >= 2,
-# and matching-verify compares the first half of its samples with all of them
+# fs-verify's batch-means standard error needs two draws, and
+# matching-verify compares the first half of its samples with all of them
 _COMMAND_MINIMUMS = {
     "max-experiment": {"N": 2},
     "upperbound-verify": {"N": 2},
+    "fs-verify": {"n_samples": 2},
     "matching-verify": {"n_samples": 2},
 }
 
@@ -312,7 +314,7 @@ def _cmd_brw_verify(cfg):
     res_g = gaussfield.brw_check(grid, gaussfield.kernel_g())
     res_t = gaussfield.brw_check(grid, gaussfield.kernel_t())
     lo, hi = res_g["k_offset_range"]
-    center = -0.5 * math.log(2.0)
+    center = gaussfield.K_OFFSET_G
     doc = {"G": {"c_b": res_g["c_b"], "c_c": res_g["c_c"],
                  "k_offset_range": [lo, hi]},
            "T": {"c_b": res_t["c_b"], "c_c": res_t["c_c"],

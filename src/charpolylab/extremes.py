@@ -177,21 +177,25 @@ def _grid_maxima(block, model, y):
     the max over the Chebyshev grid; m_star_reg the max over the grid
     shifted by -iy/N (NaN when y is None), which must satisfy the ordering
     m_star <= m_star_reg + C_V y with C_V = pi * sup rho (the exact
-    equilibrium shift bound), or OrderingViolation is raised.
+    equilibrium shift bound), or OrderingViolation is raised.  A non-finite
+    maximum fails it too (the shifted grid overflows beyond y/N ~ 2e9).
     """
     N = block.N
     grid = cheb_grid(N)
     xs = grid if y is None else np.concatenate([grid, grid - 1j * (y / N)])
-    m, e = char_poly(block.d[:, None], block.e[:, None], xs)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m, e = char_poly(block.d[:, None], block.e[:, None], xs)
         logs = np.log(np.abs(m)) + e * math.log(2.0)
-    m_star = (logs[:, :len(grid)] + N * model.g_tilde(grid)).max(axis=1)
-    if y is None:
-        return m_star, np.full(len(m_star), math.nan)
-    center = model.g(grid - 1j * (y / N)).real
-    m_star_reg = (logs[:, len(grid):] - N * center).max(axis=1)
+        m_star = (logs[:, :len(grid)] + N * model.g_tilde(grid)).max(axis=1)
+        if y is None:
+            return m_star, np.full(len(m_star), math.nan)
+        center = model.g(grid - 1j * (y / N)).real
+        m_star_reg = (logs[:, len(grid):] - N * center).max(axis=1)
     c_v = ordering_constant(model)
     for a, b in zip(m_star, m_star_reg):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise OrderingViolation(
+                f"non-finite maximum: m_star = {a}, m_star_reg = {b} at y = {y}")
         if a > b + c_v * y + CV_MARGIN:
             raise OrderingViolation(f"ordering violated: {a} > {b} + {c_v}*{y}")
     return m_star, m_star_reg

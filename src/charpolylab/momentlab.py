@@ -84,6 +84,8 @@ def pair_config_validate(config):
     eps = config.epsilon
     for j in range(ell):
         zj, wj = config.pairs[j]
+        if zj == wj:
+            return False
         gap = pseudo_dist(zj, wj)
         for w in W:
             if w != wj and pseudo_dist(w, wj) < gap:
@@ -123,8 +125,10 @@ def random_pair_configuration(k, ell, epsilon, rng):
     for i in range(k):
         pairs.append((centers[ell + 2 * i], centers[ell + 2 * i + 1]))
     config = PairConfiguration(pairs=pairs, ell_paired=ell, epsilon=epsilon)
-    if not pair_config_validate(config):  # pragma: no cover - generator guard
-        raise RuntimeError("generator produced an invalid configuration")
+    if not pair_config_validate(config):
+        # e.g. a tight pair's offset rounded away at a tiny epsilon
+        raise RuntimeError(f"generator produced an invalid configuration at "
+                           f"epsilon={epsilon:g}")
     return config
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "recurrence_table",
     "h0_closed",
     "y_matrix",
-    "m_cells",
     "m_matrix",
     "global_parametrix_onecut",
     "r_weight",
@@ -177,30 +176,16 @@ def _weideman_coeffs():
 _W_COEFFS = _weideman_coeffs()
 
 
-def _faddeeva_series(z):
-    """w(z) for Im z >= 0 by Weideman's series; the branch for |z| < 8."""
+def _faddeeva(z):
+    """The Faddeeva function w(z) = e^{-z^2} erfc(-iz) for Im z >= 0 by
+    Weideman's series, to about 1e-15 relative over the chains' domain
+    (tested against mpmath)."""
     lz = _W_L - 1j * z
     Z = (_W_L + 1j * z) / lz
     p = 0j
     for c in _W_COEFFS:
         p = p * Z + c
     return 2.0 * p / (lz * lz) + _RSQRT_PI / lz
-
-
-def _faddeeva_cf(z):
-    """w(z) for Im z > 0 by Laplace's continued fraction
-    (i / sqrt(pi)) / (z - (1/2) / (z - 1 / (z - (3/2) / (z - ...)))), run
-    backward from depth 40; the branch for |z| >= 8."""
-    t = 0j
-    for k in range(40, 0, -1):
-        t = 0.5 * k / (z - t)
-    return 1j * _RSQRT_PI / (z - t)
-
-
-def _faddeeva(z):
-    """The Faddeeva function w(z) = e^{-z^2} erfc(-iz) for Im z > 0, to
-    about 1e-15 relative (tested against mpmath over the chains' domain)."""
-    return _faddeeva_series(z) if abs(z) < 8.0 else _faddeeva_cf(z)
 
 
 def h0_closed(table, q):
@@ -278,41 +263,23 @@ def _h_chain(table, n, q):
 
 @dataclass
 class RHMatrix:
-    """A 2x2 Riemann-Hilbert matrix; true matrix = entries * exp(log_scale).
+    """A 2x2 Riemann-Hilbert matrix as (m, e) cells with value m * 2**e, and
+    its determinant, formed from the cells and checked to sit at 1."""
 
-    det holds the determinant of the unscaled matrix, computed from the
-    (m, e) cells before any exponentiation, and must sit at 1.
-    """
-
-    entries: np.ndarray
-    kind: str
-    q: complex
-    log_scale: float
+    m: np.ndarray
+    e: np.ndarray
     det: complex
 
-    def check_det(self, tol):
-        if abs(self.det - 1.0) > tol:
-            raise DeterminantError(
-                f"det {self.kind} = {self.det} deviates from 1 beyond {tol:g}"
-            )
 
-
-def _unit_det(m, e, kind, q):
-    """Determinant of the 2x2 cells m * 2**e, which must sit at 1; formed
-    before any exponentiation so a breakdown surfaces before it corrupts a
-    moment."""
+def _rh_matrix(m, e, kind, q, tol):
+    """The RHMatrix of the cells m * 2**e; a determinant off 1 beyond tol
+    raises here, so a breakdown surfaces before it corrupts a moment."""
     det = complex(_ldexp(*_scaled_det(m, e)))
-    if abs(det - 1.0) > 1e-6:
+    if abs(det - 1.0) > tol:
         raise DeterminantError(
-            f"det {kind} = {det} at q={complex(q)} deviates from 1 beyond 1e-06"
+            f"det {kind} = {det} at q={complex(q)} deviates from 1 beyond {tol:g}"
         )
-    return det
-
-
-def _pack_rh(m, e, det, kind, q):
-    top = int(e.max())
-    return RHMatrix(entries=_ldexp(m, e - top), kind=kind, q=complex(q),
-                    log_scale=top * _LN2, det=det)
+    return RHMatrix(m=m, e=e, det=det)
 
 
 def _tilde_factor(table):
@@ -333,13 +300,11 @@ def _y_cells(table, q):
 
 def y_matrix(table, q):
     """The matrix [[pi_N, h_N], [t pi_{N-1}, t h_{N-1}]], t = -2 pi i gamma_{N-1}^2."""
-    m, e = _y_cells(table, q)
-    return _pack_rh(m, e, _unit_det(m, e, "Y", q), "Y", q)
+    return _rh_matrix(*_y_cells(table, q), "Y", q, 1e-6)
 
 
-def m_cells(table, model, q):
-    """(m, e) cells [[M11, M12], [M21, M22]] of M_N at q and their
-    determinant, checked to sit at 1 within 1e-6.
+def m_matrix(table, model, q):
+    """The normalized matrix M_N at q; its values are O(1) in the bulk.
 
     M is Y_N conjugated by e^{-N ell_V sigma3/2} ... e^{-N(g-ell_V/2) sigma3};
     the e^{+-N g} factors are applied as (m, e) pairs so they never appear as
@@ -351,14 +316,7 @@ def m_cells(table, model, q):
     m, e = _y_cells(table, q)
     # e^{-N g}, e^{+N(g-ell)}; e^{-N(g-ell)}, e^{+N g}
     fm, fe = _exp2([[-N * g, N * (g - ell)], [-N * (g - ell), N * g]])
-    m, e = m * fm, e + fe
-    return (m, e), _unit_det(m, e, "M", q)
-
-
-def m_matrix(table, model, q):
-    """The normalized matrix M_N at q; entries are O(1) in the bulk."""
-    (m, e), det = m_cells(table, model, q)
-    return _pack_rh(m, e, det, "M", q)
+    return _rh_matrix(m * fm, e + fe, "M", q, 1e-6)
 
 
 def _gamma_onecut(q):
@@ -384,11 +342,8 @@ def global_parametrix_onecut(q):
     h11 = 0.5 * (gam + gi)
     h12 = (gam - gi) / (-2j)
     h21 = (gam - gi) / (2j)
-    ent = np.array([[h11, h12], [h21, h11]])
-    det = complex(ent[0, 0] * ent[1, 1] - ent[0, 1] * ent[1, 0])
-    mat = RHMatrix(entries=ent, kind="M_infinity", q=q, log_scale=0.0, det=det)
-    mat.check_det(1e-12)
-    return mat
+    return _rh_matrix(np.array([[h11, h12], [h21, h11]]),
+                      np.zeros((2, 2), dtype=np.int64), "M_infinity", q, 1e-12)
 
 
 def r_weight(model, q):

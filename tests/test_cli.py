@@ -1,11 +1,17 @@
 import csv
+import io
 import json
 import math
+import os
 import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from charpolylab import (charpoly, cli, extremes, gaussfield, momentlab,
                          orthopoly)
@@ -172,6 +178,7 @@ def test_stride_flag_rejected_by_argparse(capsys):
     ["max-experiment", "--N", "1"],
     ["upperbound-verify", "--N", "1"],
     ["matching-verify", "--samples", "1"],
+    ["fs-verify", "--samples", "1"],
     ["matching-verify", "--epsilon", "0"],
     ["matching-verify", "--epsilon", "1"],
     ["matching-verify", "--epsilon", "0.6", "--samples", "100"],
@@ -184,6 +191,7 @@ def test_stride_flag_rejected_by_argparse(capsys):
     ["matching-verify", "--epsilon=-inf"],
 ], ids=["depth_over_cap", "eta_over_depth", "shift_below_one",
         "max_experiment_n1", "upperbound_n1", "matching_one_sample",
+        "fs_verify_one_sample",
         "epsilon_zero", "epsilon_one", "epsilon_over_half", "zero_threads",
         "max_experiment_negative_seed", "fs_verify_negative_seed",
         "shift_nan", "shift_inf", "delta_nan", "epsilon_minus_inf"])
@@ -402,7 +410,11 @@ def _beat_dense_max(orig):
 @pytest.mark.parametrize("argv,attr,patch", [
     (["max-experiment"], "ordering_constant", lambda orig: lambda m: -1e3),
     (["upperbound-verify"], "_golden_max_vec", _beat_dense_max),
-], ids=["ordering", "factor14"])
+    # unpatched: at y/N = 6.25e19 the shifted grid overflows, and the
+    # ordering check fails on the non-finite maximum
+    (["max-experiment", "--y", "1e21", "--check"], "ordering_constant",
+     lambda orig: orig),
+], ids=["ordering", "factor14", "ordering_non_finite"])
 def test_violated_bound_exits_3(monkeypatch, capsys, argv, attr, patch):
     patched, calls = patch(getattr(extremes, attr)), []
 
@@ -425,6 +437,64 @@ def test_start_index_breakdown_explains_itself(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: RuntimeError: backward h-chain at N=8, q=(0.25+0.6j): "
         "start index 68 needed, bound 10\n")
+
+
+# out-of-range, negative, zero, tiny, huge and non-finite values next to
+# in-range ones; the sizes are always set, and small, since the defaults
+# are not (lowerbound-sim's point count grows like e^{(1 - delta) n})
+_SMALL = {"N": 16, "n": 4, "n_samples": 10}
+_ODD_FLOATS = st.sampled_from([-1.0, 0.0, 1e-300, 1e12, 1e300,
+                               math.nan, math.inf, -math.inf])
+_FIELD_VALUES = {
+    "N": st.integers(-1, 64),
+    "n": st.integers(-1, 5),
+    "n_samples": st.integers(-1, 20),
+    "seed": st.one_of(st.integers(-1, 10), st.sampled_from([2**63, 10**30])),
+    "threads": st.integers(-1, 2),
+    "eta": st.one_of(st.integers(-1, 4), st.just(10**12)),
+    "delta": st.one_of(st.floats(0.01, 0.49), _ODD_FLOATS),
+    "y": st.one_of(st.floats(1.0, 10.0), _ODD_FLOATS),
+    "epsilon": st.one_of(st.floats(0.01, 0.5), _ODD_FLOATS),
+    "check": st.booleans(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(cli.COMMANDS),
+       values=st.fixed_dictionaries({}, optional=_FIELD_VALUES), out=st.booleans())
+@example(command="max-experiment", values={"N": 64, "n_samples": 2, "y": 1e12,
+                                           "check": True}, out=True)
+@example(command="matching-verify", values={"epsilon": 1e-15, "n_samples": 20,
+                                            "seed": 1}, out=True)
+@example(command="fs-verify", values={"n_samples": 1, "check": True}, out=True)
+def test_exit_code_contract(command, values, out):
+    # every input ends in exit 0, 1, 2 or 3, never in an exception; a failed
+    # run says why in one stderr line (warnings count as lines), and no
+    # output leaves a temp file behind
+    argv = [command]
+    for name, v in {**_SMALL, **values}.items():
+        flag = "--" + cli._FLAGS.get(name, name)
+        if name == "check":
+            argv += [flag] if v else []
+        else:
+            argv.append(f"{flag}={v!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        if out:
+            argv += ["--out", os.path.join(tmp, "out")]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                rc = main(argv)
+            except (Exception, SystemExit) as exc:
+                pytest.fail(f"{argv} raised {exc!r}")
+        leftovers = [p for p in os.listdir(tmp) if p.endswith(".tmp")]
+    assert rc in (0, 1, 2, 3), argv
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    if rc in (2, 3):
+        assert len(lines) == 1, (argv, lines)
+    assert not leftovers, argv
 
 
 def test_epsilon_half_places_the_worst_case():

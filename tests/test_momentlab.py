@@ -157,6 +157,16 @@ def test_pair_config_validate():
     assert not pair_config_validate(bad)
 
 
+def test_coincident_tight_pair_rejected():
+    # at epsilon = 1e-15 a tight pair's offset 0.05 epsilon (1 - |c|^2) rounds
+    # away, so z == w, and the subset sup would take log d(z, w) = log 0
+    same = PairConfiguration(pairs=[(0.6 + 0.2j, 0.6 + 0.2j)], ell_paired=1,
+                             epsilon=1e-15)
+    assert not pair_config_validate(same)
+    with pytest.raises(RuntimeError, match=r"invalid configuration at epsilon=1e-15$"):
+        random_pair_configuration(0, 1, 1e-15, substream(0, 0))
+
+
 def test_pair_config_generator_roundtrip():
     gen = substream(9, 0)
     for _ in range(10):
