@@ -36,6 +36,9 @@ _COMMAND_MINIMUMS = {
     "matching-verify": {"n_samples": 2},
 }
 
+# lowerbound-sim's points: the covariance build holds an n x n complex product
+_MAX_POINTS = 4096
+
 
 @dataclass
 class RunConfig:
@@ -76,9 +79,14 @@ class RunConfig:
             raise ConfigError("epsilon must lie in (0, 1/2]")
         if self.command == "lowerbound-sim":
             try:
-                momentlab.LowerBoundParams(n=self.n, delta=self.delta, eta=self.eta)
+                params = momentlab.LowerBoundParams(self.n, self.delta, self.eta)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            # a leaf, a reference and eta - r barrier points on each ray
+            points = len(momentlab.omega_grid(params)) * (params.eta - params.r + 2)
+            if points > _MAX_POINTS:
+                raise ConfigError(f"lowerbound-sim would sample up to {points} "
+                                  f"points, above the bound {_MAX_POINTS}")
 
 
 class ConfigError(ValueError):
@@ -140,8 +148,8 @@ def _cmd_gen_spectrum(cfg):
     if cfg.out_path:
         emit(enumerate(spec.eigenvalues), cfg.out_path, "csv",
              header=["index", "eigenvalue"])
-        emit({"N": spec.N, "model": spec.model, "seed": spec.seed,
-              "sampler": spec.sampler}, str(cfg.out_path) + ".json", "json")
+        emit({"N": spec.N, "model": "gue", "seed": cfg.seed,
+              "sampler": "tridiagonal"}, str(cfg.out_path) + ".json", "json")
     return None, checks
 
 
@@ -184,7 +192,7 @@ def _cmd_fs_verify(cfg):
     return cases, checks
 
 
-def _mem_suite():
+def _cmd_mem_verify(cfg):
     model = ensemble.gue_model()
     rows = []
     for N in (64, 128, 256, 512):
@@ -195,11 +203,6 @@ def _mem_suite():
         table = orthopoly.recurrence_table(model, N)
         ratio = momentlab.mem_ratio(table, model, bias)
         rows.append([N, "singleton_pair_ray", ratio, abs(ratio - 1.0)])
-    return rows
-
-
-def _cmd_mem_verify(cfg):
-    rows = _mem_suite()
     if cfg.out_path:
         emit(rows, cfg.out_path, "csv", header=["N", "bias_id", "ratio", "abs_error"])
     errs = [r[3] for r in rows]
@@ -311,19 +314,15 @@ def _cmd_brw_verify(cfg):
     for h in range(2, 9):
         for th in np.linspace(-0.5, 0.5, 9):
             grid.append(ray_point(h) * np.exp(1j * th))
-    res_g = gaussfield.brw_check(grid, gaussfield.kernel_g())
-    res_t = gaussfield.brw_check(grid, gaussfield.kernel_t())
-    lo, hi = res_g["k_offset_range"]
+    doc = {"G": gaussfield.brw_check(grid, gaussfield.kernel_g()),
+           "T": gaussfield.brw_check(grid, gaussfield.kernel_t())}
+    lo, hi = doc["G"]["k_offset_range"]
     center = gaussfield.K_OFFSET_G
-    doc = {"G": {"c_b": res_g["c_b"], "c_c": res_g["c_c"],
-                 "k_offset_range": [lo, hi]},
-           "T": {"c_b": res_t["c_b"], "c_c": res_t["c_c"],
-                 "k_offset_range": list(res_t["k_offset_range"])}}
     if cfg.out_path:
         emit(doc, cfg.out_path, "json")
     checks = [("k_offset_width", hi - lo <= 2.0),
               ("k_offset_around_center", lo >= center - 1.0 and hi <= center + 1.0),
-              ("c_b_finite", math.isfinite(res_g["c_b"]))]
+              ("c_b_finite", math.isfinite(doc["G"]["c_b"]))]
     return doc, checks
 
 
@@ -343,8 +342,9 @@ COMMANDS = tuple(_RUNNERS)
 
 # DeterminantError and the factor-14 and ordering violations are
 # ArithmeticErrors; LinAlgError is a failed dsterf or covariance factor;
-# RuntimeError the h-chain bound or the pair scatter
-_BREAKDOWNS = (ArithmeticError, np.linalg.LinAlgError, RuntimeError)
+# RuntimeError the h-chain bound or the pair scatter; MemoryError an array
+# the machine refused (fs-verify holds cases x samples complex values)
+_BREAKDOWNS = (ArithmeticError, np.linalg.LinAlgError, RuntimeError, MemoryError)
 
 
 def run(config):

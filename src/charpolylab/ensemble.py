@@ -3,16 +3,15 @@
 The packaged model is the quadratic potential V(x) = 2 x^2, normalized so
 the limiting density is the semicircle on [-1, 1]; its g, g_tilde and
 Stieltjes transform are closed forms on scalars or arrays.  make_model
-builds one-cut models from a user-supplied density, with quadrature routes
-on scalars only.  Spectra are drawn from the exact tridiagonal realization
-(quadratic V only).  The characteristic polynomial det(x - A) of a draw
-comes straight from that tridiagonal matrix, by the three-term determinant
-recurrence (char_poly), which every Monte Carlo and grid-maximum route
-runs; eigenvalues are solved only where they are the output (gen-spectrum)
-or an oracle.
+builds one-cut models from a user-supplied density, with g_tilde alone, by
+quadrature on scalars.  Spectra are drawn from the exact tridiagonal
+realization (quadratic V only).  The characteristic polynomial det(x - A) of
+a draw comes straight from that tridiagonal matrix, by the three-term
+determinant recurrence (char_poly), which every Monte Carlo and grid-maximum
+route runs; eigenvalues are solved only where they are the output
+(gen-spectrum) or an oracle.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -62,29 +61,6 @@ def _quad_tilde_g(rho, support, x):
     return -_quad(rho, support, lambda u: math.log(abs(x - u) or 1.0), sing=x)
 
 
-def _quad_g(rho, support, q):
-    """integral of log(q-u) rho(u) du (principal branch) by quadrature."""
-    return (_quad(rho, support, lambda u: math.log(abs(q - u)))
-            + 1j * _quad(rho, support, lambda u: cmath.phase(q - u)))
-
-
-def _quad_stieltjes(rho, support, q):
-    """integral of rho(u) du / (q-u) by quadrature, with
-    1/(q-u) = (x-u - iy) / ((x-u)^2 + y^2) for q = x + iy; the imaginary
-    part is integrated only off the real axis."""
-    x, y = q.real, q.imag
-    y2 = y * y
-
-    def re(u):
-        d = x - u
-        return d / (d * d + y2)
-
-    val = complex(_quad(rho, support, re))
-    if y != 0.0:
-        val -= 1j * y * _quad(rho, support, lambda u: 1.0 / ((x - u) ** 2 + y2))
-    return val
-
-
 @dataclass
 class EquilibriumModel:
     """Potential V, equilibrium density rho, and its log-potential data.
@@ -95,16 +71,16 @@ class EquilibriumModel:
     ell_v        -- the Euler-Lagrange constant 2*int log|x-u| rho(du) - V(x)
 
     gue_model's g, g_tilde and stieltjes take a scalar (giving a scalar) or
-    an array; make_model's are quadrature routes and take scalars only.
+    an array; make_model's models carry g_tilde alone, by quadrature on scalars.
     """
 
     name: str
     V: object
     rho: object
     support: list
-    g: object = field(repr=False)
     g_tilde: object = field(repr=False)
-    stieltjes: object = field(repr=False)
+    g: object = field(default=None, repr=False)
+    stieltjes: object = field(default=None, repr=False)
     ell_v: float = None
     rho_max: float = None
     _profile: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -164,8 +140,8 @@ def _gue_stieltjes(q):
 def gue_model():
     """Quadratic model: V = 2x^2, semicircle density (2/pi) sqrt(1-u^2) on [-1,1].
 
-    g, g_tilde and the Stieltjes transform are closed-form; the quadrature
-    routes (_quad_g, _quad_tilde_g, _quad_stieltjes) are their oracles.
+    g, g_tilde and the Stieltjes transform are closed-form; _quad_tilde_g and
+    the tests' quad_g and quad_stieltjes are their quadrature oracles.
     """
     def V(x):
         return 2.0 * x * x
@@ -190,12 +166,8 @@ def gue_model():
 def make_model(name, V, rho, support):
     """Build a model from a supplied density; validates ell_V constancy."""
     support = list(support)
-    model = EquilibriumModel(
-        name=name, V=V, rho=rho, support=support,
-        g=partial(_quad_g, rho, support),
-        g_tilde=partial(_quad_tilde_g, rho, support),
-        stieltjes=partial(_quad_stieltjes, rho, support),
-    )
+    model = EquilibriumModel(name=name, V=V, rho=rho, support=support,
+                             g_tilde=partial(_quad_tilde_g, rho, support))
     xs, vals = model.ell_v_profile()
     if vals.std() > 1e-8:
         raise ValueError(
@@ -209,7 +181,7 @@ def make_model(name, V, rho, support):
 
 @dataclass
 class Spectrum:
-    """One draw (d, e) of the tridiagonal model with generation metadata.
+    """One draw (d, e) of the tridiagonal model.
 
     The N eigenvalues of T(d, e) / (2 sqrt N), ascending, are solved by
     LAPACK dsterf on first read.  A block of draws stacked along a leading
@@ -219,9 +191,6 @@ class Spectrum:
     N: int
     d: np.ndarray
     e: np.ndarray
-    model: str
-    seed: int
-    sampler: str
 
     @cached_property
     def eigenvalues(self):
@@ -246,9 +215,9 @@ def tridiagonal_draw(N, rng, size=()):
     """
     size = tuple(size)
     d = rng.standard_normal(size + (N,))
-    # at N = 1 the empty chi-square draw takes nothing from the stream
-    e = rng.chisquare(2.0 * np.arange(N - 1, 0, -1), size=size + (N - 1,))
-    e /= 2.0
+    # chi^2_{2k}/2 is standard_gamma(k), bit for bit, as numpy draws
+    # chisquare(2k) as 2 standard_gamma(k); at N = 1 nothing is drawn
+    e = rng.standard_gamma(np.arange(N - 1, 0, -1), size=size + (N - 1,))
     return d, np.sqrt(e, out=e)
 
 
@@ -300,5 +269,4 @@ def sample_spectrum_gue(N, seed):
     if N < 1:
         raise ValueError("N must be >= 1")
     d, e = tridiagonal_draw(N, substream(seed, 0))
-    return Spectrum(N=N, d=d, e=e, model="gue", seed=int(seed),
-                    sampler="tridiagonal")
+    return Spectrum(N=N, d=d, e=e)

@@ -156,13 +156,16 @@ def factor14_check(N, roots=None, cheb_coeffs=None):
 
 @dataclass
 class MaxRecord:
-    """Grid maximum of the centered field for one sampled spectrum."""
+    """Grid maxima of the centered field for one sampled spectrum."""
 
     N: int
-    seed: int
     m_star: float
     m_star_reg: float
-    y: float
+
+
+def _second_order_center(N):
+    """log N - (3/4) log log N, the second-order centering of the maximum."""
+    return math.log(N) - 0.75 * math.log(math.log(N))
 
 
 def ordering_constant(model):
@@ -226,18 +229,16 @@ def max_experiment(model, N, n_samples, y, seed, threads=1):
         spectra = [sample_spectrum_gue(N, task_seed(seed, i))
                    for i in range(lo, min(lo + size, n_samples))]
         block = Spectrum(N=N, d=np.stack([s.d for s in spectra]),
-                         e=np.stack([s.e for s in spectra]), model="gue",
-                         seed=None, sampler="tridiagonal")
-        return [MaxRecord(N=N, seed=s.seed, m_star=float(a), m_star_reg=float(b),
-                          y=math.nan if y is None else y)
-                for s, a, b in zip(spectra, *_grid_maxima(block, model, y))]
+                         e=np.stack([s.e for s in spectra]))
+        return [MaxRecord(N=N, m_star=float(a), m_star_reg=float(b))
+                for a, b in zip(*_grid_maxima(block, model, y))]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         records = [r for part in pool.map(one, range(0, n_samples, size)) for r in part]
 
-    logN = math.log(N)
-    ratio = np.array([r.m_star for r in records]) / logN
-    second = np.array([r.m_star for r in records]) - (logN - 0.75 * math.log(logN))
+    m_star = np.array([r.m_star for r in records])
+    ratio = m_star / math.log(N)
+    second = m_star - _second_order_center(N)
     summary = {
         "N": N,
         "n_samples": n_samples,
@@ -251,10 +252,7 @@ def max_experiment(model, N, n_samples, y, seed, threads=1):
 
 def experiment_rows(records):
     """Rows for the experiment CSV (see EXPERIMENT_CSV_FIELDS)."""
-    rows = []
-    for i, r in enumerate(records):
-        logN = math.log(r.N)
-        rows.append([r.N, i, r.m_star, r.m_star / logN,
-                     r.m_star - (logN - 0.75 * math.log(logN)), r.m_star_reg])
-    return rows
+    return [[r.N, i, r.m_star, r.m_star / math.log(r.N),
+             r.m_star - _second_order_center(r.N), r.m_star_reg]
+            for i, r in enumerate(records)]
 

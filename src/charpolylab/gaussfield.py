@@ -53,9 +53,8 @@ def cov_t(z, w):
 
 @dataclass(frozen=True)
 class GaussKernel:
-    """A named covariance kernel on the open disk."""
+    """A covariance kernel on the open disk."""
 
-    kind: str
     cov: object  # broadcasting callable (z, w) -> covariance
 
     def matrix(self, points):
@@ -64,11 +63,11 @@ class GaussKernel:
 
 
 def kernel_g():
-    return GaussKernel(kind="G", cov=cov_g)
+    return GaussKernel(cov_g)
 
 
 def kernel_t():
-    return GaussKernel(kind="T", cov=cov_t)
+    return GaussKernel(cov_t)
 
 
 @dataclass(frozen=True)
@@ -96,17 +95,12 @@ class BiasSpec:
         if set(plus) & set(minus):
             raise ValueError("plus and minus point sets must be disjoint")
 
-    def points_and_weights(self):
-        pts = self.plus_points + self.minus_points
-        wts = (2.0,) * len(self.plus_points) + (-2.0,) * len(self.minus_points)
-        return pts, wts
-
 
 def bias_variance(bias, kernel):
     """Variance of B(W) under the kernel, from the covariance quadratic form."""
-    pts, wts = bias.points_and_weights()
-    w = np.array(wts)
-    return float(w @ kernel.matrix(pts) @ w)
+    Z, W = bias.plus_points, bias.minus_points
+    w = np.repeat([2.0, -2.0], [len(Z), len(W)])
+    return float(w @ kernel.matrix(Z + W) @ w)
 
 
 def exp_moment_g(bias):

@@ -336,7 +336,8 @@ def lower_bound_mc(params, n_samples, seed):
     c_ll = kern.cov(zeta_leaf, zeta_leaf)
     c_rr = kern.cov(zeta_ref, zeta_ref)
     c_lr = kern.cov(zeta_leaf, zeta_ref)
-    ey_exact = math.exp(2.0 * (c_ll + c_rr - 2.0 * c_lr))
+    var_b = 4.0 * (c_ll + c_rr - 2.0 * c_lr)  # Var B_omega on every ray
+    ey_exact = math.exp(var_b / 2.0)
     op_ratio = ey_emp / ey_exact
     one_point = {
         "exact": ey_exact,
@@ -354,7 +355,6 @@ def lower_bound_mc(params, n_samples, seed):
     c_LR = kern.cov(leaf_pts[:, None], ref_pts[None, :])
     c_RR = kern.matrix(ref_pts)
     cov_bb = 4.0 * (c_LL - c_LR - c_LR.T + c_RR)  # Cov(B_1, B_2) across rays
-    var_b = 4.0 * (c_ll + c_rr - 2.0 * c_lr)
     # E e^{B1+B2} = e^{(Var B1 + Var B2)/2 + Cov(B1,B2)}, Var B_i = var_b by rotation
     exact2 = np.exp(var_b + cov_bb)
     depth = branch_depth(omegas, params.n0)

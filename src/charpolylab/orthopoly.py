@@ -93,6 +93,7 @@ def _scaled_det(m, e):
 class OPTable:
     """Normalizing constants for the quadratic weight e^{-2N x^2}.
 
+    gamma0 = (2N/pi)^{1/4}, the inverse square root of the weight's mass, and
     gamma_sq = (m, e) arrays with gamma_n^2 = m[n] * 2**e[n] for the
     orthonormal family: the product gamma_0^2 / (a_1^2 ... a_n^2) with
     a_k^2 = k/(4N), renormalized by an exact power of two every step, so its
@@ -101,10 +102,10 @@ class OPTable:
     """
 
     N: int
-    gamma0: float
 
     def __post_init__(self):
         self.n_max = self.N
+        self.gamma0 = (2.0 * self.N / math.pi) ** 0.25
         m = np.empty(self.N + 1)
         e = np.empty(self.N + 1, dtype=np.int64)
         cur, ex = math.frexp(self.gamma0 ** 2)
@@ -117,11 +118,11 @@ class OPTable:
 
 
 def recurrence_table(model, N):
-    """Normalizing constants for e^{-2N x^2} up to degree N, with
-    gamma_0 = (2N/pi)^{1/4}; any model but the quadratic one is rejected."""
+    """Normalizing constants for e^{-2N x^2} up to degree N; any model but
+    the quadratic one is rejected."""
     if model.name != "gue":
         raise ValueError(f"model {model.name!r} has no closed-form recurrence")
-    return OPTable(N=N, gamma0=(2.0 * N / math.pi) ** 0.25)
+    return OPTable(N=N)
 
 
 def _rescale(prev, cur):

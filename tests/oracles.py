@@ -2,6 +2,7 @@
 the package's vectorized or closed-form routes against.  Nothing under src/
 calls them."""
 
+import cmath
 import math
 
 import mpmath
@@ -10,7 +11,7 @@ from scipy import integrate
 
 from charpolylab._rng import substream
 from charpolylab.charpoly import _batched_mean
-from charpolylab.ensemble import char_poly, tridiagonal_draw
+from charpolylab.ensemble import _quad, char_poly, tridiagonal_draw
 from charpolylab.extremes import _golden_max_vec, cheb_grid
 from charpolylab.hyperbolic import joukowsky, pseudo_dist
 
@@ -35,6 +36,29 @@ def h0_quadrature(model, N, q):
     im, _ = integrate.quad(lambda x: f(x).imag, -L, L, points=pts, limit=400,
                            epsabs=1e-15, epsrel=1e-13)
     return (re + 1j * im) / (2j * math.pi)
+
+
+def quad_g(rho, support, q):
+    """integral of log(q-u) rho(u) du (principal branch) by quadrature."""
+    return (_quad(rho, support, lambda u: math.log(abs(q - u)))
+            + 1j * _quad(rho, support, lambda u: cmath.phase(q - u)))
+
+
+def quad_stieltjes(rho, support, q):
+    """integral of rho(u) du / (q-u) by quadrature, with
+    1/(q-u) = (x-u - iy) / ((x-u)^2 + y^2) for q = x + iy; the imaginary
+    part is integrated only off the real axis."""
+    x, y = q.real, q.imag
+    y2 = y * y
+
+    def re(u):
+        d = x - u
+        return d / (d * d + y2)
+
+    val = complex(_quad(rho, support, re))
+    if y != 0.0:
+        val -= 1j * y * _quad(rho, support, lambda u: 1.0 / ((x - u) ** 2 + y2))
+    return val
 
 
 def field_q(spectrum, model, q):

@@ -201,6 +201,24 @@ def test_out_of_range_parameters_exit_2(args, capsys):
     assert err.startswith("configuration error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("values,points", [
+    ({"delta": 1e-300}, 29805),
+    ({"n": 12, "delta": 0.1}, 39807),
+], ids=["tiny_delta", "depth_12_delta_tenth"])
+def test_lowerbound_point_count_is_bounded(values, points):
+    # the bound is checked on the configuration alone: these runs would ask
+    # numpy for gigabytes, so they are never started here
+    as_text = {k: str(v) for k, v in values.items()}
+    for build in (lambda: RunConfig(command="lowerbound-sim", **values),
+                  lambda: build_config("lowerbound-sim", as_text, {})):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == (f"lowerbound-sim would sample up to {points} "
+                                  "points, above the bound 4096")
+    # the largest configuration the benchmark and the criteria run, at 1,614
+    assert RunConfig(command="lowerbound-sim", n=10, delta=0.2, eta=3)
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
@@ -345,7 +363,7 @@ def test_lowerbound_sim_falls_back_to_scipy_lapack(tmp_path, capsys, monkeypatch
 
 
 def test_indefinite_covariance_exits_3(monkeypatch, capsys):
-    neg = GaussKernel("neg", lambda z, w: -cov_g(z, w))
+    neg = GaussKernel(lambda z, w: -cov_g(z, w))
     monkeypatch.setattr(momentlab, "kernel_g", lambda: neg)
     assert main(["lowerbound-sim", "--n", "4", "--eta", "1", "--samples", "20"]) == 3
     err = capsys.readouterr().err.splitlines()
@@ -391,7 +409,9 @@ def test_check_exit_codes(monkeypatch):
     ZeroDivisionError("r_weight is infinite at a support edge"),
     np.linalg.LinAlgError("covariance factor residual above bound"),
     RuntimeError("backward recurrence start index exceeds hard cap"),
-], ids=["arithmetic", "determinant", "zero_division", "linalg", "runtime"])
+    MemoryError("Unable to allocate 29.8 GiB for an array with shape "
+                "(2, 2000000000) and data type complex128"),
+], ids=["arithmetic", "determinant", "zero_division", "linalg", "runtime", "memory"])
 def test_numerical_breakdown_exits_3(monkeypatch, capsys, exc):
     def failing_runner(cfg):
         raise exc

@@ -14,6 +14,8 @@ from charpolylab._rng import substream
 from charpolylab.cli import main
 from charpolylab.ensemble import make_model, sample_spectrum_gue
 
+from oracles import quad_g, quad_stieltjes
+
 
 def test_density_values(model):
     assert model.rho(0.0) == pytest.approx(2.0 / math.pi, abs=1e-15)
@@ -45,10 +47,10 @@ def test_stieltjes_values(model, monkeypatch):
     quad = integrate.quad
     monkeypatch.setattr(integrate, "quad",
                         lambda *args, **kw: calls.append(1) or quad(*args, **kw))
-    val = ensemble._quad_stieltjes(model.rho, model.support, 2.0)
+    val = quad_stieltjes(model.rho, model.support, 2.0)
     assert len(calls) == 1 and val.imag == 0.0
     assert model.stieltjes(2.0) == pytest.approx(val, rel=1e-8)
-    ensemble._quad_stieltjes(model.rho, model.support, 2.0 + 0.5j)
+    quad_stieltjes(model.rho, model.support, 2.0 + 0.5j)
     assert len(calls) == 3
 
 
@@ -73,7 +75,7 @@ def test_g_values(model):
 def test_g_quadrature_oracle(model):
     q = 0.3 + 0.7j
     assert model.g(q) == pytest.approx(
-        ensemble._quad_g(model.rho, model.support, q), abs=1e-9)
+        quad_g(model.rho, model.support, q), abs=1e-9)
 
 
 _EDGE = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1e-9, 1e-9)).map(sum)
@@ -154,10 +156,15 @@ def test_make_model_rejects_wrong_density():
 
 
 def test_make_model_quadrature_path(model):
+    # a supplied density carries g_tilde by quadrature and no g or g'; the
+    # quadrature oracles for those agree with the closed forms at this point
     generic = make_model("quadratic", model.V, model.rho, model.support)
     assert generic.ell_v == pytest.approx(model.ell_v, abs=1e-8)
+    assert generic.g is None and generic.stieltjes is None
     q = 0.2 + 0.5j
-    assert generic.g(q) == pytest.approx(model.g(q), abs=1e-9)
+    assert quad_g(generic.rho, generic.support, q) == pytest.approx(model.g(q), abs=1e-9)
+    assert quad_stieltjes(generic.rho, generic.support, q) == pytest.approx(
+        model.stieltjes(q), abs=1e-9)
 
 
 def test_make_model_profile_is_computed_once(model):

@@ -228,7 +228,7 @@ def test_sample_gauss_degenerate_cluster_rank_one():
 
 
 def test_factor_rejects_indefinite_covariance():
-    neg = GaussKernel("neg", lambda z, w: -cov_g(z, w))
+    neg = GaussKernel(lambda z, w: -cov_g(z, w))
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"^pivoted Cholesky, rank 0 of 3 points: residual "
                              r"\S+ above bound -\S+$"):
