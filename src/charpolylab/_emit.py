@@ -13,13 +13,14 @@ def _fmt(v):
 
 
 def emit(records, path, format, header=None):
-    """Write records atomically; floats carry 17 significant digits.
+    """Write records atomically; CSV floats carry 17 significant digits.
 
     The text goes to a temp file of its own in the target's directory, which
     is renamed over the target, or removed if anything fails.
 
     csv: records is a list of rows, header a list of column names.
-    json: records is a JSON-serializable object.
+    json: records is an object of native JSON values; anything else (an
+    np.int64 or np.bool_, say) raises TypeError before a file is opened.
     """
     if format == "csv":
         buf = io.StringIO()
@@ -30,7 +31,7 @@ def emit(records, path, format, header=None):
             w.writerow([_fmt(v) for v in row])
         text = buf.getvalue()
     elif format == "json":
-        text = json.dumps(records, indent=1, sort_keys=True, default=_fmt) + "\n"
+        text = json.dumps(records, indent=1, sort_keys=True) + "\n"
     else:
         raise ValueError(f"unknown format {format!r}")
     head, name = os.path.split(str(path))

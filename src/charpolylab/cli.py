@@ -10,7 +10,6 @@ configuration error, 3 a numerical or sampling routine broke down.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -23,8 +22,7 @@ from ._rng import substream, task_seed
 from . import charpoly, ensemble, extremes, gaussfield, momentlab, orthopoly
 from .gaussfield import BiasSpec
 
-__all__ = ["RunConfig", "run", "emit", "main", "validate_against_schema",
-           "summary_schema"]
+__all__ = ["RunConfig", "run", "emit", "main"]
 
 # commands that need more than the common minimums: log(log N) needs N >= 2,
 # fs-verify's batch-means standard error needs two draws, and
@@ -94,50 +92,6 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# JSON summary schemas (shipped next to the package)
-# ---------------------------------------------------------------------------
-
-def summary_schema():
-    path = os.path.join(os.path.dirname(__file__), "schemas", "summaries.json")
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def validate_against_schema(obj, schema):
-    """Minimal structural validation: required keys and scalar/array types."""
-    def check(value, spec, where):
-        t = spec["type"] if isinstance(spec, dict) else spec
-        if t == "object":
-            if not isinstance(value, dict):
-                raise ValueError(f"{where}: expected object")
-            for key, sub in spec.get("properties", {}).items():
-                if key in spec.get("required", list(spec.get("properties", {}))):
-                    if key not in value:
-                        raise ValueError(f"{where}: missing key {key!r}")
-                if key in value:
-                    check(value[key], sub, f"{where}.{key}")
-        elif t == "array":
-            if not isinstance(value, list):
-                raise ValueError(f"{where}: expected array")
-            if "items" in spec:
-                for i, item in enumerate(value):
-                    check(item, spec["items"], f"{where}[{i}]")
-        elif t == "number":
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{where}: expected number, got {value!r}")
-        elif t == "integer":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{where}: expected integer, got {value!r}")
-        elif t == "boolean":
-            if not isinstance(value, bool):
-                raise ValueError(f"{where}: expected boolean")
-        else:
-            raise ValueError(f"{where}: unknown schema type {t!r}")
-    check(obj, schema, "$")
-    return True
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -160,7 +114,6 @@ def _cmd_max_experiment(cfg):
     if cfg.out_path:
         emit(extremes.experiment_rows(records), cfg.out_path, "csv",
              header=extremes.EXPERIMENT_CSV_FIELDS)
-        validate_against_schema(summary, summary_schema()["max_experiment"])
         emit(summary, str(cfg.out_path) + ".summary.json", "json")
     med = summary["ratio_quartiles"][1]
     med2 = summary["second_order_quartiles"][1]
@@ -259,7 +212,6 @@ def _cmd_lowerbound_sim(cfg):
     print(f"route: covariance factor = {res.factorization}", file=sys.stderr)
     doc = res.to_json_dict()
     if cfg.out_path:
-        validate_against_schema(doc, summary_schema()["lowerbound_sim"])
         emit(doc, cfg.out_path, "json")
     br = params.b[params.r]
     small = [b for b in res.per_m_bins if b["m"] <= 0.75 * br]

@@ -92,18 +92,18 @@ def factor14_check(N, roots=None, cheb_coeffs=None):
     point is sum_k c_k cos(k arccos x) as an elementwise product and sum, so
     no BLAS pool enters its bits.
 
-    Only peaks within log 2 of the dense max are polished, and none of the
-    others could raise the max.  Let M = sup |P|, reached at angle t0 where P
-    has phase phi.  Re(e^{-i phi} P(cos t)) is a real trigonometric
+    Only peaks within log(1/0.78) of the dense max are polished, and none of
+    the others could raise the max.  Let M = sup |P|, reached at angle t0
+    where P has phase phi.  Re(e^{-i phi} P(cos t)) is a real trigonometric
     polynomial of degree N with maximum M, so by the Bernstein-Szego
     inequality it stays at or above M cos(N d) at distance d <= pi/N from t0;
     a dense node lies within pi/(16N), so the dense max is at least
     cos(pi/16) M > 0.98 M.  Each point of a peak's bracket lies within
     pi/(16N) of one of its three nodes, none above the peak node, and
     Bernstein's |dP/dt| <= N M bounds the rise over that distance by
-    pi M / 16: a peak below half the dense max keeps its whole bracket below
-    (1/2 + pi/16) M < 0.70 M.  Brackets are polished elementwise, so the kept
-    peaks get the bits they get with every peak polished.
+    pi M / 16: a peak below 0.78 times the dense max keeps its whole bracket
+    below (0.78 + pi/16) M < 0.977 M.  Brackets are polished elementwise, so
+    the kept peaks get the bits they get with every peak polished.
     """
     if (roots is None) == (cheb_coeffs is None):
         raise ValueError("supply exactly one of roots or cheb_coeffs")
@@ -144,7 +144,7 @@ def factor14_check(N, roots=None, cheb_coeffs=None):
     grid_max = vals[::4].max()
     dense_max = vals.max()
     interior = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
-    interior = interior[vals[interior] > dense_max - math.log(2.0)]
+    interior = interior[vals[interior] > dense_max - math.log(1.0 / 0.78)]
     if len(interior):
         peak_max = _golden_max_vec(log_abs, dense[interior - 1], dense[interior + 1])
         dense_max = max(dense_max, peak_max.max())

@@ -9,11 +9,12 @@ from scipy import integrate
 
 from charpolylab.ensemble import make_model
 from charpolylab import orthopoly
+from charpolylab.charpoly import fs_balanced
 from charpolylab.orthopoly import (DeterminantError, global_parametrix_onecut,
                                    h0_closed, m_matrix, r_weight,
                                    recurrence_table, y_matrix, _exp2, _h_chain,
                                    _ldexp, _pi_chain)
-from oracles import h0_quadrature, mp_chains, mp_faddeeva
+from oracles import h0_quadrature, mp_chains, mp_faddeeva, mp_fs_balanced
 
 
 def _value(chain, n):
@@ -254,6 +255,20 @@ def test_h_chain_matches_mpmath(model, N, im):
     for n in (0, N - 2, N - 1, N):
         assert abs(mpmath.mpc(m[n]) * mpmath.ldexp(1, int(e[n])) / hs[n] - 1) <= 1e-12
     assert tab.n_max == N
+
+
+@pytest.mark.parametrize("N,q", [(8, -0.9 + 0.05j), (16, 0.3 + 0.2j)])
+def test_h_chain_past_forward_gap(model, N, q):
+    # summed dominance gaps 10.97 and 11.73: the forward route loses about
+    # e^gap ulp, up to 1e-10 here, so these points run backward
+    tab = recurrence_table(model, N)
+    assert orthopoly._dominance_gaps(N, np.arange(1, N), q).sum() > 10.0
+    _, hs, _ = mp_chains(N, N, 0.0, q)
+    m, e = _h_chain(tab, N, q)
+    for n in (N - 1, N):
+        assert abs(mpmath.mpc(m[n]) * mpmath.ldexp(1, int(e[n])) / hs[n] - 1) <= 1e-12
+    p = 0.3 + 0.4j
+    assert abs(fs_balanced(tab, (p,), (q,)) / mp_fs_balanced(N, p, q) - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [2048, 4096])
