@@ -204,6 +204,28 @@ def _grid_maxima(block, model, y):
     return m_star, m_star_reg
 
 
+def _quartiles(x):
+    """np.percentile(x, [25, 50, 75]) as floats, without the np.unique call
+    that imports numpy.ma: numpy's linear rule interpolates the sorted
+    values at index (n - 1) q in its _lerp form, a + d g below g = 1/2 and
+    b - d (1 - g) from there; a nan anywhere gives nan.  Bit for bit equal,
+    but for the sign of a zero result where -0.0 ties with 0.0 (np.sort and
+    numpy's partition may order the two differently).
+    """
+    s = np.sort(x)
+    if np.isnan(s[-1]):
+        return [float(s[-1])] * 3
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        k = (len(s) - 1) * q
+        lo = math.floor(k)
+        g = k - lo
+        a, b = s[lo], s[min(lo + 1, len(s) - 1)]
+        d = b - a
+        out.append(float(b - d * (1 - g) if g >= 0.5 else a + d * g))
+    return out
+
+
 def max_experiment(model, N, n_samples, y, seed, threads=1):
     """Per-sample grid maxima of the centered field, plus a quartile summary.
 
@@ -244,8 +266,8 @@ def max_experiment(model, N, n_samples, y, seed, threads=1):
         "n_samples": n_samples,
         "y": y,
         "seed": seed,
-        "ratio_quartiles": [float(v) for v in np.percentile(ratio, [25, 50, 75])],
-        "second_order_quartiles": [float(v) for v in np.percentile(second, [25, 50, 75])],
+        "ratio_quartiles": _quartiles(ratio),
+        "second_order_quartiles": _quartiles(second),
     }
     return records, summary
 

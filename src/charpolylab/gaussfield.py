@@ -51,15 +51,31 @@ def cov_t(z, w):
     return -0.5 * np.log(np.abs(1.0 - z * w)) - 0.5 * np.log(np.abs(1.0 - z * np.conj(w)))
 
 
+# rows per block of GaussKernel.cross: a block's complex temporaries hold
+# _COV_ROWS x len(b) entries, never a whole matrix
+_COV_ROWS = 64
+
+
 @dataclass(frozen=True)
 class GaussKernel:
     """A covariance kernel on the open disk."""
 
     cov: object  # broadcasting callable (z, w) -> covariance
 
+    def cross(self, a, b):
+        """cov(a[:, None], b[None, :]) as one float64 array, filled
+        _COV_ROWS rows at a time.  Each entry goes through the same
+        elementwise ops as in the one-shot broadcast, so the bits are equal.
+        """
+        a = np.asarray(a, dtype=complex)
+        b = np.asarray(b, dtype=complex)[None, :]
+        out = np.empty((len(a), b.shape[1]))
+        for lo in range(0, len(a), _COV_ROWS):
+            out[lo:lo + _COV_ROWS] = self.cov(a[lo:lo + _COV_ROWS, None], b)
+        return out
+
     def matrix(self, points):
-        pts = np.asarray(points, dtype=complex)
-        return self.cov(pts[:, None], pts[None, :])
+        return self.cross(points, points)
 
 
 def kernel_g():
@@ -192,9 +208,15 @@ def _factor_covariance(cov):
     """
     n = cov.shape[0]
     c, piv, rank, lapack = _dpstrf(cov)
+    # the factor is the lower trapezoid of c's first rank columns; above it
+    # dpstrf left cov's upper triangle, zeroed here in place
+    np.copyto(c[:, :rank], 0.0, where=np.arange(n)[:, None] < np.arange(rank))
     F = np.empty((n, rank))
-    F[piv - 1] = np.tril(c[:, :rank])
-    resid = np.linalg.norm(F @ F.T - cov)
+    F[piv - 1] = c[:, :rank]
+    del c
+    resid = F @ F.T
+    resid -= cov
+    resid = np.linalg.norm(resid)
     bound = 1e-8 * np.trace(cov) / n
     route = f"pivoted Cholesky, rank {rank} of {n} points"
     if not resid <= bound:

@@ -201,7 +201,10 @@ def branch_depth(omegas, n0):
     gaps = np.abs(omegas[:, None] - omegas[None, :])
     np.fill_diagonal(gaps, 1.0)
     with np.errstate(divide="ignore"):
-        depth = np.clip(np.round(-np.log(gaps)), 0, n0).astype(int)
+        np.log(gaps, out=gaps)
+    np.negative(gaps, out=gaps)
+    np.clip(np.round(gaps, out=gaps), 0, n0, out=gaps)
+    depth = gaps.astype(int)
     np.fill_diagonal(depth, n0)
     return depth
 
@@ -257,8 +260,9 @@ def _depth_bins(depth, emp2, prod1, exact2, b_ref, slack):
     """
     rows, cols = np.triu_indices(len(depth), k=1)
     dvals = depth[rows, cols]
+    del depth  # the whole matrix, when the caller passed it inline
     bins = []
-    for mval in np.unique(dvals).tolist():
+    for mval in np.flatnonzero(np.bincount(dvals)).tolist():
         sel = np.flatnonzero(dvals == mval)
         r, c = rows[sel], cols[sel]
         e_emp, e_ind, e_exact = emp2[r, c], prod1[r, c], exact2[r, c]
@@ -313,11 +317,17 @@ def lower_bound_mc(params, n_samples, seed):
                             for w in omegas], dtype=int)
 
     sample = sample_gauss(points, kern, n_samples, seed)
-    vals = sample.values
+    route, vals = sample.factorization, sample.values
+    del sample  # so that the del of vals below frees the values
     leaf = vals[:, :m]
     rayref = vals[:, ray_ref_idx]
-    expo = 2.0 * (leaf - rayref)
-    Y = np.exp(expo) * in_tube(vals[:, barrier_idx], rayref, params)
+    Y = leaf - rayref
+    Y *= 2.0
+    np.exp(Y, out=Y)
+    Y *= in_tube(vals[:, barrier_idx], rayref, params)
+    # the common center i zeta_ref is the h = 0 ray's reference point
+    center_max = (leaf - rayref[:, m // 2][:, None]).max(axis=1)
+    del vals, leaf, rayref
 
     Z = Y.sum(axis=1)
     p_z = float((Z > 0).mean())
@@ -346,24 +356,30 @@ def lower_bound_mc(params, n_samples, seed):
         "ratio_max": float(op_ratio.max()),
     }
 
-    # two-point table binned by branch depth
-    emp2 = (Y.T @ Y) / n_samples
+    # two-point table binned by branch depth; every m x m table is built in
+    # place and each per-ray covariance block is dropped once read
+    emp2 = Y.T @ Y
+    emp2 /= n_samples
+    del Y
     prod1 = np.outer(ey_emp, ey_emp)
     leaf_pts = np.asarray(points[:m])
     ref_pts = leaf_pts / zeta_leaf * zeta_ref
-    c_LL = kern.matrix(leaf_pts)
-    c_LR = kern.cov(leaf_pts[:, None], ref_pts[None, :])
-    c_RR = kern.matrix(ref_pts)
-    cov_bb = 4.0 * (c_LL - c_LR - c_LR.T + c_RR)  # Cov(B_1, B_2) across rays
+    cov_bb = kern.matrix(leaf_pts)
+    c_LR = kern.cross(leaf_pts, ref_pts)
+    cov_bb -= c_LR
+    cov_bb -= c_LR.T
+    del c_LR
+    cov_bb += kern.matrix(ref_pts)
+    cov_bb *= 4.0  # Cov(B_1, B_2) across rays
     # E e^{B1+B2} = e^{(Var B1 + Var B2)/2 + Cov(B1,B2)}, Var B_i = var_b by rotation
-    exact2 = np.exp(var_b + cov_bb)
-    depth = branch_depth(omegas, params.n0)
+    cov_bb += var_b
+    exact2 = np.exp(cov_bb, out=cov_bb)
     slack = params.n / params.eta + params.eta * math.sqrt(params.n)
-    bins = _depth_bins(depth, emp2, prod1, exact2, params.b[params.r], slack)
+    # depth is passed inline, so _depth_bins holds its only reference
+    bins = _depth_bins(branch_depth(omegas, params.n0), emp2, prod1, exact2,
+                       params.b[params.r], slack)
 
     target = (1.0 - 2.0 * params.delta) * params.n
-    # the common center i zeta_ref is the h = 0 ray's reference point
-    center_max = (leaf - rayref[:, m // 2][:, None]).max(axis=1)
     field_frac = float((center_max > target).mean())
     bias_frac = float((2.0 * center_max > target).mean())
 
@@ -375,5 +391,5 @@ def lower_bound_mc(params, n_samples, seed):
         cs_ratio=cs_ratio, cs_ratio_se=cs_se,
         one_point=one_point, per_m_bins=bins,
         field_max_exceed_frac=field_frac, bias_max_exceed_frac=bias_frac,
-        factorization=sample.factorization,
+        factorization=route,
     )

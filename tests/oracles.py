@@ -13,6 +13,7 @@ from charpolylab._rng import substream
 from charpolylab.charpoly import _batched_mean
 from charpolylab.ensemble import _quad, char_poly, tridiagonal_draw
 from charpolylab.extremes import _golden_max_vec, cheb_grid
+from charpolylab.gaussfield import _dpstrf
 from charpolylab.hyperbolic import joukowsky, pseudo_dist
 
 
@@ -325,3 +326,20 @@ def depth_bins_loop(depth, emp2, prod1, exact2, b_ref, slack):
             "lemma_bound_constant": float(lemma_bound.max()),
         })
     return bins
+
+
+def factor_covariance_tril(cov):
+    """gaussfield._factor_covariance as it was before it worked in place:
+    F from an np.tril copy of dpstrf's output, and the residual from a fresh
+    F F^T - cov; the oracle for F, the rank and the route string."""
+    n = cov.shape[0]
+    c, piv, rank, lapack = _dpstrf(cov)
+    F = np.empty((n, rank))
+    F[piv - 1] = np.tril(c[:, :rank])
+    resid = np.linalg.norm(F @ F.T - cov)
+    bound = 1e-8 * np.trace(cov) / n
+    route = f"pivoted Cholesky, rank {rank} of {n} points"
+    if not resid <= bound:
+        raise np.linalg.LinAlgError(
+            f"{route}: residual {resid:.1e} above bound {bound:.1e}")
+    return F, f"{route}, residual {resid:.1e} <= {bound:.1e}, by {lapack}"

@@ -224,3 +224,19 @@ def test_max_experiment_rows(model):
     logN = math.log(64)
     assert rows[0][3] == pytest.approx(rows[0][2] / logN)
     assert summary["ratio_quartiles"][0] <= summary["ratio_quartiles"][2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+def test_quartiles_match_percentile_bitwise(xs):
+    # bit for bit on arrays without -0.0 (x + 0.0 maps it to 0.0): where
+    # -0.0 ties with 0.0, np.sort and numpy's partition may order them apart
+    x = np.array(xs) + 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = np.array(extremes._quartiles(x))
+        ref = np.percentile(x, [25, 50, 75])
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_quartiles_nan():
+    assert np.isnan(extremes._quartiles(np.array([1.0, np.nan, 2.0]))).all()

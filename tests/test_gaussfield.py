@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from charpolylab import gaussfield, momentlab
 from charpolylab._rng import substream
@@ -11,7 +13,7 @@ from charpolylab.gaussfield import (BiasSpec, GaussKernel, _dpstrf,
                                     kernel_g, kernel_t, sample_gauss)
 from charpolylab.hyperbolic import hyp_dist, ray_point
 from charpolylab.momentlab import LowerBoundParams, omega_grid
-from oracles import mobius_to_zero
+from oracles import factor_covariance_tril, mobius_to_zero
 
 
 def random_disk_points(rng, n, rmax=0.9):
@@ -55,6 +57,31 @@ def test_kernel_matrix_matches_pointwise_cov(rng):
         mat = kern.matrix(pts)
         ref = np.array([[kern.cov(z, w) for w in pts] for z in pts])
         assert np.allclose(mat, ref, rtol=1e-13, atol=1e-15)
+
+
+_EDGE = gaussfield._COV_ROWS
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([0, 1, 2, _EDGE - 1, _EDGE, _EDGE + 1, 2 * _EDGE - 1,
+                          2 * _EDGE, 2 * _EDGE + 1]) | st.integers(0, 3 * _EDGE),
+       m=st.integers(0, _EDGE + 2), seed=st.integers(0, 2 ** 32 - 1),
+       kern=st.sampled_from([kernel_g(), kernel_t()]))
+@example(n=0, m=0, seed=0, kern=kernel_g()).via("empty")
+def test_kernel_matrix_row_blocks_bitwise(n, m, seed, kern):
+    # the row-block build against the one-shot broadcast it replaced, for
+    # point counts on each side of the block edges
+    rng = np.random.default_rng(seed)
+    pts = random_disk_points(rng, n, rmax=0.99)
+    other = random_disk_points(rng, m, rmax=0.99)
+    mat = kern.matrix(pts)
+    assert mat.dtype == np.float64 and mat.shape == (n, n)
+    assert mat.tobytes() == kern.cov(pts[:, None], pts[None, :]).tobytes()
+    cross = kern.cross(pts, other)
+    assert cross.shape == (n, m)
+    assert cross.tobytes() == kern.cov(pts[:, None], other[None, :]).tobytes()
+    if n == 0:
+        assert bias_variance(BiasSpec(), kern) == 0.0
 
 
 def test_kernel_g_matrix_matches_log_series(rng):
@@ -217,6 +244,53 @@ def test_dpstrf_rejects_non_square(shape):
     # LAPACK would read n^2 entries from a buffer that has fewer
     with pytest.raises(ValueError, match="square"):
         _dpstrf(np.ones(shape))
+
+
+def _factor_cases(monkeypatch):
+    x = np.random.default_rng(40).standard_normal((120, 40))
+    yield "gram_rank40", x @ x.T
+    yield "five_points", kernel_g().matrix(np.array([0.1, 0.5j, -0.3 + 0.2j, 0.7, -0.6j]))
+    yield "cluster_rank1", kernel_g().matrix(np.array([0.5, 0.5 + 1e-9, 0.5 + 2e-9j]))
+    yield "lowerbound_n9", _lowerbound_covariance(9, monkeypatch)
+
+
+def test_factor_covariance_matches_tril_oracle(monkeypatch):
+    # the in-place factor against the np.tril one it replaced: the same F,
+    # bit for bit, and the same route string, residual included
+    for name, cov in _factor_cases(monkeypatch):
+        F, route = _factor_covariance(cov)
+        ref_F, ref_route = factor_covariance_tril(cov)
+        assert F.shape == ref_F.shape and F.tobytes() == ref_F.tobytes(), name
+        assert route == ref_route, name
+    neg = -kernel_g().matrix(np.array([0.1, 0.5j, -0.3 + 0.2j]))
+    with pytest.raises(np.linalg.LinAlgError) as ref:
+        factor_covariance_tril(neg)
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{ref.value}$"):
+        _factor_covariance(neg)
+
+
+def test_covariance_path_peak_memory(monkeypatch):
+    # at lowerbound-sim's n = 9 ray grid (726 points, rank 464) the Gaussian
+    # path holds the float64 covariance, dpstrf's copy and the n x rank
+    # factor, and no complex n x n array.  Measured peaks: 2.65 n^2 doubles
+    # for both calls; 4.0 and 4.03 when the covariance was one broadcast
+    # (two complex n x n temporaries) and the factor took an np.tril copy
+    points = []
+    monkeypatch.setattr(momentlab, "sample_gauss",
+                        lambda pts, *args: points.append(pts) or sample_gauss(pts, *args))
+    params = LowerBoundParams(n=9, delta=0.2, eta=3)
+    peaks = []
+    for run in (lambda: momentlab.lower_bound_mc(params, 40, 3),
+                lambda: sample_gauss(points[0], kernel_g(), 40, 3)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    n = len(points[0])
+    assert n == 726
+    assert max(peaks) <= 3 * n * n * 8, [p / (n * n * 8) for p in peaks]
 
 
 def test_sample_gauss_degenerate_cluster_rank_one():

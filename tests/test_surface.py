@@ -105,7 +105,8 @@ def test_cli_import_skips_quadrature_stack(tmp_path):
     # dpstrf.  So importing the CLI loads no scipy module, and, when that
     # dpstrf is found, neither do tiny runs of the eight benchmarked
     # commands: h0 comes from orthopoly's own Faddeeva routine.  A command
-    # whose quadratic model fell back to quadrature would load it here.
+    # whose quadratic model fell back to quadrature would load it here.  No
+    # run loads numpy.ma either.
     # The same runs, with a config file and --out, reach every function in
     # src/ but those _NOT_RUN_BY_THE_RUNS names (threading.setprofile also
     # records max-experiment's pool threads)
@@ -129,21 +130,26 @@ def test_cli_import_skips_quadrature_stack(tmp_path):
             "threading.setprofile(record)\n"
             "import charpolylab.cli as cli\n"
             "def scipy(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "def ma(): return sorted(m for m in sys.modules"
+            " if m == 'numpy.ma' or m.startswith('numpy.ma.'))\n"
             "after_import = scipy()\n"
             f"codes = [cli.main(a) for a in {runs!r}]\n"
             "sys.setprofile(None)\n"
             "here = os.path.dirname(cli.__file__)\n"
             "reached = sorted({(os.path.basename(c.co_filename), c.co_firstlineno)"
             " for c in seen if os.path.dirname(c.co_filename) == here})\n"
-            "print(json.dumps([after_import, codes, scipy(),"
+            "print(json.dumps([after_import, codes, scipy(), ma(),"
             " cli.gaussfield._DPSTRF is not None, reached]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    after_import, codes, after_runs, bundled, reached = json.loads(
+    after_import, codes, after_runs, masked, bundled, reached = json.loads(
         out.stdout.splitlines()[-1])
     assert after_import == []
     assert codes == [0] * len(runs)
+    # numpy.ma costs 14 ms to import; np.unique (also under np.percentile)
+    # loads it
+    assert masked == []
     if bundled:
         assert after_runs == []
     reached = {tuple(r) for r in reached}
