@@ -30,10 +30,8 @@ def emit(records, path, format, header=None):
         for row in records:
             w.writerow([_fmt(v) for v in row])
         text = buf.getvalue()
-    elif format == "json":
-        text = json.dumps(records, indent=1, sort_keys=True) + "\n"
     else:
-        raise ValueError(f"unknown format {format!r}")
+        text = json.dumps(records, indent=1, sort_keys=True) + "\n"
     head, name = os.path.split(str(path))
     tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
     try:

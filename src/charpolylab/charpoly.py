@@ -77,15 +77,10 @@ def fs_balanced(table, p, q):
     p = [complex(v) for v in p]
     q = [complex(v) for v in q]
     ell = len(p)
-    if ell != len(q) or ell < 1:
-        raise ValueError("p and q must be nonempty tuples of equal length")
     if table.N < ell:
         raise ValueError("need N >= l")
     _check_distinct(p)
     _check_distinct(q)
-    for v in q:
-        if v.imag == 0.0:
-            raise ValueError("q points must lie off the real axis")
     N = table.N
     tm, te = _tilde_factor(table)
     rows = []
@@ -106,10 +101,6 @@ def laplace_split(A, B, C, D, p, q):
     p = [complex(v) for v in p]
     q = [complex(v) for v in q]
     ell = len(p)
-    if not all(len(v) == ell for v in (A, B, C, D, q)):
-        raise ValueError("all inputs must share the length of p")
-    if ell > 5:
-        raise ValueError("subset expansion supported only up to l = 5")
     total = 0.0 + 0.0j
     base = ell * (ell + 1) // 2
     idx = list(range(ell))
@@ -188,8 +179,6 @@ def exp_pm2_moment(table, model, q, sign):
     q = complex(q)
     if q.imag == 0.0:
         raise ValueError("Laplace transform evaluated off the real axis only")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
     N = table.N
     g2 = model.g(q) + model.g(np.conj(q))
     if sign == +1:

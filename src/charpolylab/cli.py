@@ -11,7 +11,6 @@ configuration error, 3 a numerical or sampling routine broke down.
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -34,7 +33,7 @@ _COMMAND_MINIMUMS = {
     "matching-verify": {"n_samples": 2},
 }
 
-# lowerbound-sim's points: the covariance build holds an n x n complex product
+# lowerbound-sim's points: covariance, dpstrf's copy and residual hold points^2 each
 _MAX_POINTS = 4096
 
 
@@ -42,10 +41,10 @@ _MAX_POINTS = 4096
 class RunConfig:
     command: str
     N: int = 64
-    n: int = 8
+    n: int = 10
     n_samples: int = 100
     seed: int = 1
-    threads: int = None  # None -> CHARPOLY_THREADS or 1
+    threads: int = 1
     out_path: str = None
     check: bool = False
     delta: float = 0.2
@@ -56,19 +55,14 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.threads is None:
-            self.threads = int(os.environ.get("CHARPOLY_THREADS", "1"))
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
-        minimums = {"N": 1, "n": 2, "n_samples": 1, "seed": 0, "threads": 1,
-                    "eta": 1, "y": 1}
+        minimums = {"N": 1, "n_samples": 1, "seed": 0, "threads": 1, "y": 1}
         minimums.update(_COMMAND_MINIMUMS.get(self.command, {}))
         for name, lo in minimums.items():
             if getattr(self, name) < lo:
                 raise ConfigError(f"{name} must be >= {lo}")
-        if not 0.0 < self.delta < 0.5:
-            raise ConfigError("delta must lie in (0, 1/2)")
         # matching-verify scatters up to 7 centers 1.5 epsilon apart in
         # pseudo-distance inside the radius-0.9 disk by rejection (5,000
         # tries).  The bound is measured, not derived: at 1/2 no 7-center
@@ -80,8 +74,9 @@ class RunConfig:
                 params = momentlab.LowerBoundParams(self.n, self.delta, self.eta)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            # a leaf, a reference and eta - r barrier points on each ray
-            points = len(momentlab.omega_grid(params)) * (params.eta - params.r + 2)
+            # one point per ray at each distinct height: the leaf n0 and b_r .. b_eta
+            points = (len(momentlab.omega_grid(params))
+                      * len({params.n0, *params.b[params.r:]}))
             if points > _MAX_POINTS:
                 raise ConfigError(f"lowerbound-sim would sample up to {points} "
                                   f"points, above the bound {_MAX_POINTS}")

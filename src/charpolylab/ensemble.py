@@ -266,7 +266,5 @@ def char_poly(d, e, xs):
 def sample_spectrum_gue(N, seed):
     """Exact draw from the eigenvalue law ~ Delta(lambda)^2 e^{-2N sum lambda^2},
     from the substream (seed, 0)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     d, e = tridiagonal_draw(N, substream(seed, 0))
     return Spectrum(N=N, d=d, e=e)

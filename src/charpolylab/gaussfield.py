@@ -243,8 +243,6 @@ def sample_gauss(points, kernel, n_samples, seed):
     pts = np.asarray(points, dtype=complex)
     if len(set(pts.tolist())) != len(pts):
         raise ValueError("sample points must be pairwise distinct")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     F, fact = _factor_covariance(kernel.matrix(pts))
     npts, rank = F.shape
     n_blocks = -(-n_samples // _ROW_BLOCK)

@@ -57,8 +57,6 @@ def joukowsky(z):
 
 def ray_point(j):
     """The j-th point on the positive-axis ray: tanh(j/2), unit hyperbolic spacing."""
-    if j < 0:
-        raise ValueError("ray index must be nonnegative")
     return math.tanh(j / 2.0)
 
 

@@ -82,6 +82,9 @@ def test_fs_balanced_rejects_bad_input(table_cache):
         fs_balanced(tab, [0.3 + 0.4j], [0.5])      # q on the real axis
     with pytest.raises(ValueError):
         fs_balanced(tab, [0.3 + 0.4j, 0.3 + 0.4j], [0.2 + 0.3j, 0.4 + 0.3j])
+    # the formula holds for l <= N points on each side
+    with pytest.raises(ValueError, match="need N >= l"):
+        fs_balanced(table_cache(1), [0.3 + 0.4j, 0.1 + 0.2j], [0.2 + 0.3j, 0.4 + 0.3j])
 
 
 @settings(max_examples=100, deadline=None)
@@ -210,6 +213,12 @@ def test_exp_pm2_vs_mc(model, table_cache):
 def test_exp_pm2_rejects_real_axis(model, table_cache):
     with pytest.raises(ValueError):
         exp_pm2_moment(table_cache(8), model, 0.5, +1)
+
+
+def test_exp_pm2_minus_needs_two_levels(model, table_cache):
+    # the minus sign reads h_{N-2}: at N = 1 that index would wrap to the end
+    with pytest.raises(ValueError, match="N >= 2"):
+        exp_pm2_moment(table_cache(1), model, 0.2 + 0.5j, -1)
 
 
 def test_verification_report(tmp_path):

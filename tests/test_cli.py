@@ -144,7 +144,6 @@ def test_flags_and_config_keys_are_the_runconfig_fields(monkeypatch, capsys):
               "out_path": "x.csv", "check": "true", "delta": "0.25", "eta": "2",
               "y": "1.5", "epsilon": "0.4"}
     assert set(values) == set(fields_of)
-    monkeypatch.delenv("CHARPOLY_THREADS", raising=False)
     default = RunConfig(command="gen-spectrum")
     seen = []
     monkeypatch.setattr(cli, "run", seen.append)
@@ -182,20 +181,36 @@ def test_stride_flag_rejected_by_argparse(capsys):
     ["max-experiment", "--y", "inf"],
     ["lowerbound-sim", "--delta", "nan"],
     ["matching-verify", "--epsilon=-inf"],
+    ["lowerbound-sim", "--n", "10", "--delta", "0.45"],
+    ["lowerbound-sim", "--delta", "0.6"],
+    ["lowerbound-sim", "--eta", "0"],
 ], ids=["depth_over_cap", "eta_over_depth", "shift_below_one",
         "max_experiment_n1", "upperbound_n1", "matching_one_sample",
         "fs_verify_one_sample",
         "epsilon_zero", "epsilon_one", "epsilon_over_half", "zero_threads",
         "max_experiment_negative_seed", "fs_verify_negative_seed",
-        "shift_nan", "shift_inf", "delta_nan", "epsilon_minus_inf"])
+        "shift_nan", "shift_inf", "delta_nan", "epsilon_minus_inf",
+        "no_barrier_reaches_boundary", "delta_over_half", "eta_zero"])
 def test_out_of_range_parameters_exit_2(args, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and len(err.splitlines()) == 1
 
 
+def test_depth_rules_bind_lowerbound_sim_alone(capsys):
+    # LowerBoundParams states the rules for n, delta and eta; the commands
+    # that never read them accept any finite value
+    for args in (["--n", "1"], ["--eta", "0"]):
+        assert main(["lowerbound-sim"] + args) == 2
+        assert capsys.readouterr().err == ("configuration error: "
+                                           "need eta >= 1, n >= 2\n")
+    for command in cli.COMMANDS:
+        if command != "lowerbound-sim":
+            assert RunConfig(command=command, n=1, eta=0, delta=0.6)
+
+
 @pytest.mark.parametrize("values,points", [
-    ({"delta": 1e-300}, 29805),
+    ({"n": 8, "delta": 1e-300}, 29805),
     ({"n": 12, "delta": 0.1}, 39807),
 ], ids=["tiny_delta", "depth_12_delta_tenth"])
 def test_lowerbound_point_count_is_bounded(values, points):
@@ -210,6 +225,35 @@ def test_lowerbound_point_count_is_bounded(values, points):
                                   "points, above the bound 4096")
     # the largest configuration the benchmark and the criteria run, at 1,614
     assert RunConfig(command="lowerbound-sim", n=10, delta=0.2, eta=3)
+    # b_eta = n0 here, so the leaf is the last barrier point: 2,942 points
+    assert RunConfig(command="lowerbound-sim", n=12, delta=0.2, eta=3)
+
+
+class _Sampled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n,delta,eta", [
+    (10, 0.2, 3), (10, 0.2, 4), (4, 0.2, 1), (8, 0.2, 3), (12, 0.2, 3),
+    (9, 0.1, 1), (9, 0.05, 1), (12, 0.1, 3), (8, 0.05, 3)],
+    ids=["defaults", "b_eta_is_n0", "r_is_eta_n4", "depth_8", "depth_12",
+         "depth_9_tenth", "depth_9_twentieth", "depth_12_tenth", "four_heights"])
+def test_lowerbound_point_count_is_exact(monkeypatch, n, delta, eta):
+    # RunConfig's count is the number of points lower_bound_mc hands to
+    # sample_gauss; with the bound at 0 it is read off the refusal, and the
+    # sampler is never run
+    monkeypatch.setattr(cli, "_MAX_POINTS", 0)
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(command="lowerbound-sim", n=n, delta=delta, eta=eta)
+    counted = int(re.search(r"up to (\d+) points", str(exc.value)).group(1))
+
+    def sampled(points, *args):
+        raise _Sampled(len(points))
+
+    monkeypatch.setattr(momentlab, "sample_gauss", sampled)
+    with pytest.raises(_Sampled) as got:
+        momentlab.lower_bound_mc(momentlab.LowerBoundParams(n, delta, eta), 1, 1)
+    assert got.value.args[0] == counted
 
 
 def test_unknown_command_rejected():
@@ -535,7 +579,9 @@ def test_check_passing_command(tmp_path):
                for b in doc["per_m_bins"])
 
 
-def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("CHARPOLY_THREADS", "3")
-    cfg = RunConfig(command="gen-spectrum")
-    assert cfg.threads == 3
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_check_passes_at_defaults(command, seed):
+    # every check holds where RunConfig's defaults put it; lowerbound-sim's
+    # default depth n = 10 is where its bias_max_exceeds bound was calibrated
+    assert main([command, "--check", "--seed", str(seed)]) == 0

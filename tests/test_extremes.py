@@ -85,6 +85,10 @@ def test_factor14_input_validation():
         factor14_check(4, roots=[0.1, 0.2])
     with pytest.raises(ValueError):
         factor14_check(4)
+    # Chebyshev coefficients of degree exactly N: N + 1 of them, lead nonzero
+    for coeffs in ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 0.0]):
+        with pytest.raises(ValueError, match="coefficient length"):
+            factor14_check(4, cheb_coeffs=coeffs)
 
 
 def _criterion_8_families(n_each):
@@ -152,8 +156,6 @@ def test_regularized_max_ordering(model):
     c_v = ordering_constant(model)
     for rec in records:
         assert rec.m_star <= rec.m_star_reg + c_v * 2.0 + 1e-9
-    with pytest.raises(ValueError):
-        max_experiment(model, 256, 2, 0.5, seed=100)
     # the ordering is checked on every sample: a bound no sample meets raises
     with mock.patch.object(extremes, "ordering_constant", lambda m: -1e3):
         with pytest.raises(extremes.OrderingViolation, match="ordering violated"):

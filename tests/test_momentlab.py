@@ -155,6 +155,13 @@ def test_pair_config_validate():
     # epsilon-violating tail pair
     bad = PairConfiguration(pairs=[(0.1, 0.1 + 1e-3)], ell_paired=0, epsilon=0.3)
     assert not pair_config_validate(bad)
+    # a tight pair's partner is its nearest point on both sides (a w, then a
+    # z, closer than it), and separated pairs keep epsilon between their z's
+    for pairs, ell in [([(0.1, 0.1 + 1e-3), (0.5j, 0.1 + 1e-4)], 1),
+                       ([(0.1, 0.1 + 1e-3), (0.1 + 1e-4, 0.5j)], 1),
+                       ([(0.5, -0.5), (0.51, 0.5j)], 0)]:
+        cfg = PairConfiguration(pairs=pairs, ell_paired=ell, epsilon=0.3)
+        assert not pair_config_validate(cfg), pairs
 
 
 def test_coincident_tight_pair_rejected():

@@ -160,3 +160,17 @@ def test_cli_import_skips_quadrature_stack(tmp_path):
     assert not unreached, f"no command or criterion runs {unreached}"
     # an allowlist entry that names no function is stale
     assert allowed <= {name for name, _, _ in defs}
+
+
+def test_no_module_reads_the_environment():
+    # a setting enters only as a RunConfig field, set by its flag or its
+    # config key: no module in src/ reads os.environ or os.getenv
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                reads.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name in ("environ", "getenv")]
+    assert not reads, reads
