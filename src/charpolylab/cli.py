@@ -290,7 +290,8 @@ COMMANDS = tuple(_RUNNERS)
 # DeterminantError and the factor-14 and ordering violations are
 # ArithmeticErrors; LinAlgError is a failed dsterf or covariance factor;
 # RuntimeError the h-chain bound or the pair scatter; MemoryError an array
-# the machine refused (fs-verify holds cases x samples complex values)
+# the machine refused (fs-verify holds cases x samples complex values, plus
+# per chunk min(samples, 200,000) x N float64 of d and one block of e)
 _BREAKDOWNS = (ArithmeticError, np.linalg.LinAlgError, RuntimeError, MemoryError)
 
 

@@ -15,6 +15,7 @@ from charpolylab.ensemble import _quad, char_poly, tridiagonal_draw
 from charpolylab.extremes import _golden_max_vec, cheb_grid
 from charpolylab.gaussfield import _dpstrf
 from charpolylab.hyperbolic import joukowsky, pseudo_dist
+from charpolylab.orthopoly import _ldexp
 
 
 def h0_quadrature(model, N, q):
@@ -263,6 +264,28 @@ def mp_fs_balanced(N, p, q):
     with mpmath.workdps(40):
         t = -2j * mpmath.pi * gamma_sq
         return complex(t * (hs[N - 1] * pis[N] - hs[N] * pis[N - 1]))
+
+
+def mc_char_ratio_oneshot(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
+    """charpoly.mc_char_ratio with each chunk drawn whole (d and e at once)
+    and run through the recurrence in one call: the oracle for its blocked
+    draw."""
+    ps = np.array(p_pts, dtype=complex)
+    one_case = ps.ndim == 1
+    ps = np.atleast_2d(ps)
+    n = ps.shape[1]
+    xs = np.concatenate([ps, np.atleast_2d(np.array(q_pts, dtype=complex))],
+                        axis=1)[..., None]
+    vals = np.empty((len(xs), n_samples), dtype=complex)
+    for task, lo in enumerate(range(0, n_samples, chunk)):
+        d, e = tridiagonal_draw(N, substream(seed, task),
+                                size=(min(chunk, n_samples - lo),))
+        dets, exps = char_poly(d, e, xs)
+        vals[:, lo:lo + len(d)] = _ldexp(
+            np.prod(dets[:, :n], axis=1) / np.prod(dets[:, n:], axis=1),
+            exps[:, :n].sum(axis=1) - exps[:, n:].sum(axis=1))
+    out = [_batched_mean(v) for v in vals]
+    return out[0] if one_case else out
 
 
 def _mc_dets(N, xs, n_samples, seed, chunk):

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from charpolylab import charpoly, ensemble
 from charpolylab._rng import substream
 from charpolylab.charpoly import (VerificationCase, exp_moment_field, exp_pm2_moment, fs_balanced,
                                   laplace_split, mc_char_ratio, vandermonde_det,
@@ -13,8 +16,8 @@ from charpolylab.ensemble import char_poly, tridiagonal_draw
 from charpolylab.gaussfield import BiasSpec
 from charpolylab.hyperbolic import joukowsky
 from charpolylab.orthopoly import _scaled_det, recurrence_table
-from oracles import (_mp_dps, mc_abs2_moment, mc_field_bias_moment, mp_faddeeva,
-                     mp_fs_balanced)
+from oracles import (_mp_dps, mc_abs2_moment, mc_char_ratio_oneshot, mc_field_bias_moment,
+                     mp_faddeeva, mp_fs_balanced)
 
 
 def test_vandermonde():
@@ -298,6 +301,48 @@ def test_mc_char_ratio_case_axis_matches_one_case_calls(p, q):
         one_mc, one_se = mc_char_ratio(16, pc, qc, 1_000, seed=7, chunk=300)
         assert np.array([mc, se]).view(np.uint64).tolist() == \
             np.array([one_mc, one_se]).view(np.uint64).tolist()
+
+
+def _bits(cases):
+    return np.array(cases, dtype=complex).view(np.uint64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 40), n_samples=st.integers(1, 1000), rows=st.integers(1, 700),
+       n_cases=st.integers(1, 3), n_points=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(N=5, n_samples=301, rows=1, n_cases=2, n_points=2, seed=0)
+def test_mc_char_ratio_blocks_match_oneshot(N, n_samples, rows, n_cases, n_points, seed):
+    # e drawn and run in blocks of rows draws, across chunk = 300 boundaries,
+    # gives the values and SEs of each chunk drawn and run whole
+    rng = np.random.default_rng(seed)
+    p, q = (rng.uniform(-0.8, 0.8, (n_cases, n_points))
+            + 1j * rng.uniform(0.2, 0.8, (n_cases, n_points)) for _ in range(2))
+    got = _bits(mc_char_ratio(N, p, q, n_samples, seed, chunk=300))
+    blocks = ensemble.tridiagonal_blocks
+    with mock.patch.object(charpoly, "tridiagonal_blocks",
+                           lambda N, rng, n, _: blocks(N, rng, n, rows)):
+        assert _bits(mc_char_ratio(N, p, q, n_samples, seed, chunk=300)) == got
+    # the one-shot body's np.prod reduces a chunk of one draw with several
+    # points a side in numpy's reduction loop, which rounds a complex product
+    # differently from its elementwise loop; mc_char_ratio multiplies
+    # elementwise at every block length, so only such a chunk may differ
+    if n_points == 1 or n_samples % 300 != 1:
+        assert got == _bits(mc_char_ratio_oneshot(N, p, q, n_samples, seed, chunk=300))
+
+
+def test_mc_char_ratio_peak_memory():
+    # at fs-verify's N = 256 with 10,000 samples and both cases, the oracle
+    # holds the chunk's d (19.5 MiB), one block of e and the recurrence's
+    # state.  Measured peak: 24.8 MiB; 42.7 MiB with e drawn whole
+    N, n = 256, 10_000
+    tracemalloc.start()
+    try:
+        mc_char_ratio(N, [(0.3 + 0.4j,), (-0.35 + 0.45j,)],
+                      [(-0.2 + 0.5j,), (0.25 + 0.6j,)], n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * N * 8 + (9 << 20), (peak - n * N * 8) / 2**20
 
 
 def test_monte_carlo_oracles_survive_determinant_underflow(model):

@@ -322,17 +322,29 @@ def test_fs_verify_at_n2048_passes(tmp_path):
 
 
 def test_fs_verify_draws_once_per_chunk(monkeypatch):
-    # both cases read one draw per chunk of at most 200,000 samples
-    sizes = []
-    draw = charpoly.tridiagonal_draw
+    # both cases read one draw per chunk of at most 200,000 samples: one
+    # whole d per chunk, and e blocks that tile it in order
+    chunks = []
+    blocks = charpoly.tridiagonal_blocks
 
-    def counted(*args, **kwargs):
-        sizes.append(kwargs["size"])
-        return draw(*args, **kwargs)
+    def counted(N, rng, n, rows):
+        chunks.append([])
+        for d, e in blocks(N, rng, n, rows):
+            # the row of the chunk's whole d at which this block starts
+            start = (d.ctypes.data - d.base.ctypes.data) // d.strides[0]
+            chunks[-1].append((d.base.shape, start, len(d), len(e)))
+            yield d, e
 
-    monkeypatch.setattr(charpoly, "tridiagonal_draw", counted)
+    monkeypatch.setattr(charpoly, "tridiagonal_blocks", counted)
     assert main(["fs-verify", "--N", "4", "--samples", "200001"]) == 0
-    assert sizes == [(200_000,), (1,)]
+    assert [chunk[0][0] for chunk in chunks] == [(200_000, 4), (1, 4)]
+    for chunk in chunks:
+        whole = chunk[0][0]
+        assert all(base == whole and len_e == len_d for base, _, len_d, len_e in chunk)
+        ends = [start + len_d for _, start, len_d, _ in chunk]
+        assert [start for _, start, _, _ in chunk] == [0] + ends[:-1]
+        assert ends[-1] == whole[0]
+    assert len(chunks[0]) > 1
 
 
 def test_fs_verify_case0_row_is_the_one_case_oracle(tmp_path):
