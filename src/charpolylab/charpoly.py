@@ -22,7 +22,7 @@ import numpy as np
 
 from ._emit import emit
 from ._rng import substream
-from .ensemble import char_poly, tridiagonal_blocks
+from .ensemble import char_poly, g, tridiagonal_blocks
 from .hyperbolic import joukowsky
 from .orthopoly import (m_matrix, _exp2, _h_chain, _ldexp, _pi_chain,
                         _scaled_det, _tilde_factor)
@@ -127,7 +127,7 @@ def laplace_split(A, B, C, D, p, q):
     return total
 
 
-def exp_moment_field(table, model, bias):
+def exp_moment_field(table, bias):
     """E exp(B(Z)) for the matrix field Z = Q_N o J, by the scaled determinant.
 
     The bias points are pulled to the plane via p = J(conj(Z) u Z),
@@ -151,7 +151,7 @@ def exp_moment_field(table, model, bias):
         # conjugation carries M11, M22 to their conjugates and flips the
         # sign of M12, M21 (the Cauchy transforms are conjugate-antisymmetric)
         if v not in m_cache:
-            M = m_matrix(table, model, v if v.imag >= 0 else np.conj(v))
+            M = m_matrix(table, v if v.imag >= 0 else np.conj(v))
             m = M.m if v.imag >= 0 else np.conj(M.m) * [[1, -1], [-1, 1]]
             m_cache[v] = m, M.e
         return m_cache[v]
@@ -169,7 +169,7 @@ def exp_moment_field(table, model, bias):
     return float(val.real)
 
 
-def exp_pm2_moment(table, model, q, sign):
+def exp_pm2_moment(table, q, sign):
     """One-point Laplace transform E exp(+-2 Q_N(q)), from 2x2 determinants.
 
     Plus sign: the pi_N/pi_{N+1} determinant with e^{-N(g(q)+g(conj q))}.
@@ -181,7 +181,7 @@ def exp_pm2_moment(table, model, q, sign):
     if q.imag == 0.0:
         raise ValueError("Laplace transform evaluated off the real axis only")
     N = table.N
-    g2 = model.g(q) + model.g(np.conj(q))
+    g2 = g(q) + g(np.conj(q))
     if sign == +1:
         m, e = _pi_chain(table, N + 1, q)
         a, b, ab = m[N], m[N + 1], e[N] + e[N + 1]
@@ -225,15 +225,17 @@ def _batched_mean(values):
 # blocks (N = 1024, 2,000 draws: 0.34 s in blocks of 128, 0.21 in 1,024)
 _E_BLOCK_BYTES = 4 << 20
 _E_BLOCK_MIN_ROWS = 1024
+# draws per chunk of mc_char_ratio, each from a substream of its own
+_CHUNK = 200_000
 
 
-def mc_char_ratio(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
+def mc_char_ratio(N, p_pts, q_pts, n_samples, seed):
     """Monte Carlo E[prod det(p - A) / prod det(q - A)] with batch-means SE.
 
     p_pts and q_pts hold one case's points, or, with a leading case axis,
     one row of points per case; every case then reads the same draws and
     the result is one (mean, SE) per case.  Draws come in chunks of at most
-    `chunk`, chunk j from substream(seed, j); a chunk's d is held whole and
+    _CHUNK, chunk j from substream(seed, j); a chunk's d is held whole and
     its e is drawn and run through the recurrence one block of rows at a
     time (tridiagonal_blocks), which gives the values of one whole draw."""
     ps = np.array(p_pts, dtype=complex)
@@ -246,9 +248,9 @@ def mc_char_ratio(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
     rows = max(_E_BLOCK_MIN_ROWS, _E_BLOCK_BYTES // (8 * N))
     vals = np.empty((len(xs), n_samples), dtype=complex)
     at = 0
-    for task, lo in enumerate(range(0, n_samples, chunk)):
+    for task, lo in enumerate(range(0, n_samples, _CHUNK)):
         for d, e in tridiagonal_blocks(N, substream(seed, task),
-                                       min(chunk, n_samples - lo), rows):
+                                       min(_CHUNK, n_samples - lo), rows):
             dets, exps = char_poly(d, e, xs)
             # one elementwise multiply per point: np.prod would reduce a
             # one-draw block in numpy's reduction loop, whose complex

@@ -103,9 +103,8 @@ def _cmd_gen_spectrum(cfg):
 
 
 def _cmd_max_experiment(cfg):
-    model = ensemble.gue_model()
-    records, summary = extremes.max_experiment(model, cfg.N, cfg.n_samples,
-                                               cfg.y, cfg.seed, threads=cfg.threads)
+    records, summary = extremes.max_experiment(cfg.N, cfg.n_samples, cfg.y,
+                                               cfg.seed, threads=cfg.threads)
     if cfg.out_path:
         emit(extremes.experiment_rows(records), cfg.out_path, "csv",
              header=extremes.EXPERIMENT_CSV_FIELDS)
@@ -118,7 +117,7 @@ def _cmd_max_experiment(cfg):
 
 
 def _cmd_fs_verify(cfg):
-    table = orthopoly.recurrence_table(ensemble.gue_model(), cfg.N)
+    table = orthopoly.OPTable(cfg.N)
     cases = []
     checks = []
     fixed = [((0.3 + 0.4j,), (-0.2 + 0.5j,)),
@@ -141,15 +140,13 @@ def _cmd_fs_verify(cfg):
 
 
 def _cmd_mem_verify(cfg):
-    model = ensemble.gue_model()
     rows = []
     for N in (64, 128, 256, 512):
         rr = 1.0 - N ** -0.5
         z = 1j * rr
         w = 1j * rr * np.exp(1j * 0.4 * N ** -0.5)
         bias = BiasSpec(plus_points=(z,), minus_points=(w,))
-        table = orthopoly.recurrence_table(model, N)
-        ratio = momentlab.mem_ratio(table, model, bias)
+        ratio = momentlab.mem_ratio(orthopoly.OPTable(N), bias)
         rows.append([N, "singleton_pair_ray", ratio, abs(ratio - 1.0)])
     if cfg.out_path:
         emit(rows, cfg.out_path, "csv", header=["N", "bias_id", "ratio", "abs_error"])
@@ -221,10 +218,9 @@ def _cmd_lowerbound_sim(cfg):
 
 
 def _cmd_upperbound_verify(cfg):
-    model = ensemble.gue_model()
     # tail fraction of the grid maximum
-    records, _ = extremes.max_experiment(model, cfg.N, cfg.n_samples, None,
-                                         cfg.seed, threads=cfg.threads)
+    records, _ = extremes.max_experiment(cfg.N, cfg.n_samples, None, cfg.seed,
+                                         threads=cfg.threads)
     thresh = math.log(cfg.N) + 3.0 * math.log(math.log(cfg.N))
     tail = float(np.mean([r.m_star > thresh for r in records]))
     # Chebyshev-grid factor on random polynomials
@@ -236,14 +232,14 @@ def _cmd_upperbound_verify(cfg):
         worst_ratio = max(worst_ratio,
                           extremes.factor14_check(deg, roots=roots)["max_ratio"])
     # Laplace transform bound over the verification grid
-    tab = orthopoly.recurrence_table(model, 64)
+    tab = orthopoly.OPTable(64)
     c_emp = 0.0
     for x in (-0.6, -0.2, 0.0, 0.3, 0.7):
         for im in (1.0 / 64, 0.05, 0.2, 1.0):
             q = x + 1j * im
             for sign in (+1, -1):
-                v = charpoly.exp_pm2_moment(tab, model, q, sign)
-                bound = v * im / ((1.0 + im) * orthopoly.r_weight(model, q) ** 2)
+                v = charpoly.exp_pm2_moment(tab, q, sign)
+                bound = v * im / ((1.0 + im) * orthopoly.r_weight(q) ** 2)
                 c_emp = max(c_emp, bound)
     doc = {"tail_fraction": tail, "worst_factor_ratio": worst_ratio,
            "laplace_bound_constant": c_emp}
@@ -291,7 +287,7 @@ COMMANDS = tuple(_RUNNERS)
 # ArithmeticErrors; LinAlgError is a failed dsterf or covariance factor;
 # RuntimeError the h-chain bound or the pair scatter; MemoryError an array
 # the machine refused (fs-verify holds cases x samples complex values, plus
-# per chunk min(samples, 200,000) x N float64 of d and one block of e)
+# per chunk min(samples, charpoly._CHUNK) x N float64 of d and one block of e)
 _BREAKDOWNS = (ArithmeticError, np.linalg.LinAlgError, RuntimeError, MemoryError)
 
 

@@ -1,108 +1,39 @@
-"""Equilibrium models and eigenvalue sampling for weights e^{-N V}.
+"""The quadratic potential's equilibrium data and eigenvalue sampling for
+the weight e^{-N V}.
 
-The packaged model is the quadratic potential V(x) = 2 x^2, normalized so
-the limiting density is the semicircle on [-1, 1]; its g, g_tilde and
-Stieltjes transform are closed forms on scalars or arrays.  make_model
-builds one-cut models from a user-supplied density, with g_tilde alone, by
-quadrature on scalars.  Spectra are drawn from the exact tridiagonal
-realization (quadratic V only).  The characteristic polynomial det(x - A) of
-a draw comes straight from that tridiagonal matrix, by the three-term
-determinant recurrence (char_poly), which every Monte Carlo and grid-maximum
-route runs; eigenvalues are solved only where they are the output
-(gen-spectrum) or an oracle.
+V(x) = 2 x^2 is normalized so the limiting density rho is the semicircle on
+[-1, 1]; its g, g_tilde and Stieltjes transform are closed forms on scalars
+or arrays, and ELL_V and RHO_MAX are its Euler-Lagrange constant and sup rho.
+Spectra are drawn from the exact tridiagonal realization.  The
+characteristic polynomial det(x - A) of a draw comes straight from that
+tridiagonal matrix, by the three-term determinant recurrence (char_poly),
+which every Monte Carlo and grid-maximum route runs; eigenvalues are solved
+only where they are the output (gen-spectrum) or an oracle.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._rng import substream
 
 __all__ = [
-    "EquilibriumModel",
+    "ELL_V",
+    "RHO_MAX",
+    "SUPPORT",
     "Spectrum",
+    "V",
     "char_poly",
-    "gue_model",
-    "make_model",
+    "g",
+    "g_tilde",
+    "rho",
     "sample_spectrum_gue",
+    "stieltjes",
     "tridiagonal_blocks",
     "tridiagonal_draw",
 ]
-
-
-def _quad(rho, support, f, sing=math.nan):
-    """integral of f(u) rho(u) du over the support by adaptive quadrature,
-    for a real f, with a breakpoint at sing (if given) where f is not smooth."""
-    # imported on first call (it loads scipy.optimize and scipy.sparse): the
-    # closed-form quadratic model never gets here, so no command pays for it
-    from scipy import integrate
-
-    cos, sin = math.cos, math.sin
-    total = 0.0
-    for a, b in support:
-        # u = mid + hw*cos(phi) absorbs the square-root edge factor
-        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
-
-        def integrand(phi):
-            u = mid + hw * cos(phi)
-            return f(u) * rho(u) * hw * sin(phi)
-
-        points = ([math.acos(min(1.0, max(-1.0, (sing - mid) / hw)))]
-                  if a < sing < b else None)
-        val, _ = integrate.quad(integrand, 0.0, math.pi, points=points,
-                                limit=200, epsabs=1e-13, epsrel=1e-13)
-        total += val
-    return total
-
-
-def _quad_tilde_g(rho, support, x):
-    """-integral of log|x-u| rho(u) du by quadrature (a node at u = x adds 0)."""
-    return -_quad(rho, support, lambda u: math.log(abs(x - u) or 1.0), sing=x)
-
-
-@dataclass
-class EquilibriumModel:
-    """Potential V, equilibrium density rho, and its log-potential data.
-
-    g(q)         -- integral of log(q-u) rho(du), analytic off (-inf, right edge]
-    g_tilde(x)   -- -integral of log|x-u| rho(du) on the real axis
-    stieltjes(q) -- g'(q)
-    ell_v        -- the Euler-Lagrange constant 2*int log|x-u| rho(du) - V(x)
-
-    gue_model's g, g_tilde and stieltjes take a scalar (giving a scalar) or
-    an array; make_model's models carry g_tilde alone, by quadrature on scalars.
-    """
-
-    name: str
-    V: object
-    rho: object
-    support: list
-    g_tilde: object = field(repr=False)
-    g: object = field(default=None, repr=False)
-    stieltjes: object = field(default=None, repr=False)
-    ell_v: float = None
-    rho_max: float = None
-    _profile: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def ell_v_profile(self):
-        """ell_V(x) = -2 g_tilde(x) - V(x) on 101 points of each support
-        interval, 2% in from its ends (should be flat).
-
-        Computed on the first call and kept, read-only, on the model: one
-        quadrature per point for make_model's models.
-        """
-        if self._profile is None:
-            xs = []
-            for a, b in self.support:
-                pad = 0.02 * (b - a)
-                xs.append(np.linspace(a + pad, b - pad, 101))
-            xs = np.concatenate(xs)
-            vals = np.array([-2.0 * self.g_tilde(x) - self.V(x) for x in xs])
-            xs.flags.writeable = vals.flags.writeable = False
-            self._profile = (xs, vals)
-        return self._profile
 
 
 def _on_arrays(f, dtype):
@@ -113,6 +44,23 @@ def _on_arrays(f, dtype):
         x = np.asarray(x, dtype=dtype)
         return f(x.reshape(-1)).reshape(x.shape)[()]
     return on_arrays
+
+
+def V(x):
+    """The quadratic potential V(x) = 2 x^2."""
+    return 2.0 * x * x
+
+
+def rho(u):
+    """The semicircle density (2/pi) sqrt(1 - u^2) on SUPPORT, 0 off it."""
+    t = 1.0 - u * u
+    return (2.0 / math.pi) * math.sqrt(t) if t > 0.0 else 0.0
+
+
+SUPPORT = ((-1.0, 1.0),)
+# the Euler-Lagrange constant 2 int log|x-u| rho(du) - V(x), and sup rho
+ELL_V = -1.0 - 2.0 * math.log(2.0)
+RHO_MAX = 2.0 / math.pi
 
 
 # For the semicircle, g(q) = q^2 - q s + log(q+s) - 1/2 - log 2 with
@@ -138,46 +86,13 @@ def _gue_stieltjes(q):
     return 2.0 / (q + np.sqrt(q - 1.0) * np.sqrt(q + 1.0))
 
 
-def gue_model():
-    """Quadratic model: V = 2x^2, semicircle density (2/pi) sqrt(1-u^2) on [-1,1].
-
-    g, g_tilde and the Stieltjes transform are closed-form; _quad_tilde_g and
-    the tests' quad_g and quad_stieltjes are their quadrature oracles.
-    """
-    def V(x):
-        return 2.0 * x * x
-
-    def rho(u):
-        t = 1.0 - u * u
-        return (2.0 / math.pi) * math.sqrt(t) if t > 0.0 else 0.0
-
-    return EquilibriumModel(
-        name="gue",
-        V=V,
-        rho=rho,
-        support=[(-1.0, 1.0)],
-        g=_on_arrays(_gue_g, complex),
-        g_tilde=_on_arrays(_gue_g_tilde, float),
-        stieltjes=_on_arrays(_gue_stieltjes, complex),
-        ell_v=-1.0 - 2.0 * math.log(2.0),
-        rho_max=2.0 / math.pi,
-    )
-
-
-def make_model(name, V, rho, support):
-    """Build a model from a supplied density; validates ell_V constancy."""
-    support = list(support)
-    model = EquilibriumModel(name=name, V=V, rho=rho, support=support,
-                             g_tilde=partial(_quad_tilde_g, rho, support))
-    xs, vals = model.ell_v_profile()
-    if vals.std() > 1e-8:
-        raise ValueError(
-            f"ell_V varies by std {vals.std():.2e} over the support grid; "
-            "the supplied density is not the equilibrium density for V"
-        )
-    model.ell_v = float(vals.mean())
-    model.rho_max = max(rho(x) for x in xs)
-    return model
+# g(q) = int log(q-u) rho(du), analytic off (-inf, 1]; g_tilde(x) =
+# -int log|x-u| rho(du) on the real axis; stieltjes(q) = g'(q).  Each takes a
+# scalar (giving a scalar) or an array; tests/oracles.py holds their
+# quadratures.
+g = _on_arrays(_gue_g, complex)
+g_tilde = _on_arrays(_gue_g_tilde, float)
+stieltjes = _on_arrays(_gue_stieltjes, complex)
 
 
 @dataclass

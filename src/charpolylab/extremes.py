@@ -19,7 +19,8 @@ from functools import partial
 import numpy as np
 
 from ._rng import task_seed
-from .ensemble import Spectrum, char_poly, sample_spectrum_gue
+from .ensemble import (RHO_MAX, Spectrum, char_poly, g, g_tilde,
+                       sample_spectrum_gue)
 
 __all__ = [
     "MaxRecord",
@@ -29,14 +30,16 @@ __all__ = [
     "OrderingViolation",
     "max_experiment",
     "CV_MARGIN",
-    "ordering_constant",
+    "C_V",
     "EXPERIMENT_CSV_FIELDS",
 ]
 
 EXPERIMENT_CSV_FIELDS = ["N", "seed_index", "m_star", "m_star_over_logN",
                          "m_star_centered_2nd_order", "m_star_reg"]
 
-# slack over the exact shift bound pi*max(rho)*y, absorbing grid rounding
+# shift constant of the off-axis ordering: pi * sup rho, the exact bound
+C_V = math.pi * RHO_MAX
+# slack over the exact shift bound C_V y, absorbing grid rounding
 CV_MARGIN = 1e-9
 
 
@@ -180,39 +183,32 @@ def _second_order_center(N):
     return math.log(N) - 0.75 * math.log(math.log(N))
 
 
-def ordering_constant(model):
-    """Shift constant for the off-axis ordering: pi * sup rho (exact bound)."""
-    return math.pi * model.rho_max
-
-
-def _grid_maxima(block, model, y):
+def _grid_maxima(block, grid, y):
     """Grid maxima (m_star, m_star_reg) of Q_N for each draw of a block.
 
-    block is a Spectrum whose (d, e) carry a leading sample axis.  m_star is
-    the max over the Chebyshev grid; m_star_reg the max over the grid
-    shifted by -iy/N (NaN when y is None), which must satisfy the ordering
-    m_star <= m_star_reg + C_V y with C_V = pi * sup rho (the exact
-    equilibrium shift bound), or OrderingViolation is raised.  A non-finite
-    maximum fails it too (the shifted grid overflows beyond y/N ~ 2e9).
+    block is a Spectrum whose (d, e) carry a leading sample axis, and grid
+    is cheb_grid(block.N).  m_star is the max over the grid; m_star_reg the
+    max over the grid shifted by -iy/N (NaN when y is None), which must
+    satisfy the ordering m_star <= m_star_reg + C_V y, or OrderingViolation
+    is raised.  A non-finite maximum fails it too (the shifted grid
+    overflows beyond y/N ~ 2e9).
     """
     N = block.N
-    grid = cheb_grid(N)
     xs = grid if y is None else np.concatenate([grid, grid - 1j * (y / N)])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         m, e = char_poly(block.d[:, None], block.e[:, None], xs)
         logs = np.log(np.abs(m)) + e * math.log(2.0)
-        m_star = (logs[:, :len(grid)] + N * model.g_tilde(grid)).max(axis=1)
+        m_star = (logs[:, :len(grid)] + N * g_tilde(grid)).max(axis=1)
         if y is None:
             return m_star, np.full(len(m_star), math.nan)
-        center = model.g(grid - 1j * (y / N)).real
+        center = g(grid - 1j * (y / N)).real
         m_star_reg = (logs[:, len(grid):] - N * center).max(axis=1)
-    c_v = ordering_constant(model)
     for a, b in zip(m_star, m_star_reg):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise OrderingViolation(
                 f"non-finite maximum: m_star = {a}, m_star_reg = {b} at y = {y}")
-        if a > b + c_v * y + CV_MARGIN:
-            raise OrderingViolation(f"ordering violated: {a} > {b} + {c_v}*{y}")
+        if a > b + C_V * y + CV_MARGIN:
+            raise OrderingViolation(f"ordering violated: {a} > {b} + {C_V}*{y}")
     return m_star, m_star_reg
 
 
@@ -238,10 +234,10 @@ def _quartiles(x):
     return out
 
 
-def max_experiment(model, N, n_samples, y, seed, threads=1):
+def max_experiment(N, n_samples, y, seed, threads=1):
     """Per-sample grid maxima of the centered field, plus a quartile summary.
 
-    Deterministic in (model, N, n_samples, y, seed): sample i always draws
+    Deterministic in (N, n_samples, y, seed): sample i always draws
     from the substream derived for index i, whatever the thread count.
     With y set, each record also carries the max over the grid shifted by
     -iy/N, checked against the ordering bound (see _grid_maxima).
@@ -251,6 +247,7 @@ def max_experiment(model, N, n_samples, y, seed, threads=1):
     per_sample = (2 * N + 1) * (8 if y is None else 32)
     n_blocks = -(-n_samples * per_sample // _BLOCK_BYTES)
     size = -(-n_samples // n_blocks)
+    grid = cheb_grid(N)
 
     def one(lo):
         spectra = [sample_spectrum_gue(N, task_seed(seed, i))
@@ -258,7 +255,7 @@ def max_experiment(model, N, n_samples, y, seed, threads=1):
         block = Spectrum(N=N, d=np.stack([s.d for s in spectra]),
                          e=np.stack([s.e for s in spectra]))
         return [MaxRecord(N=N, m_star=float(a), m_star_reg=float(b))
-                for a, b in zip(*_grid_maxima(block, model, y))]
+                for a, b in zip(*_grid_maxima(block, grid, y))]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         records = [r for part in pool.map(one, range(0, n_samples, size)) for r in part]

@@ -28,9 +28,9 @@ __all__ = [
 ]
 
 
-def mem_ratio(table, model, bias):
+def mem_ratio(table, bias):
     """E e^{B(Z)} / E e^{B(G)}: the mixed-exponential-moment comparison."""
-    return exp_moment_field(table, model, bias) / exp_moment_g(bias)
+    return exp_moment_field(table, bias) / exp_moment_g(bias)
 
 
 def matching_subset_sup(config):

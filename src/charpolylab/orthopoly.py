@@ -2,9 +2,10 @@
 Cauchy transforms, the 2x2 Riemann-Hilbert matrices, the one-cut global
 parametrix, and the edge weight function.
 
-Only the quadratic weight is sampled exactly (by the tridiagonal model), so
-its closed-form recurrence pi_{n+1} = x pi_n - (n/4N) pi_{n-1} is the only
-one built here.
+The weight is e^{-N V} for ensemble's quadratic V, the one weight the
+tridiagonal model samples exactly, so the recurrence is its closed form
+pi_{n+1} = x pi_n - (n/4N) pi_{n-1}; M_N and the edge weight read V's g,
+ELL_V and SUPPORT from ensemble.
 
 Polynomial and transform values are carried as a complex mantissa m and an
 integer exponent e, with value m * 2**e (the form charpoly's Monte Carlo
@@ -24,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import ELL_V, SUPPORT, g
+
 __all__ = [
     "OPTable",
     "RHMatrix",
     "DeterminantError",
-    "recurrence_table",
     "h0_closed",
     "y_matrix",
     "m_matrix",
@@ -116,14 +118,6 @@ class OPTable:
                 ex += s
             m[n], e[n] = cur, ex
         self.gamma_sq = (m, e)
-
-
-def recurrence_table(model, N):
-    """Normalizing constants for e^{-2N x^2} up to degree N; any model but
-    the quadratic one is rejected."""
-    if model.name != "gue":
-        raise ValueError(f"model {model.name!r} has no closed-form recurrence")
-    return OPTable(N=N)
 
 
 def _rescale(prev, cur):
@@ -305,7 +299,7 @@ def y_matrix(table, q):
     return _rh_matrix(*_y_cells(table, q), "Y", q, 1e-6)
 
 
-def m_matrix(table, model, q):
+def m_matrix(table, q):
     """The normalized matrix M_N at q; its values are O(1) in the bulk.
 
     M is Y_N conjugated by e^{-N ell_V sigma3/2} ... e^{-N(g-ell_V/2) sigma3};
@@ -313,11 +307,10 @@ def m_matrix(table, model, q):
     raw exponentials.
     """
     N = table.N
-    g = model.g(q)
-    ell = model.ell_v
+    gq = g(q)
     m, e = _y_cells(table, q)
     # e^{-N g}, e^{+N(g-ell)}; e^{-N(g-ell)}, e^{+N g}
-    fm, fe = _exp2([[-N * g, N * (g - ell)], [-N * (g - ell), N * g]])
+    fm, fe = _exp2([[-N * gq, N * (gq - ELL_V)], [-N * (gq - ELL_V), N * gq]])
     return _rh_matrix(m * fm, e + fe, "M", q, 1e-6)
 
 
@@ -348,11 +341,11 @@ def global_parametrix_onecut(q):
                       np.zeros((2, 2), dtype=np.int64), "M_infinity", q, 1e-12)
 
 
-def r_weight(model, q):
+def r_weight(q):
     """Edge weight prod over support endpoints of |q - e|^{-1/4}."""
     q = complex(q)
     out = 1.0
-    for a, b in model.support:
+    for a, b in SUPPORT:
         for e in (a, b):
             d = abs(q - e)
             if d == 0.0:

@@ -1,22 +1,16 @@
 import numpy as np
 import pytest
 
-from charpolylab.ensemble import gue_model
-from charpolylab.orthopoly import recurrence_table
+from charpolylab.orthopoly import OPTable
 
 
 @pytest.fixture(scope="session")
-def model():
-    return gue_model()
-
-
-@pytest.fixture(scope="session")
-def table_cache(model):
+def table_cache():
     cache = {}
 
     def get(N):
         if N not in cache:
-            cache[N] = recurrence_table(model, N)
+            cache[N] = OPTable(N)
         return cache[N]
 
     return get

@@ -11,14 +11,55 @@ from scipy import integrate
 
 from charpolylab._rng import substream
 from charpolylab.charpoly import _batched_mean
-from charpolylab.ensemble import _quad, char_poly, tridiagonal_draw
+from charpolylab.ensemble import (SUPPORT, V, char_poly, g, g_tilde,
+                                  tridiagonal_draw)
 from charpolylab.extremes import _golden_max_vec, cheb_grid
 from charpolylab.gaussfield import _dpstrf
 from charpolylab.hyperbolic import joukowsky, pseudo_dist
 from charpolylab.orthopoly import _ldexp
 
 
-def h0_quadrature(model, N, q):
+def _quad(rho, support, f, sing=math.nan):
+    """integral of f(u) rho(u) du over the support by adaptive quadrature,
+    for a real f, with a breakpoint at sing (if given) where f is not smooth."""
+    cos, sin = math.cos, math.sin
+    total = 0.0
+    for a, b in support:
+        # u = mid + hw*cos(phi) absorbs the square-root edge factor
+        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
+
+        def integrand(phi):
+            u = mid + hw * cos(phi)
+            return f(u) * rho(u) * hw * sin(phi)
+
+        points = ([math.acos(min(1.0, max(-1.0, (sing - mid) / hw)))]
+                  if a < sing < b else None)
+        val, _ = integrate.quad(integrand, 0.0, math.pi, points=points,
+                                limit=200, epsabs=1e-13, epsrel=1e-13)
+        total += val
+    return total
+
+
+def quad_g_tilde(rho, support, x):
+    """-integral of log|x-u| rho(u) du by quadrature (a node at u = x adds 0),
+    the oracle for ensemble.g_tilde."""
+    return -_quad(rho, support, lambda u: math.log(abs(x - u) or 1.0), sing=x)
+
+
+def ell_v_profile(log_potential):
+    """ell_V(x) = -2 log_potential(x) - V(x) on 101 points of each interval
+    of ensemble.SUPPORT, 2% in from its ends, one scalar call per point:
+    flat, at the Euler-Lagrange constant, when log_potential is the g_tilde
+    of V's equilibrium density."""
+    xs = []
+    for a, b in SUPPORT:
+        pad = 0.02 * (b - a)
+        xs.append(np.linspace(a + pad, b - pad, 101))
+    xs = np.concatenate(xs)
+    return xs, np.array([-2.0 * log_potential(x) - V(x) for x in xs])
+
+
+def h0_quadrature(N, q):
     """h_0(q) = (2 pi i)^{-1} integral of e^{-N V(x)}/(x-q) dx by quadrature,
     the oracle for orthopoly.h0_closed.
 
@@ -31,7 +72,7 @@ def h0_quadrature(model, N, q):
     pts = [q.real] if -L < q.real < L else None
 
     def f(x):
-        return math.exp(-N * model.V(x)) / (x - q)
+        return math.exp(-N * V(x)) / (x - q)
 
     re, _ = integrate.quad(lambda x: f(x).real, -L, L, points=pts, limit=400,
                            epsabs=1e-15, epsrel=1e-13)
@@ -63,7 +104,7 @@ def quad_stieltjes(rho, support, q):
     return val
 
 
-def field_q(spectrum, model, q):
+def field_q(spectrum, q):
     """Q(q) = sum log|q - lambda_i| - N * Re g(q) by the eigenvalue route.
 
     On the real axis the centering uses the log-potential -g_tilde (valid on
@@ -73,7 +114,7 @@ def field_q(spectrum, model, q):
     q = complex(q)
     with np.errstate(divide="ignore"):
         logsum = float(np.log(np.abs(q - spectrum.eigenvalues)).sum())
-    center = -model.g_tilde(q.real) if q.imag == 0.0 else model.g(q).real
+    center = -g_tilde(q.real) if q.imag == 0.0 else g(q).real
     return logsum - spectrum.N * center
 
 
@@ -300,13 +341,13 @@ def _mc_dets(N, xs, n_samples, seed, chunk):
         yield lo, *char_poly(d, e, xs)
 
 
-def mc_abs2_moment(N, model, q, sign, n_samples, seed, chunk=200_000):
+def mc_abs2_moment(N, q, sign, n_samples, seed, chunk=200_000):
     """Monte Carlo E exp(+-2 Q_N(q)) = E |det(q-A)|^{+-2} e^{-+2N Re g(q)},
     the oracle for charpoly.exp_pm2_moment."""
     q = complex(q)
     # the centering e^{-+2N Re g(q)} as 2**(k + f), folded into each value's
     # exponent so that neither it nor |det|^{+-2} over- or underflows alone
-    k, f = divmod(-sign * 2.0 * N * model.g(q).real / math.log(2.0), 1.0)
+    k, f = divmod(-sign * 2.0 * N * g(q).real / math.log(2.0), 1.0)
     vals = np.empty(n_samples)
     for lo, dets, exps in _mc_dets(N, [q], n_samples, seed, chunk):
         vals[lo:lo + dets.shape[1]] = np.ldexp(np.abs(dets[0]) ** (2 * sign) * 2.0 ** f,
@@ -314,13 +355,13 @@ def mc_abs2_moment(N, model, q, sign, n_samples, seed, chunk=200_000):
     return _batched_mean(vals)
 
 
-def mc_field_bias_moment(model, N, bias, n_samples, seed, chunk=100_000):
+def mc_field_bias_moment(N, bias, n_samples, seed, chunk=100_000):
     """Monte Carlo E exp(B(Z)) for the matrix field, the oracle for
     charpoly.exp_moment_field."""
     p_pts = [joukowsky(z) for z in bias.plus_points]
     q_pts = [joukowsky(w) for w in bias.minus_points]
-    log_center = sum(2.0 * model.g(x).real for x in p_pts) \
-        - sum(2.0 * model.g(x).real for x in q_pts)
+    log_center = sum(2.0 * g(x).real for x in p_pts) \
+        - sum(2.0 * g(x).real for x in q_pts)
     vals = np.empty(n_samples)
     for lo, dets, exps in _mc_dets(N, p_pts + q_pts, n_samples, seed, chunk):
         logs = 2.0 * (np.log(np.abs(dets)) + exps * math.log(2.0))

@@ -7,6 +7,8 @@ fixtures.  Master seeds are fixed, so every number here is reproducible.
 
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -16,7 +18,7 @@ from charpolylab._rng import substream, task_seed
 from charpolylab import cli
 from charpolylab.charpoly import (exp_pm2_moment, fs_balanced, laplace_split,
                                   mc_char_ratio, vandermonde_det)
-from charpolylab.ensemble import gue_model, make_model
+from charpolylab.ensemble import SUPPORT, g, rho, stieltjes
 from charpolylab.extremes import cheb_grid, factor14_check, max_experiment
 from charpolylab.gaussfield import (BiasSpec, bias_variance, exp_moment_g,
                                     kernel_g, sample_gauss)
@@ -24,8 +26,10 @@ from charpolylab.hyperbolic import branch_profile_grid, pseudo_dist
 from charpolylab.momentlab import (LowerBoundParams, lower_bound_mc,
                                    matching_subset_sup, mem_ratio,
                                    random_pair_configuration)
-from charpolylab.orthopoly import (global_parametrix_onecut, m_matrix,
-                                   r_weight, recurrence_table, y_matrix)
+from charpolylab.orthopoly import (OPTable, global_parametrix_onecut, m_matrix,
+                                   r_weight, y_matrix)
+
+from oracles import ell_v_profile, quad_g_tilde
 
 SEED = 20260808
 
@@ -36,16 +40,11 @@ def _report(num, name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def model():
-    return gue_model()
-
-
-@pytest.fixture(scope="module")
-def lln_runs(model):
+def lln_runs():
     runs = {}
     for N in (256, 1024, 4096):
         t0 = time.time()
-        records, summary = max_experiment(model, N, 200, None, seed=SEED, threads=2)
+        records, summary = max_experiment(N, 200, None, seed=SEED, threads=2)
         runs[N] = (records, summary, time.time() - t0)
     return runs
 
@@ -76,7 +75,7 @@ def test_criterion_2_upper_bound(lln_runs):
     assert ok
 
 
-def test_criterion_3_fs_oracle(model):
+def test_criterion_3_fs_oracle():
     t0 = time.time()
     cases = [(4, (0.3 + 0.4j,), (-0.2 + 0.5j,)),
              (4, (-0.35 + 0.45j,), (0.25 + 0.6j,)),
@@ -84,7 +83,7 @@ def test_criterion_3_fs_oracle(model):
              (6, (-0.35 + 0.45j,), (0.25 + 0.6j,))]
     zs = []
     for i, (N, p, q) in enumerate(cases):
-        table = recurrence_table(model, N)
+        table = OPTable(N)
         f = fs_balanced(table, p, q)
         mc, se = mc_char_ratio(N, p, q, 1_000_000, task_seed(SEED, 100 + i))
         zs.append(abs(mc - f) / (se * math.sqrt(2.0)))
@@ -96,17 +95,17 @@ def test_criterion_3_fs_oracle(model):
     assert ok
 
 
-def test_criterion_4_determinant_suite(model):
+def test_criterion_4_determinant_suite():
     rng = substream(SEED, 4)
     worst_det = 0.0
     for _ in range(100):
         N = int(rng.integers(2, 65))
         q = complex(rng.uniform(-1.5, 1.5),
                     rng.choice([-1, 1]) * rng.uniform(0.05, 1.0))
-        table = recurrence_table(model, N)
+        table = OPTable(N)
         worst_det = max(worst_det,
                         abs(y_matrix(table, q).det - 1.0),
-                        abs(m_matrix(table, model, q).det - 1.0),
+                        abs(m_matrix(table, q).det - 1.0),
                         abs(global_parametrix_onecut(q).det - 1.0))
     worst_split = 0.0
     for _ in range(100):
@@ -122,7 +121,7 @@ def test_criterion_4_determinant_suite(model):
         direct = np.linalg.det(np.vstack([top, bot]))
         denom = max(abs(direct), 1e-30)
         worst_split = max(worst_split, abs(split - direct) / denom)
-    table8 = recurrence_table(model, 8)
+    table8 = OPTable(8)
     pts = [0.3 + 0.5j, -0.2 + 0.6j, 0.1 - 0.7j]
     worst_unity = max(abs(fs_balanced(table8, pts[:l], pts[:l]) - 1.0)
                       for l in (1, 2, 3))
@@ -168,15 +167,15 @@ def test_criterion_5_gaussian_moments():
     assert ok
 
 
-def test_criterion_6_mem_ratio(model):
+def test_criterion_6_mem_ratio():
     t0 = time.time()
     errs = []
     for N in (64, 128, 256, 512):
         rr = 1.0 - N ** -0.5
         bias = BiasSpec(plus_points=(1j * rr,),
                         minus_points=(1j * rr * np.exp(1j * 0.4 * N ** -0.5),))
-        table = recurrence_table(model, N)
-        errs.append(abs(mem_ratio(table, model, bias) - 1.0))
+        table = OPTable(N)
+        errs.append(abs(mem_ratio(table, bias) - 1.0))
     elapsed = time.time() - t0
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
     ok = decreasing and errs[-1] < 0.25
@@ -236,9 +235,8 @@ def test_criterion_8_chebyshev_factor():
     assert ok
 
 
-def test_criterion_9_equilibrium(model):
-    generic = make_model("quadratic", model.V, model.rho, model.support)
-    xs, vals = generic.ell_v_profile()
+def test_criterion_9_equilibrium():
+    xs, vals = ell_v_profile(lambda x: quad_g_tilde(rho, SUPPORT, x))
     std = vals.std()
     err = abs(vals.mean() - (-1.0 - 2.0 * math.log(2.0)))
     rng = substream(SEED, 9)
@@ -246,8 +244,8 @@ def test_criterion_9_equilibrium(model):
     for _ in range(20):
         q = complex(rng.uniform(-1.5, 1.5), rng.choice([-1, 1]) * rng.uniform(0.3, 1.2))
         h = 1e-6
-        fd = (model.g(q + h) - model.g(q - h)) / (2.0 * h)
-        worst_fd = max(worst_fd, abs(fd - model.stieltjes(q)) / abs(model.stieltjes(q)))
+        fd = (g(q + h) - g(q - h)) / (2.0 * h)
+        worst_fd = max(worst_fd, abs(fd - stieltjes(q)) / abs(stieltjes(q)))
     ok = std < 1e-8 and err < 1e-8 and worst_fd < 1e-6
     _report(9, "equilibrium self-consistency", ok,
             f"ell_V std (quadrature) = {std:.2e} < 1e-8, value error {err:.2e} "
@@ -275,15 +273,15 @@ def test_criterion_10_matching_lemma():
     assert ok
 
 
-def test_criterion_11_laplace_bound(model):
-    table = recurrence_table(model, 64)
+def test_criterion_11_laplace_bound():
+    table = OPTable(64)
     c_emp = 0.0
     for x in (-0.8, -0.4, 0.0, 0.3, 0.6, 0.9):
         for im in (1.0 / 64, 0.05, 0.2, 0.5, 1.0):
             q = x + 1j * im
             for sign in (+1, -1):
-                v = exp_pm2_moment(table, model, q, sign)
-                c_emp = max(c_emp, v * im / ((1.0 + im) * r_weight(model, q) ** 2))
+                v = exp_pm2_moment(table, q, sign)
+                c_emp = max(c_emp, v * im / ((1.0 + im) * r_weight(q) ** 2))
     ok = c_emp <= 100.0
     _report(11, "Laplace-transform bound", ok,
             f"sup of E e^(+-2Q) |Im q| / ((1+|Im q|) R^2) = {c_emp:.3f} <= 100 "
@@ -311,23 +309,29 @@ def test_criterion_12_lower_bound_simulator():
     assert ok
 
 
+_SMALL_RUNS = {
+    "gen-spectrum": ["--N", "64", "--seed", "11"],
+    "max-experiment": ["--N", "128", "--samples", "8", "--seed", "5",
+                       "--y", "2"],
+    "fs-verify": ["--N", "4", "--samples", "20000", "--seed", "2"],
+    "mem-verify": ["--seed", "1"],
+    "branch-verify": ["--seed", "1"],
+    "matching-verify": ["--samples", "60", "--seed", "4"],
+    "lowerbound-sim": ["--n", "9", "--samples", "100", "--seed", "3"],
+    "upperbound-verify": ["--N", "64", "--samples", "10", "--seed", "6"],
+    "brw-verify": ["--seed", "1"],
+}
+
+
+def _out_ext(cmd):
+    return ".json" if cmd in ("lowerbound-sim", "upperbound-verify",
+                              "brw-verify") else ".csv"
+
+
 def test_criterion_13_reproducibility(tmp_path):
-    small = {
-        "gen-spectrum": ["--N", "64", "--seed", "11"],
-        "max-experiment": ["--N", "128", "--samples", "8", "--seed", "5",
-                           "--y", "2"],
-        "fs-verify": ["--N", "4", "--samples", "20000", "--seed", "2"],
-        "mem-verify": ["--seed", "1"],
-        "branch-verify": ["--seed", "1"],
-        "matching-verify": ["--samples", "60", "--seed", "4"],
-        "lowerbound-sim": ["--n", "9", "--samples", "100", "--seed", "3"],
-        "upperbound-verify": ["--N", "64", "--samples", "10", "--seed", "6"],
-        "brw-verify": ["--seed", "1"],
-    }
     pairs = []
-    for cmd, args in small.items():
-        ext = ".json" if cmd in ("lowerbound-sim", "upperbound-verify",
-                                 "brw-verify") else ".csv"
+    for cmd, args in _SMALL_RUNS.items():
+        ext = _out_ext(cmd)
         p1 = tmp_path / f"{cmd}-1{ext}"
         p2 = tmp_path / f"{cmd}-2{ext}"
         threads1 = ["--threads", "1"]
@@ -346,3 +350,25 @@ def test_criterion_13_reproducibility(tmp_path):
             "; ".join(f"{name}: {'identical' if flag else 'DIFFER'}"
                       for name, flag in pairs))
     assert ok
+
+
+def test_blas_pool_size_moves_only_lowerbound_sim(tmp_path):
+    # lowerbound-sim's covariance factor and the products that apply it run
+    # in BLAS, so its bytes may change with OPENBLAS_NUM_THREADS; every
+    # other command's files are the same for a BLAS pool of 1 and of 2
+    runs = {cmd: args for cmd, args in _SMALL_RUNS.items() if cmd != "lowerbound-sim"}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for pool in ("1", "2"):
+        out = tmp_path / pool
+        out.mkdir()
+        argvs = [[cmd] + args + ["--out", str(out / (cmd + _out_ext(cmd)))]
+                 for cmd, args in runs.items()]
+        code = ("import charpolylab.cli as cli\n"
+                f"assert [cli.main(a) for a in {argvs!r}] == [0] * {len(argvs)}")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": pool, "PYTHONPATH": src})
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    # gen-spectrum and max-experiment each write a second file
+    assert len(outputs[0]) == len(runs) + 2
+    assert outputs[0] == outputs[1]

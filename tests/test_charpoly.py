@@ -12,10 +12,10 @@ from charpolylab._rng import substream
 from charpolylab.charpoly import (VerificationCase, exp_moment_field, exp_pm2_moment, fs_balanced,
                                   laplace_split, mc_char_ratio, vandermonde_det,
                                   write_verification_report)
-from charpolylab.ensemble import char_poly, tridiagonal_draw
+from charpolylab.ensemble import char_poly, g, tridiagonal_draw
 from charpolylab.gaussfield import BiasSpec
 from charpolylab.hyperbolic import joukowsky
-from charpolylab.orthopoly import _scaled_det, recurrence_table
+from charpolylab.orthopoly import OPTable, _scaled_det
 from oracles import (_mp_dps, mc_abs2_moment, mc_char_ratio_oneshot, mc_field_bias_moment,
                      mp_faddeeva, mp_fs_balanced)
 
@@ -63,8 +63,8 @@ def test_fs_balanced_vs_monte_carlo(table_cache):
 @pytest.mark.parametrize("p,q", [(0.3 + 0.4j, -0.2 + 0.5j),
                                  (-0.35 + 0.45j, 0.25 + 0.6j)])
 @pytest.mark.parametrize("N", [256, 1024, 2048])
-def test_fs_balanced_matches_mpmath(model, N, p, q):
-    f = fs_balanced(recurrence_table(model, N), [p], [q])
+def test_fs_balanced_matches_mpmath(N, p, q):
+    f = fs_balanced(OPTable(N), [p], [q])
     assert f == pytest.approx(mp_fs_balanced(N, p, q), rel=1e-12)
 
 
@@ -146,82 +146,81 @@ def test_laplace_split_vs_direct_determinant(rng):
         assert split == pytest.approx(direct, rel=1e-10)
 
 
-def test_exp_moment_field_empty(model, table_cache):
-    assert exp_moment_field(table_cache(8), model, BiasSpec()) == 1.0
+def test_exp_moment_field_empty(table_cache):
+    assert exp_moment_field(table_cache(8), BiasSpec()) == 1.0
 
 
-def test_exp_moment_field_cross_path(model, table_cache):
+def test_exp_moment_field_cross_path(table_cache):
     tab = table_cache(16)
     z = 1j * 0.85 * np.exp(0.05j)
     w = 1j * 0.78 * np.exp(-0.04j)
     bias = BiasSpec(plus_points=(z,), minus_points=(w,))
-    emf = exp_moment_field(tab, model, bias)
+    emf = exp_moment_field(tab, bias)
     p = [joukowsky(np.conj(z)), joukowsky(z)]
     q = [joukowsky(np.conj(w)), joukowsky(w)]
     fb = fs_balanced(tab, p, q)
-    center = math.exp(-16 * sum(model.g(v).real for v in p)
-                      + 16 * sum(model.g(v).real for v in q))
+    center = math.exp(-16 * sum(g(v).real for v in p)
+                      + 16 * sum(g(v).real for v in q))
     assert emf == pytest.approx((fb * center).real, rel=1e-8)
 
 
-def test_exp_moment_field_vs_mc(model, table_cache):
+def test_exp_moment_field_vs_mc(table_cache):
     tab = table_cache(8)
     z = 1j * 0.85 * np.exp(0.05j)
     w = 1j * 0.78 * np.exp(-0.04j)
     bias = BiasSpec(plus_points=(z,), minus_points=(w,))
-    f = exp_moment_field(tab, model, bias)
-    mc, se = mc_field_bias_moment(model, 8, bias, 200_000, seed=41)
+    f = exp_moment_field(tab, bias)
+    mc, se = mc_field_bias_moment(8, bias, 200_000, seed=41)
     assert abs(mc - f) < 3.0 * se
 
 
-def test_exp_moment_field_conjugation_invariance(model, table_cache):
+def test_exp_moment_field_conjugation_invariance(table_cache):
     tab = table_cache(8)
     z = 0.3 + 0.55j
     w = -0.25 + 0.6j
-    a = exp_moment_field(tab, model, BiasSpec((z,), (w,)))
-    b = exp_moment_field(tab, model,
-                         BiasSpec((np.conj(z),), (np.conj(w),)))
+    a = exp_moment_field(tab, BiasSpec((z,), (w,)))
+    b = exp_moment_field(tab, BiasSpec((np.conj(z),), (np.conj(w),)))
     assert a == pytest.approx(b, rel=1e-9)
 
 
-def test_exp_moment_field_unbalanced_rejected(model, table_cache):
+def test_exp_moment_field_unbalanced_rejected(table_cache):
     with pytest.raises(ValueError):
-        exp_moment_field(table_cache(8), model, BiasSpec((0.3j,), ()))
+        exp_moment_field(table_cache(8), BiasSpec((0.3j,), ()))
 
 
-def test_exp_moment_field_real_point_collides_under_joukowsky(model, table_cache):
+def test_exp_moment_field_real_point_collides_under_joukowsky(table_cache):
     # a real bias point maps to the same plane point as its conjugate
     with pytest.raises(ValueError):
-        exp_moment_field(table_cache(8), model, BiasSpec((0.5,), (0.3j,)))
+        exp_moment_field(table_cache(8), BiasSpec((0.5,), (0.3j,)))
 
 
-def test_exp_pm2_positive_and_cs(model, table_cache):
+def test_exp_pm2_positive_and_cs(table_cache):
     tab = table_cache(8)
     for q in (0.2 + 0.5j, -0.4 + 0.3j, 0.6 - 0.8j):
-        plus = exp_pm2_moment(tab, model, q, +1)
-        minus = exp_pm2_moment(tab, model, q, -1)
+        plus = exp_pm2_moment(tab, q, +1)
+        minus = exp_pm2_moment(tab, q, -1)
         assert plus > 0 and minus > 0
         assert plus * minus >= 1.0 - 1e-10  # Cauchy-Schwarz on e^{+-Q}
 
 
-def test_exp_pm2_vs_mc(model, table_cache):
+def test_exp_pm2_vs_mc(table_cache):
     tab = table_cache(8)
     q = 0.2 + 0.5j
     for sign in (+1, -1):
-        f = exp_pm2_moment(tab, model, q, sign)
-        mc, se = mc_abs2_moment(8, model, q, sign, 200_000, seed=47)
+        f = exp_pm2_moment(tab, q, sign)
+        mc, se = mc_abs2_moment(8, q, sign, 200_000, seed=47)
         assert abs(mc - f) < 3.5 * se
 
 
-def test_exp_pm2_rejects_real_axis(model, table_cache):
+def test_exp_pm2_rejects_real_axis(table_cache):
     with pytest.raises(ValueError):
-        exp_pm2_moment(table_cache(8), model, 0.5, +1)
+        exp_pm2_moment(table_cache(8), 0.5, +1)
 
 
-def test_exp_pm2_minus_needs_two_levels(model, table_cache):
+def test_exp_pm2_minus_needs_two_levels(table_cache):
     # the minus sign reads h_{N-2}: at N = 1 that index would wrap to the end
     with pytest.raises(ValueError, match="N >= 2"):
-        exp_pm2_moment(table_cache(1), model, 0.2 + 0.5j, -1)
+        exp_pm2_moment(table_cache(1), 0.2 + 0.5j, -1)
 
 
 def test_verification_report(tmp_path):
@@ -293,12 +292,13 @@ def test_char_poly_layouts_agree_bitwise(N, n_samples, n_points, real, seed):
      [(-0.2 + 0.5j,), (0.25 + 0.6j,), (0.5 + 0.3j,)]),
     ([(0.3 + 0.4j, -0.1 + 0.5j), (-0.35 + 0.45j, 0.2 - 0.3j)],
      [(0.2 + 0.6j, -0.3 - 0.5j), (0.25 + 0.6j, 0.6 + 0.2j)])])
-def test_mc_char_ratio_case_axis_matches_one_case_calls(p, q):
+def test_mc_char_ratio_case_axis_matches_one_case_calls(monkeypatch, p, q):
     # every case reads the same draws, so each gives its one-case call's bits
-    cases = mc_char_ratio(16, p, q, 1_000, seed=7, chunk=300)
+    monkeypatch.setattr(charpoly, "_CHUNK", 300)
+    cases = mc_char_ratio(16, p, q, 1_000, seed=7)
     assert len(cases) == len(p)
     for (mc, se), pc, qc in zip(cases, p, q):
-        one_mc, one_se = mc_char_ratio(16, pc, qc, 1_000, seed=7, chunk=300)
+        one_mc, one_se = mc_char_ratio(16, pc, qc, 1_000, seed=7)
         assert np.array([mc, se]).view(np.uint64).tolist() == \
             np.array([one_mc, one_se]).view(np.uint64).tolist()
 
@@ -317,11 +317,12 @@ def test_mc_char_ratio_blocks_match_oneshot(N, n_samples, rows, n_cases, n_point
     rng = np.random.default_rng(seed)
     p, q = (rng.uniform(-0.8, 0.8, (n_cases, n_points))
             + 1j * rng.uniform(0.2, 0.8, (n_cases, n_points)) for _ in range(2))
-    got = _bits(mc_char_ratio(N, p, q, n_samples, seed, chunk=300))
     blocks = ensemble.tridiagonal_blocks
-    with mock.patch.object(charpoly, "tridiagonal_blocks",
-                           lambda N, rng, n, _: blocks(N, rng, n, rows)):
-        assert _bits(mc_char_ratio(N, p, q, n_samples, seed, chunk=300)) == got
+    with mock.patch.object(charpoly, "_CHUNK", 300):
+        got = _bits(mc_char_ratio(N, p, q, n_samples, seed))
+        with mock.patch.object(charpoly, "tridiagonal_blocks",
+                               lambda N, rng, n, _: blocks(N, rng, n, rows)):
+            assert _bits(mc_char_ratio(N, p, q, n_samples, seed)) == got
     # the one-shot body's np.prod reduces a chunk of one draw with several
     # points a side in numpy's reduction loop, which rounds a complex product
     # differently from its elementwise loop; mc_char_ratio multiplies
@@ -345,7 +346,7 @@ def test_mc_char_ratio_peak_memory():
     assert peak <= n * N * 8 + (9 << 20), (peak - n * N * 8) / 2**20
 
 
-def test_monte_carlo_oracles_survive_determinant_underflow(model):
+def test_monte_carlo_oracles_survive_determinant_underflow():
     # at N = 2048 det(q - A) ~ e^{N Re g(q)} is far below the smallest double
     p, q = 0.3 + 0.4j, -0.2 + 0.5j
     raw = _raw_char_poly_batch(2048, [q], substream(3, 0), 50)
@@ -353,8 +354,8 @@ def test_monte_carlo_oracles_survive_determinant_underflow(model):
     mc, se = mc_char_ratio(2048, [p], [q], 500, seed=3)
     assert np.isfinite(mc) and 0.0 < se < abs(mc)
     for sign in (+1, -1):
-        m2, se2 = mc_abs2_moment(2048, model, q, sign, 500, seed=3)
+        m2, se2 = mc_abs2_moment(2048, q, sign, 500, seed=3)
         assert np.isfinite(m2) and m2 > 0.0 and np.isfinite(se2)
     bias = BiasSpec(plus_points=(0.5j,), minus_points=(0.5j * np.exp(0.3j),))
-    mb, seb = mc_field_bias_moment(model, 2048, bias, 500, seed=3)
+    mb, seb = mc_field_bias_moment(2048, bias, 500, seed=3)
     assert np.isfinite(mb) and mb > 0.0 and np.isfinite(seb)

@@ -479,27 +479,23 @@ def _beat_dense_max(orig):
     return lambda f, lo, hi: orig(f, lo, hi) + 3.0
 
 
-@pytest.mark.parametrize("argv,attr,patch", [
-    (["max-experiment"], "ordering_constant", lambda orig: lambda m: -1e3),
-    (["upperbound-verify"], "_golden_max_vec", _beat_dense_max),
+@pytest.mark.parametrize("argv,attr,patch,error", [
+    (["max-experiment"], "C_V", lambda orig: -1e3,
+     "error: OrderingViolation: ordering violated: "),
+    (["upperbound-verify"], "_golden_max_vec", _beat_dense_max,
+     "error: Factor14Violation: sup ratio "),
     # unpatched: at y/N = 6.25e19 the shifted grid overflows, and the
     # ordering check fails on the non-finite maximum
-    (["max-experiment", "--y", "1e21", "--check"], "ordering_constant",
-     lambda orig: orig),
+    (["max-experiment", "--y", "1e21", "--check"], "C_V", lambda orig: orig,
+     "error: OrderingViolation: non-finite maximum: "),
 ], ids=["ordering", "factor14", "ordering_non_finite"])
-def test_violated_bound_exits_3(monkeypatch, capsys, argv, attr, patch):
-    patched, calls = patch(getattr(extremes, attr)), []
-
-    def counted(*args):
-        calls.append(args)
-        return patched(*args)
-
-    monkeypatch.setattr(extremes, attr, counted)
+def test_violated_bound_exits_3(monkeypatch, capsys, argv, attr, patch, error):
+    monkeypatch.setattr(extremes, attr, patch(getattr(extremes, attr)))
     assert main(argv + ["--N", "16", "--samples", "2"]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    # the patch was reached: a change that skips it cannot pass silently
-    assert calls
+    # the one line names the violated bound: a change that skips the patched
+    # check cannot pass silently
+    assert len(err) == 1 and err[0].startswith(error), err
 
 
 def test_start_index_breakdown_explains_itself(monkeypatch, capsys):

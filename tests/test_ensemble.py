@@ -12,70 +12,83 @@ from scipy.linalg import eigh_tridiagonal
 from charpolylab import ensemble
 from charpolylab._rng import substream
 from charpolylab.cli import main
-from charpolylab.ensemble import make_model, sample_spectrum_gue
+from charpolylab.ensemble import (ELL_V, SUPPORT, g, g_tilde, rho,
+                                  sample_spectrum_gue, stieltjes)
 
-from oracles import quad_g, quad_stieltjes
+from oracles import ell_v_profile, quad_g, quad_g_tilde, quad_stieltjes
 
 
-def test_density_values(model):
-    assert model.rho(0.0) == pytest.approx(2.0 / math.pi, abs=1e-15)
-    total, _ = integrate.quad(model.rho, -1, 1)
+def test_density_values():
+    assert rho(0.0) == pytest.approx(2.0 / math.pi, abs=1e-15)
+    total, _ = integrate.quad(rho, -1, 1)
     assert total == pytest.approx(1.0, abs=1e-10)
-    second, _ = integrate.quad(lambda u: u * u * model.rho(u), -1, 1)
+    second, _ = integrate.quad(lambda u: u * u * rho(u), -1, 1)
     assert second == pytest.approx(0.25, abs=1e-10)
 
 
-def test_ell_v_constant(model):
-    xs, vals = model.ell_v_profile()
+def test_ell_v_constant():
+    xs, vals = ell_v_profile(g_tilde)
     assert vals.std() < 1e-8
     assert vals.mean() == pytest.approx(-1.0 - 2.0 * math.log(2.0), abs=1e-8)
-    assert model.ell_v == pytest.approx(-1.0 - 2.0 * math.log(2.0), abs=1e-12)
+    assert ELL_V == pytest.approx(-1.0 - 2.0 * math.log(2.0), abs=1e-12)
 
 
-def test_g_tilde_closed_vs_quadrature(model):
+def test_g_tilde_closed_vs_quadrature():
     for x in (-0.7, 0.0, 0.4, 0.95, 1.3):
-        quad = ensemble._quad_tilde_g(model.rho, model.support, x)
-        assert model.g_tilde(x) == pytest.approx(quad, abs=1e-9)
+        quad = quad_g_tilde(rho, SUPPORT, x)
+        assert g_tilde(x) == pytest.approx(quad, abs=1e-9)
 
 
-def test_stieltjes_values(model, monkeypatch):
+def test_stieltjes_values(monkeypatch):
     q = 1e6
-    assert model.stieltjes(q) == pytest.approx(1.0 / q, rel=1e-5)
-    assert model.stieltjes(2.0) == pytest.approx(2.0 * (2.0 - math.sqrt(3.0)), rel=1e-12)
+    assert stieltjes(q) == pytest.approx(1.0 / q, rel=1e-5)
+    assert stieltjes(2.0) == pytest.approx(2.0 * (2.0 - math.sqrt(3.0)), rel=1e-12)
     # on the real axis the imaginary part is exactly 0 and is not integrated
     calls = []
     quad = integrate.quad
     monkeypatch.setattr(integrate, "quad",
                         lambda *args, **kw: calls.append(1) or quad(*args, **kw))
-    val = quad_stieltjes(model.rho, model.support, 2.0)
+    val = quad_stieltjes(rho, SUPPORT, 2.0)
     assert len(calls) == 1 and val.imag == 0.0
-    assert model.stieltjes(2.0) == pytest.approx(val, rel=1e-8)
-    quad_stieltjes(model.rho, model.support, 2.0 + 0.5j)
+    assert stieltjes(2.0) == pytest.approx(val, rel=1e-8)
+    quad_stieltjes(rho, SUPPORT, 2.0 + 0.5j)
     assert len(calls) == 3
 
 
-def test_g_derivative_matches_stieltjes(model):
+def test_g_derivative_matches_stieltjes():
     q = 0.3 + 0.7j
     h = 1e-6
-    fd = (model.g(q + h) - model.g(q - h)) / (2.0 * h)
-    assert abs(fd - model.stieltjes(q)) / abs(model.stieltjes(q)) < 1e-6
+    fd = (g(q + h) - g(q - h)) / (2.0 * h)
+    assert abs(fd - stieltjes(q)) / abs(stieltjes(q)) < 1e-6
 
 
-def test_g_values(model):
-    assert abs(model.g(1e6).real - math.log(1e6)) < 1e-5
+def test_g_values():
+    assert abs(g(1e6).real - math.log(1e6)) < 1e-5
     x = 0.4
     target = x * x - 0.5 - math.log(2.0)
     # the +i eps limit carries a 2 sqrt(1-x^2) eps boundary slope
-    assert model.g(x + 1e-12j).real == pytest.approx(target, abs=1e-11)
-    assert model.g(x + 1e-12j).real == pytest.approx(-model.g_tilde(x), abs=1e-11)
+    assert g(x + 1e-12j).real == pytest.approx(target, abs=1e-11)
+    assert g(x + 1e-12j).real == pytest.approx(-g_tilde(x), abs=1e-11)
     q = -0.3 + 0.8j
-    assert model.g(np.conj(q)) == pytest.approx(np.conj(model.g(q)), abs=1e-14)
+    assert g(np.conj(q)) == pytest.approx(np.conj(g(q)), abs=1e-14)
 
 
-def test_g_quadrature_oracle(model):
-    q = 0.3 + 0.7j
-    assert model.g(q) == pytest.approx(
-        quad_g(model.rho, model.support, q), abs=1e-9)
+def test_g_quadrature_oracle():
+    for q in (0.3 + 0.7j, 0.2 + 0.5j):
+        assert g(q) == pytest.approx(quad_g(rho, SUPPORT, q), abs=1e-9)
+    q = 0.2 + 0.5j
+    assert quad_stieltjes(rho, SUPPORT, q) == pytest.approx(stieltjes(q), abs=1e-9)
+
+
+def test_ell_v_profile_flags_a_wrong_density():
+    # criterion 9's quadrature profile tells densities apart: the uniform
+    # density on [-1, 1] is not V's equilibrium density, and its profile
+    # is far from flat
+    def uniform(u):
+        return 0.5 if abs(u) < 1 else 0.0
+
+    xs, vals = ell_v_profile(lambda x: quad_g_tilde(uniform, SUPPORT, x))
+    assert vals.std() > 1e-8
 
 
 _EDGE = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1e-9, 1e-9)).map(sum)
@@ -90,12 +103,10 @@ def test_closed_forms_agree_on_scalars_and_arrays(points):
     # one closed form each for g, g' and g_tilde: an array gives the
     # elementwise scalar values bit for bit, a scalar gives a scalar, and no
     # point (on the cut, at the edges, at 0) raises a warning
-    model = ensemble.gue_model()
     qs = np.array([complex(x, y) for x, y in points])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f, args in ((model.g, qs), (model.stieltjes, qs),
-                        (model.g_tilde, qs.real.copy())):
+        for f, args in ((g, qs), (stieltjes, qs), (g_tilde, qs.real.copy())):
             scalars = [f(v) for v in args.tolist()]
             assert all(np.ndim(v) == 0 for v in scalars)
             assert np.array(scalars).tobytes() == f(args).tobytes()
@@ -118,7 +129,7 @@ def test_sampler_second_moment():
     assert abs(vals.mean() - 0.25) < 3.0 * se
 
 
-def test_sampler_semicircle_cdf(model):
+def test_sampler_semicircle_cdf():
     spec = sample_spectrum_gue(4096, 12)
     lam = spec.eigenvalues
     ecdf = np.arange(1, len(lam) + 1) / len(lam)
@@ -147,37 +158,6 @@ def test_spectrum_roundtrip(tmp_path):
     assert np.array_equal(back, spec.eigenvalues)
     meta = json.loads((tmp_path / "spec.csv.json").read_text())
     assert meta["sampler"] == "tridiagonal" and meta["model"] == "gue"
-
-
-def test_make_model_rejects_wrong_density():
-    with pytest.raises(ValueError):
-        make_model("bad", lambda x: 2.0 * x * x,
-                   lambda u: 0.5 if abs(u) < 1 else 0.0, [(-1.0, 1.0)])
-
-
-def test_make_model_quadrature_path(model):
-    # a supplied density carries g_tilde by quadrature and no g or g'; the
-    # quadrature oracles for those agree with the closed forms at this point
-    generic = make_model("quadratic", model.V, model.rho, model.support)
-    assert generic.ell_v == pytest.approx(model.ell_v, abs=1e-8)
-    assert generic.g is None and generic.stieltjes is None
-    q = 0.2 + 0.5j
-    assert quad_g(generic.rho, generic.support, q) == pytest.approx(model.g(q), abs=1e-9)
-    assert quad_stieltjes(generic.rho, generic.support, q) == pytest.approx(
-        model.stieltjes(q), abs=1e-9)
-
-
-def test_make_model_profile_is_computed_once(model):
-    generic = make_model("quadratic", model.V, model.rho, model.support)
-    xs, vals = generic.ell_v_profile()
-    assert len(xs) == len(vals) == 101
-    assert generic.ell_v == float(vals.mean())
-    assert generic.rho_max == max(model.rho(x) for x in xs)
-    generic.g_tilde = None  # a second quadrature pass would fail here
-    again = generic.ell_v_profile()
-    assert again[0] is xs and again[1] is vals
-    with pytest.raises(ValueError):
-        vals[0] = 0.0
 
 
 def test_sterf_matches_eigh_tridiagonal():

@@ -8,36 +8,37 @@ from hypothesis import given, settings, strategies as st
 
 from charpolylab import extremes
 from charpolylab._rng import substream
-from charpolylab.ensemble import Spectrum, char_poly, sample_spectrum_gue
-from charpolylab.extremes import (cheb_grid, factor14_check, max_experiment,
-                                  ordering_constant, experiment_rows)
+from charpolylab.ensemble import (RHO_MAX, Spectrum, char_poly, g, g_tilde,
+                                  sample_spectrum_gue)
+from charpolylab.extremes import (C_V, cheb_grid, factor14_check, max_experiment,
+                                  experiment_rows)
 from oracles import factor14_unpruned, field_q
 
 
-def test_field_q_vanishes_at_infinity(model):
+def test_field_q_vanishes_at_infinity():
     spec = sample_spectrum_gue(64, 3)
-    assert abs(field_q(spec, model, 1e6)) < 1e-3
-    assert abs(field_q(spec, model, 1e6 + 1e6j)) < 1e-3
+    assert abs(field_q(spec, 1e6)) < 1e-3
+    assert abs(field_q(spec, 1e6 + 1e6j)) < 1e-3
 
 
-def test_field_q_mean_value_property(model):
+def test_field_q_mean_value_property():
     # harmonic off the real axis: equals its circle average
     spec = sample_spectrum_gue(32, 5)
     q0 = 0.3 + 0.8j
     r = 0.1
     angles = 2.0 * math.pi * np.arange(64) / 64
-    avg = np.mean([field_q(spec, model, q0 + r * np.exp(1j * a)) for a in angles])
-    assert field_q(spec, model, q0) == pytest.approx(avg, abs=1e-6)
+    avg = np.mean([field_q(spec, q0 + r * np.exp(1j * a)) for a in angles])
+    assert field_q(spec, q0) == pytest.approx(avg, abs=1e-6)
 
 
-def test_field_q_deterministic(model):
+def test_field_q_deterministic():
     spec = sample_spectrum_gue(32, 5)
-    assert field_q(spec, model, 0.37) == field_q(spec, model, 0.37)
+    assert field_q(spec, 0.37) == field_q(spec, 0.37)
 
 
-def test_field_q_eigenvalue_hit(model):
+def test_field_q_eigenvalue_hit():
     spec = sample_spectrum_gue(8, 1)
-    val = field_q(spec, model, complex(spec.eigenvalues[0]))
+    val = field_q(spec, complex(spec.eigenvalues[0]))
     assert val == -math.inf
 
 
@@ -173,7 +174,7 @@ def test_factor14_peak_memory(rng):
     assert peak <= 3 << 20, peak / 2**20
 
 
-def test_shift_monotonicity_pointwise(model):
+def test_shift_monotonicity_pointwise():
     # sum log|x - lambda| <= sum log|x - iy/N - lambda| at every grid point
     spec = sample_spectrum_gue(128, 3)
     grid = cheb_grid(128)
@@ -184,23 +185,22 @@ def test_shift_monotonicity_pointwise(model):
     assert np.all(on_axis <= shifted + 1e-12)
 
 
-def test_regularized_max_ordering(model):
-    records, _ = max_experiment(model, 256, 20, 2.0, seed=100)
-    c_v = ordering_constant(model)
+def test_regularized_max_ordering():
+    records, _ = max_experiment(256, 20, 2.0, seed=100)
     for rec in records:
-        assert rec.m_star <= rec.m_star_reg + c_v * 2.0 + 1e-9
+        assert rec.m_star <= rec.m_star_reg + C_V * 2.0 + 1e-9
     # the ordering is checked on every sample: a bound no sample meets raises
-    with mock.patch.object(extremes, "ordering_constant", lambda m: -1e3):
+    with mock.patch.object(extremes, "C_V", -1e3):
         with pytest.raises(extremes.OrderingViolation, match="ordering violated"):
-            max_experiment(model, 64, 3, 2.0, seed=100)
+            max_experiment(64, 3, 2.0, seed=100)
 
 
-def test_equilibrium_shift_bound(model):
+def test_equilibrium_shift_bound():
     # N (Re g(x - iy/N) - Re g(x)) <= pi ||rho||_inf y, and nearly saturates
     N, y = 256, 2.0
     xs = np.linspace(-0.95, 0.95, 41)
-    gap = N * (model.g(xs - 1j * y / N).real + model.g_tilde(xs))
-    bound = math.pi * model.rho_max * y
+    gap = N * (g(xs - 1j * y / N).real + g_tilde(xs))
+    bound = math.pi * RHO_MAX * y
     assert gap.max() <= bound + 1e-9
     assert gap.max() >= 0.8 * bound
 
@@ -214,13 +214,13 @@ def _record_array(records):
        seed=st.integers(0, 2**63 - 1), y=st.sampled_from([None, 1.5]),
        threads=st.sampled_from([1, 2, 3]),
        block_bytes=st.sampled_from([1, 3000, 1 << 19]))
-def test_max_experiment_deterministic_across_threads(model, N, n_samples, seed, y,
+def test_max_experiment_deterministic_across_threads(N, n_samples, seed, y,
                                                      threads, block_bytes):
     # every (sample, point) of the grid recurrence is elementwise, so neither
     # the thread count nor the block size moves a bit
-    r1, s1 = max_experiment(model, N, n_samples, y, seed, threads=1)
+    r1, s1 = max_experiment(N, n_samples, y, seed, threads=1)
     with mock.patch.object(extremes, "_BLOCK_BYTES", block_bytes):
-        r2, s2 = max_experiment(model, N, n_samples, y, seed, threads=threads)
+        r2, s2 = max_experiment(N, n_samples, y, seed, threads=threads)
     assert np.array_equal(_record_array(r1), _record_array(r2), equal_nan=True)
     assert s1 == s2
 
@@ -234,7 +234,7 @@ def _eigen_logs(eigs, xs):
 
 
 @pytest.mark.parametrize("N", [64, 256, 1024, 4096])
-def test_grid_field_matches_eigen_route(model, N):
+def test_grid_field_matches_eigen_route(N):
     # the determinant recurrence against the solved spectrum on pinned draws:
     # both grid maxima, and every point of the shifted grid, to 1e-9.  On the
     # real grid single points next to an eigenvalue lose digits on both routes
@@ -243,17 +243,17 @@ def test_grid_field_matches_eigen_route(model, N):
     grid = cheb_grid(N)
     shifted = grid - 1j * (y / N)
     block = Spectrum(N=N, d=spec.d[None], e=spec.e[None])
-    m_star, m_star_reg = extremes._grid_maxima(block, model, y)
-    eig_real = _eigen_logs(spec.eigenvalues, grid) + N * model.g_tilde(grid)
+    m_star, m_star_reg = extremes._grid_maxima(block, grid, y)
+    eig_real = _eigen_logs(spec.eigenvalues, grid) + N * g_tilde(grid)
     eig_shift = _eigen_logs(spec.eigenvalues, shifted)
     assert abs(m_star[0] - eig_real.max()) <= 1e-9
-    assert abs(m_star_reg[0] - (eig_shift - N * model.g(shifted).real).max()) <= 1e-9
+    assert abs(m_star_reg[0] - (eig_shift - N * g(shifted).real).max()) <= 1e-9
     m, e = char_poly(spec.d, spec.e, shifted)
     assert np.abs(np.log(np.abs(m)) + e * math.log(2.0) - eig_shift).max() <= 1e-9
 
 
-def test_max_experiment_rows(model):
-    records, summary = max_experiment(model, 64, 4, None, seed=2)
+def test_max_experiment_rows():
+    records, summary = max_experiment(64, 4, None, seed=2)
     rows = experiment_rows(records)
     assert len(rows) == 4
     logN = math.log(64)

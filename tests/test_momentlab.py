@@ -42,16 +42,16 @@ def test_omega_grid():
     assert spacing == pytest.approx(math.exp(-p.n0), rel=1e-12)
 
 
-def test_mem_ratio_empty(model, table_cache):
-    assert mem_ratio(table_cache(8), model, BiasSpec()) == 1.0
+def test_mem_ratio_empty(table_cache):
+    assert mem_ratio(table_cache(8), BiasSpec()) == 1.0
 
 
-def test_mem_ratio_uniform_over_rotations(model):
+def test_mem_ratio_uniform_over_rotations():
     # the comparison quality should not depend on which omega-translate of
     # the bias pair is used
-    from charpolylab.orthopoly import recurrence_table
+    from charpolylab.orthopoly import OPTable
     N = 256
-    table = recurrence_table(model, N)
+    table = OPTable(N)
     rr = 1.0 - N ** -0.5
     gap = 0.4 * N ** -0.5
     errs = []
@@ -59,7 +59,7 @@ def test_mem_ratio_uniform_over_rotations(model):
         w0 = 1j * np.exp(1j * phi)
         bias = BiasSpec(plus_points=(w0 * rr,),
                         minus_points=(w0 * rr * np.exp(1j * gap),))
-        errs.append(abs(mem_ratio(table, model, bias) - 1.0))
+        errs.append(abs(mem_ratio(table, bias) - 1.0))
     center = errs[len(errs) // 2]
     assert max(errs) <= 2.0 * max(center, 1e-4)
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from charpolylab.ensemble import make_model
 from charpolylab import orthopoly
 from charpolylab.charpoly import fs_balanced
-from charpolylab.orthopoly import (DeterminantError, global_parametrix_onecut,
-                                   h0_closed, m_matrix, r_weight,
-                                   recurrence_table, y_matrix, _exp2, _h_chain,
-                                   _ldexp, _pi_chain)
+from charpolylab.ensemble import V
+from charpolylab.orthopoly import (DeterminantError, OPTable,
+                                   global_parametrix_onecut, h0_closed,
+                                   m_matrix, r_weight, y_matrix, _exp2,
+                                   _h_chain, _ldexp, _pi_chain)
 from oracles import h0_quadrature, mp_chains, mp_faddeeva, mp_fs_balanced
 
 
@@ -82,10 +82,10 @@ def test_gue_recurrence_coefficients(table_cache):
 
 
 @pytest.mark.parametrize("N", [1024, 2048, 4096])
-def test_gamma_sq_matches_mpmath(model, N):
+def test_gamma_sq_matches_mpmath(N):
     # the scaled product keeps gamma_{N-1}^2 to a few ulp; a summed log of
     # the a_k^2 was off by 1.4e-11 relative at N = 2048
-    m, e = recurrence_table(model, N).gamma_sq
+    m, e = OPTable(N).gamma_sq
     with mpmath.workdps(40):
         ref = mpmath.sqrt(2 * N / mpmath.pi) \
             * mpmath.fprod(mpmath.mpf(4 * N) / k for k in range(1, N))
@@ -99,25 +99,25 @@ def test_gamma0_closed_form(table_cache):
     assert g0 > 0
 
 
-def test_gamma0_quadrature_agreement(model, table_cache):
+def test_gamma0_quadrature_agreement(table_cache):
     # gamma_0 = (integral of e^{-N V})^{-1/2}
-    mass, _ = integrate.quad(lambda x: math.exp(-8 * model.V(x)), -8, 8,
+    mass, _ = integrate.quad(lambda x: math.exp(-8 * V(x)), -8, 8,
                              limit=200, epsabs=1e-14, epsrel=1e-14)
     assert table_cache(8).gamma0 == pytest.approx(mass ** -0.5, rel=1e-10)
 
 
-def test_orthogonality_by_quadrature(model):
+def test_orthogonality_by_quadrature():
     N = 8
-    tab = recurrence_table(model, N)
+    tab = OPTable(N)
 
     def pi_val(n, x):
         return _value(_pi_chain(tab, n, x), n).real
 
     inner, _ = integrate.quad(
-        lambda x: pi_val(2, x) * pi_val(3, x) * math.exp(-N * model.V(x)),
+        lambda x: pi_val(2, x) * pi_val(3, x) * math.exp(-N * V(x)),
         -4, 4, limit=200)
     scale, _ = integrate.quad(
-        lambda x: pi_val(2, x) ** 2 * math.exp(-N * model.V(x)), -4, 4, limit=200)
+        lambda x: pi_val(2, x) ** 2 * math.exp(-N * V(x)), -4, 4, limit=200)
     assert abs(inner) < 1e-8 * scale
 
 
@@ -128,8 +128,8 @@ def test_eval_pi_basics(table_cache):
     assert _value(pis, 2) == pytest.approx(0.09 - 1.0 / 64.0, rel=1e-13)
 
 
-def test_eval_pi_log_domain_large_N(model):
-    tab = recurrence_table(model, 512)
+def test_eval_pi_log_domain_large_N():
+    tab = OPTable(512)
     m, e = _pi_chain(tab, 512, 0.5)
     log_mag = math.log(abs(m[512])) + e[512] * math.log(2.0)
     assert math.isfinite(log_mag)
@@ -137,13 +137,13 @@ def test_eval_pi_log_domain_large_N(model):
     assert log_mag < -400.0
 
 
-def test_h0_routes_agree(model, table_cache):
+def test_h0_routes_agree(table_cache):
     tab = table_cache(8)
     q = 0.2 + 0.4j
-    assert h0_closed(tab, q) == pytest.approx(h0_quadrature(model, 8, q), rel=1e-8)
+    assert h0_closed(tab, q) == pytest.approx(h0_quadrature(8, q), rel=1e-8)
 
 
-def test_h_conjugation_antisymmetry(model, table_cache):
+def test_h_conjugation_antisymmetry(table_cache):
     # h_n(conj q) = -conj(h_n(q)): the 1/(2 pi i) prefactor flips under
     # conjugation (checked against quadrature in test_h0_routes for n = 0)
     tab = table_cache(8)
@@ -157,10 +157,10 @@ def test_h_conjugation_antisymmetry(model, table_cache):
 @settings(max_examples=40, deadline=None)
 @given(N=st.integers(1, 64), x=st.floats(-2.0, 2.0),
        y=st.floats(1e-2, 2.0), n=st.integers(0, 80))
-def test_h_conjugation_antisymmetry_property(model, N, x, y, n):
+def test_h_conjugation_antisymmetry_property(N, x, y, n):
     # both the forward and the backward (Miller) route of the chain, also
     # past the table's n_max
-    tab = recurrence_table(model, N)
+    tab = OPTable(N)
     q = complex(x, y)
     um, ue = _h_chain(tab, n, q)
     lm, le = _h_chain(tab, n, q.conjugate())
@@ -206,7 +206,7 @@ def test_faddeeva_matches_wofz():
     assert (np.abs(ours - wofz(zs)) / np.abs(wofz(zs))).max() <= 5e-14
 
 
-def test_h_recurrence_vs_quadrature(model, table_cache):
+def test_h_recurrence_vs_quadrature(table_cache):
     N = 8
     tab = table_cache(8)
     q = 0.2 + 0.8j
@@ -214,11 +214,11 @@ def test_h_recurrence_vs_quadrature(model, table_cache):
     def h_quad(n):
         def integrand_re(x):
             pin = _value(_pi_chain(tab, n, x), n).real
-            return (pin * math.exp(-N * model.V(x)) / (x - q)).real
+            return (pin * math.exp(-N * V(x)) / (x - q)).real
 
         def integrand_im(x):
             pin = _value(_pi_chain(tab, n, x), n).real
-            return (pin * math.exp(-N * model.V(x)) / (x - q)).imag
+            return (pin * math.exp(-N * V(x)) / (x - q)).imag
 
         re, _ = integrate.quad(integrand_re, -4, 4, limit=400, epsabs=1e-14)
         im, _ = integrate.quad(integrand_im, -4, 4, limit=400, epsabs=1e-14)
@@ -230,11 +230,11 @@ def test_h_recurrence_vs_quadrature(model, table_cache):
         assert rec == pytest.approx(h_quad(n), rel=1e-6)
 
 
-def test_h_casoratian_identity(model):
+def test_h_casoratian_identity():
     # pi_n h_{n-1} - h_n pi_{n-1} = -1/(2 pi i gamma_{n-1}^2) exactly;
     # pins the normalization of the whole h chain at every index
     for N, q in ((4, 0.3 + 0.5j), (16, 0.2 + 0.4j), (64, -0.4 + 0.3j)):
-        tab = recurrence_table(model, N)
+        tab = OPTable(N)
         pis = _pi_chain(tab, N, q)
         hs = _h_chain(tab, N, q)
         for n in (2, N // 2, N):
@@ -246,10 +246,10 @@ def test_h_casoratian_identity(model):
 
 @pytest.mark.parametrize("im", [1, 8])
 @pytest.mark.parametrize("N", [1024, 4096])
-def test_h_chain_matches_mpmath(model, N, im):
+def test_h_chain_matches_mpmath(N, im):
     # Im q = 1/N takes the backward route with a start index near 100 N
     q = 0.2 + 1j * im / N
-    tab = recurrence_table(model, N)
+    tab = OPTable(N)
     _, hs, _ = mp_chains(N, N, q, q)
     m, e = _h_chain(tab, N, q)
     for n in (0, N - 2, N - 1, N):
@@ -258,10 +258,10 @@ def test_h_chain_matches_mpmath(model, N, im):
 
 
 @pytest.mark.parametrize("N,q", [(8, -0.9 + 0.05j), (16, 0.3 + 0.2j)])
-def test_h_chain_past_forward_gap(model, N, q):
+def test_h_chain_past_forward_gap(N, q):
     # summed dominance gaps 10.97 and 11.73: the forward route loses about
     # e^gap ulp, up to 1e-10 here, so these points run backward
-    tab = recurrence_table(model, N)
+    tab = OPTable(N)
     assert orthopoly._dominance_gaps(N, np.arange(1, N), q).sum() > 10.0
     _, hs, _ = mp_chains(N, N, 0.0, q)
     m, e = _h_chain(tab, N, q)
@@ -272,8 +272,8 @@ def test_h_chain_past_forward_gap(model, N, q):
 
 
 @pytest.mark.parametrize("N", [2048, 4096])
-def test_y_matrix_at_im_q_one_over_n(model, N):
-    tab = recurrence_table(model, N)
+def test_y_matrix_at_im_q_one_over_n(N):
+    tab = OPTable(N)
     assert abs(y_matrix(tab, 0.2 + 1j / N).det - 1.0) <= 1e-9
     assert tab.n_max == N
 
@@ -288,22 +288,22 @@ def test_y_matrix_det(table_cache):
     assert Y.det == pytest.approx(1.0, abs=1e-9)
 
 
-def test_y_matrix_jump(model):
+def test_y_matrix_jump():
     N = 4
-    tab = recurrence_table(model, N)
+    tab = OPTable(N)
     x = 0.3
     eps = 1e-6
     Yp = y_matrix(tab, x + 1j * eps)
     Ym = y_matrix(tab, x - 1j * eps)
     up = _matrix(Yp)
     dn = _matrix(Ym)
-    jump = np.array([[1.0, math.exp(-N * model.V(x))], [0.0, 1.0]])
+    jump = np.array([[1.0, math.exp(-N * V(x))], [0.0, 1.0]])
     assert np.allclose(up, dn @ jump, rtol=1e-4, atol=1e-12)
 
 
-def test_y_matrix_asymptotics(model):
+def test_y_matrix_asymptotics():
     N = 4
-    tab = recurrence_table(model, N)
+    tab = OPTable(N)
     q = 50.0 + 0.05j
     Y = y_matrix(tab, q)
     full = _matrix(Y)
@@ -311,33 +311,33 @@ def test_y_matrix_asymptotics(model):
     assert math.log(abs(full[1, 1])) == pytest.approx(-N * math.log(abs(q)), rel=1e-3)
 
 
-def test_m_matrix_det_and_boundedness(model):
-    tab = recurrence_table(model, 64)
-    M = m_matrix(tab, model, 0.1 + 0.2j)
+def test_m_matrix_det_and_boundedness():
+    tab = OPTable(64)
+    M = m_matrix(tab, 0.1 + 0.2j)
     assert M.det == pytest.approx(1.0, abs=1e-9)
     consts = []
     for N in (16, 32):
-        tabN = recurrence_table(model, N)
+        tabN = OPTable(N)
         worst = 0.0
         for x in (-0.5, 0.0, 0.4):
             for im in (0.05, 0.3, 1.0):
                 q = x + 1j * im
-                Mq = m_matrix(tabN, model, q)
+                Mq = m_matrix(tabN, q)
                 norm = np.abs(_matrix(Mq)).max()
-                worst = max(worst, norm / (r_weight(model, q) + 1.0))
+                worst = max(worst, norm / (r_weight(q) + 1.0))
         consts.append(worst)
     assert consts[1] <= 2.0 * consts[0] + 0.5
     assert max(consts) < 10.0
 
 
-def test_m_matrix_converges_to_parametrix(model):
+def test_m_matrix_converges_to_parametrix():
     x, delta = 0.2, 0.2
     Minf = _matrix(global_parametrix_onecut(x + 1e-13j))
     diffs = []
     for N in (64, 128):
-        tab = recurrence_table(model, N)
+        tab = OPTable(N)
         q = x + 2j * N ** (-1.0 + delta)
-        M = m_matrix(tab, model, q)
+        M = m_matrix(tab, q)
         diffs.append(np.abs(_matrix(M) - Minf).max())
     assert diffs[1] < diffs[0]
 
@@ -363,15 +363,15 @@ def test_global_parametrix_jump():
     assert np.allclose(Hp, Hm @ sigma, atol=1e-6)
 
 
-def test_r_weight(model):
-    assert r_weight(model, 0.0) == pytest.approx(1.0, abs=1e-15)
+def test_r_weight():
+    assert r_weight(0.0) == pytest.approx(1.0, abs=1e-15)
     q = 0.4 + 0.7j
-    assert r_weight(model, np.conj(q)) == pytest.approx(r_weight(model, q), rel=1e-14)
+    assert r_weight(np.conj(q)) == pytest.approx(r_weight(q), rel=1e-14)
     h = 1e-4
-    ratio = r_weight(model, 1.0 + h) / r_weight(model, 1.0 + 16 * h)
+    ratio = r_weight(1.0 + h) / r_weight(1.0 + 16 * h)
     assert ratio == pytest.approx(2.0, rel=1e-3)  # |q-1|^{-1/4} scaling
     with pytest.raises(ZeroDivisionError):
-        r_weight(model, 1.0)
+        r_weight(1.0)
 
 
 def test_det_error_raises(table_cache):
@@ -388,22 +388,19 @@ def test_det_error_raises(table_cache):
                                                                          rel=1e-14)
 
 
-def test_ensure_rejects_general_model(model):
-    # only the quadratic weight has a table, it holds gamma_0 .. gamma_N, and
-    # the chains run past its n_max without growing it
-    generic = make_model("quadratic", model.V, model.rho, model.support)
-    with pytest.raises(ValueError):
-        recurrence_table(generic, 4)
-    tab = recurrence_table(model, 4)
+def test_table_holds_degrees_to_N_and_chains_run_past_it():
+    # the table holds gamma_0 .. gamma_N, and the chains run past its n_max
+    # without growing it
+    tab = OPTable(4)
     for chain in (_pi_chain(tab, 50, 0.3), _h_chain(tab, 50, 0.3 + 0.01j)):
         assert [len(part) for part in chain] == [51, 51]
     assert tab.n_max == 4 and [len(part) for part in tab.gamma_sq] == [5, 5]
 
 
-def test_start_index_error_names_route_and_bound(model, monkeypatch):
+def test_start_index_error_names_route_and_bound(monkeypatch):
     monkeypatch.setattr(orthopoly, "_BACKWARD_HARD_CAP", 100)
     monkeypatch.setattr(orthopoly, "_BACKWARD_CAP_PER_N", 1)
-    tab = recurrence_table(model, 8)
+    tab = OPTable(8)
     with pytest.raises(RuntimeError) as exc:
         _h_chain(tab, 40, 0.2 + 0.5j)
     assert str(exc.value) == ("backward h-chain at N=8, q=(0.2+0.5j): start index "

@@ -69,10 +69,7 @@ _NOT_RUN_BY_THE_RUNS = {
     "criterion 8 (factor 14 on Chebyshev coefficients)": [
         "extremes.factor14_check.<locals>.log_abs"],
     "criterion 9 (equilibrium self-consistency)": [
-        "ensemble.make_model", "ensemble._quad", "ensemble._quad.<locals>.integrand",
-        "ensemble._quad_tilde_g", "ensemble.EquilibriumModel.ell_v_profile",
-        "ensemble.gue_model.<locals>.V", "ensemble.gue_model.<locals>.rho",
-        "ensemble._gue_stieltjes"],
+        "ensemble.V", "ensemble.rho", "ensemble._gue_stieltjes"],
     "gen-spectrum (loads scipy's dsterf)": [
         "cli._cmd_gen_spectrum", "ensemble.Spectrum.eigenvalues"],
 }
@@ -99,28 +96,29 @@ def _function_defs():
     return out
 
 
+# tiny runs of the eight benchmarked commands
+_TINY_RUNS = [["max-experiment", "--N", "8", "--y", "2", "--samples", "2"],
+              ["mem-verify"],
+              ["upperbound-verify", "--N", "8", "--samples", "2"],
+              ["fs-verify", "--N", "8", "--samples", "10"],
+              ["lowerbound-sim", "--n", "4", "--eta", "1", "--samples", "5"],
+              ["matching-verify", "--samples", "2"],
+              ["brw-verify"],
+              ["branch-verify"]]
+
+
 def test_cli_import_skips_quadrature_stack(tmp_path):
-    # scipy serves only gen-spectrum's eigenvalues, make_model's g_tilde
-    # quadrature and the fallback for a numpy without the bundled OpenBLAS
-    # dpstrf.  So importing the CLI loads no scipy module, and, when that
-    # dpstrf is found, neither do tiny runs of the eight benchmarked
-    # commands: h0 comes from orthopoly's own Faddeeva routine.  A command
-    # whose quadratic model fell back to quadrature would load it here.  No
-    # run loads numpy.ma either.
+    # scipy serves only gen-spectrum's eigenvalues and the fallback for a
+    # numpy without the bundled OpenBLAS dpstrf.  So importing the CLI loads
+    # no scipy module, and, when that dpstrf is found, neither do the tiny
+    # runs: h0 comes from orthopoly's own Faddeeva routine.  No run loads
+    # numpy.ma either.
     # The same runs, with a config file and --out, reach every function in
     # src/ but those _NOT_RUN_BY_THE_RUNS names (threading.setprofile also
     # records max-experiment's pool threads)
     config = tmp_path / "run.conf"
     config.write_text("# a flat key-value file\n\nN = 8\nsamples 2\n")
-    runs = [["max-experiment", "--N", "8", "--y", "2", "--samples", "2"],
-            ["mem-verify"],
-            ["upperbound-verify", "--N", "8", "--samples", "2"],
-            ["fs-verify", "--N", "8", "--samples", "10"],
-            ["lowerbound-sim", "--n", "4", "--eta", "1", "--samples", "5"],
-            ["matching-verify", "--samples", "2"],
-            ["brw-verify"],
-            ["branch-verify"],
-            ["max-experiment", "--config", str(config)]]
+    runs = _TINY_RUNS + [["max-experiment", "--config", str(config)]]
     runs = [r + ["--out", str(tmp_path / f"out{i}")] for i, r in enumerate(runs)]
     code = ("import json, os, sys, threading\n"
             "seen = set()\n"
@@ -174,3 +172,58 @@ def test_no_module_reads_the_environment():
                 reads += [f"{path.name}:{node.lineno}" for alias in node.names
                           if alias.name in ("environ", "getenv")]
     assert not reads, reads
+
+
+def test_no_module_imports_scipy_integrate():
+    # quadrature is an oracle's tool (tests/oracles.py): every formula in
+    # src/ is a closed form or a recurrence
+    imports = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
+                   for n in names):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert not imports, imports
+
+
+# the tracer's counters over _TINY_RUNS, max-experiment on two threads
+_TRACED_COUNTS = {
+    "extremes.logsum_terms": 408,
+    "orthopoly.table_n_max": 512,
+    "charpoly.mc_det_steps": 320,
+    "gaussfield.cov_entries": 4602,
+    "rng.substream.calls": 17,
+    "ensemble.sample_spectrum_gue.calls": 4,
+    "orthopoly.h_chain.calls": 38,
+    "orthopoly.pi_chain.calls": 38,
+}
+
+
+def test_tracer_counts_the_tiny_runs(tmp_path):
+    # bench/tracer.py rebinds names in the package and reads its calls'
+    # arguments; a changed call shape would break a traced benchmark run
+    # (--trace 1) only there, so the tiny runs go through it here
+    runs = [r + (["--threads", "2"] if r[0] == "max-experiment" else [])
+            + ["--out", str(tmp_path / f"out{i}")] for i, r in enumerate(_TINY_RUNS)]
+    code = ("import importlib.util, json\n"
+            f"spec = importlib.util.spec_from_file_location('_bench_tracer', "
+            f"{str(ROOT / 'bench' / 'tracer.py')!r})\n"
+            "tracer = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tracer)\n"
+            "import charpolylab, charpolylab.cli as cli\n"
+            "t = tracer.Tracer()\n"
+            "t.install(charpolylab)\n"
+            f"codes = [t.run_op(i, lambda a=a: cli.main(a)) for i, a in enumerate({runs!r})]\n"
+            "print(json.dumps([codes, tracer.layer_metrics(t.spans, t.counters)]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    codes, metrics = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert {k: metrics[k] for k in _TRACED_COUNTS} == _TRACED_COUNTS
