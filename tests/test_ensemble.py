@@ -74,9 +74,17 @@ def test_g_values():
 
 
 def test_g_quadrature_oracle():
-    for q in (0.3 + 0.7j, 0.2 + 0.5j):
-        assert g(q) == pytest.approx(quad_g(rho, SUPPORT, q), abs=1e-9)
+    q = 0.3 + 0.7j
+    assert g(q) == pytest.approx(quad_g(rho, SUPPORT, q), abs=1e-9)
+
+
+def test_make_model_quadrature_path():
+    # a density given only as a function reaches ell_V, g and g' by
+    # quadrature alone; each agrees with its closed form
+    xs, vals = ell_v_profile(lambda x: quad_g_tilde(rho, SUPPORT, x))
+    assert vals.mean() == pytest.approx(ELL_V, abs=1e-8)
     q = 0.2 + 0.5j
+    assert quad_g(rho, SUPPORT, q) == pytest.approx(g(q), abs=1e-9)
     assert quad_stieltjes(rho, SUPPORT, q) == pytest.approx(stieltjes(q), abs=1e-9)
 
 
