@@ -22,7 +22,7 @@ import numpy as np
 
 from ._emit import emit
 from ._rng import substream
-from .ensemble import char_poly, g, tridiagonal_blocks
+from .ensemble import char_poly, g, recurrence_coeffs, tridiagonal_blocks
 from .hyperbolic import joukowsky
 from .orthopoly import (m_matrix, _exp2, _h_chain, _ldexp, _pi_chain,
                         _scaled_det, _tilde_factor)
@@ -251,7 +251,7 @@ def mc_char_ratio(N, p_pts, q_pts, n_samples, seed):
     for task, lo in enumerate(range(0, n_samples, _CHUNK)):
         for d, e in tridiagonal_blocks(N, substream(seed, task),
                                        min(_CHUNK, n_samples - lo), rows):
-            dets, exps = char_poly(d, e, xs)
+            dets, exps = char_poly(*recurrence_coeffs(d, e), xs)
             # one elementwise multiply per point: np.prod would reduce a
             # one-draw block in numpy's reduction loop, whose complex
             # product rounds differently (no fused multiply-add)

@@ -6,7 +6,8 @@ V(x) = 2 x^2 is normalized so the limiting density rho is the semicircle on
 or arrays, and ELL_V and RHO_MAX are its Euler-Lagrange constant and sup rho.
 Spectra are drawn from the exact tridiagonal realization.  The
 characteristic polynomial det(x - A) of a draw comes straight from that
-tridiagonal matrix, by the three-term determinant recurrence (char_poly),
+tridiagonal matrix, by the three-term determinant recurrence (char_poly, on
+the coefficients that recurrence_coeffs forms once per block of draws),
 which every Monte Carlo and grid-maximum route runs; eigenvalues are solved
 only where they are the output (gen-spectrum) or an oracle.
 """
@@ -28,6 +29,7 @@ __all__ = [
     "char_poly",
     "g",
     "g_tilde",
+    "recurrence_coeffs",
     "rho",
     "sample_spectrum_gue",
     "stieltjes",
@@ -160,34 +162,48 @@ def tridiagonal_draw(N, rng, size=()):
 _RESCALE = 32
 
 
-def char_poly(d, e, xs):
+def recurrence_coeffs(d, e):
+    """char_poly's coefficients a = d / (2 sqrt N) and b^2 = (e / (2 sqrt N))^2
+    of a draw (d, e), written over d and e and returned as (a, b2).
+
+    In place, as the draws are the caller's own arrays and are read once:
+    a block of coefficients costs no memory beside its draw.  The bits are
+    those of d / s and np.square(e / s).
+    """
+    s = 2.0 * math.sqrt(d.shape[-1])
+    np.divide(d, s, out=d)
+    np.divide(e, s, out=e)
+    return d, np.square(e, out=e)
+
+
+def char_poly(a, b2, xs):
     """det(x - A) at each x in xs for A = T(d, e) / (2 sqrt N), as
     (mantissa, exponent) arrays with value mantissa * 2**exponent.
 
-    d and e are draws of tridiagonal_draw, or blocks of tridiagonal_blocks,
-    with or without leading sample axes.  The state, and the result, take
-    the broadcast shape of xs against d.shape[:-1], real for real xs:
-    xs[:, None] against one sample axis gives points x samples, d[:, None]
-    and e[:, None] against a 1-d xs give samples x points.  Every step is
-    one numpy call per array, so put the longer axis last, where numpy's
-    inner loop runs.  The three-term
-    recurrence D_k = (x - a_k) D_{k-1} - b_{k-1}^2 D_{k-2} forms each a_k
-    and b_k^2 per step.  Every _RESCALE steps D_k and D_{k-1} are divided by
-    2**s, s the binary exponent of |D_k|: a power-of-two scale is exact, so
-    no determinant over- or underflows and, wherever the unscaled recurrence
-    stays in double range, mantissa * 2**exponent is its value bit for bit.
+    a and b2 are the recurrence coefficients (recurrence_coeffs) of draws of
+    tridiagonal_draw, or of blocks of tridiagonal_blocks, with or without
+    leading sample axes.  The state, and the result, take the broadcast
+    shape of xs against a.shape[:-1], real for real xs: xs[:, None] against
+    one sample axis gives points x samples, a[:, None] and b2[:, None]
+    against a 1-d xs give samples x points.  Every step is four numpy calls
+    on the whole state, so put the longer axis last, where numpy's inner
+    loop runs.  The three-term recurrence is
+    D_k = (x - a_k) D_{k-1} - b_{k-1}^2 D_{k-2}.  Every _RESCALE steps D_k
+    and D_{k-1} are divided by 2**s, s the binary exponent of |D_k|: a
+    power-of-two scale is exact, so no determinant over- or underflows and,
+    wherever the unscaled recurrence stays in double range,
+    mantissa * 2**exponent is its value bit for bit.
     """
-    N = d.shape[-1]
-    s = 2.0 * math.sqrt(N)
+    N = a.shape[-1]
     xs = np.asarray(xs)
-    D = xs - d[..., 0] / s
+    D = xs - a[..., 0]
     Dm1 = np.ones_like(D)
     t = np.empty_like(D)
     exps = np.zeros(D.shape, dtype=np.int64)
     for k in range(1, N):
-        np.subtract(xs, d[..., k] / s, out=t)
+        np.subtract(xs, a[..., k], out=t)
         t *= D
-        Dm1 *= np.square(e[..., k - 1] / s)
+        Dm1 *= b2[..., k - 1]
         np.subtract(t, Dm1, out=Dm1)
         D, Dm1 = Dm1, D
         if k % _RESCALE == 0:

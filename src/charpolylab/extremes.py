@@ -4,11 +4,15 @@ experiment.
 
 The max experiment never solves for eigenvalues.  Q_N on the 2N+1 grid
 (and on the grid shifted by -iy/N) is log|det(x - A)| from the tridiagonal
-model's determinant recurrence (ensemble.char_poly), run on blocks of
-samples sized so that each (block x points) working array stays in a 2 MiB
-L2 cache.  The recurrence's numpy steps release the GIL, so the blocks run
-in parallel on the thread pool; a block's values are elementwise in its
-samples, so outputs are the same for any thread count.
+model's determinant recurrence (ensemble.char_poly).  The grid and the
+shifted grid are two passes, the grid in real arithmetic and only the
+shifted grid in complex, and each pass runs on blocks of samples sized so
+that each (block x points) working array stays in a 2 MiB L2 cache.  The
+(pass, block) tasks run in parallel on the thread pool: numpy releases the
+GIL inside an elementwise step on a whole block, but not in its calls on a
+few values, so blocks stay large and each block forms its recurrence
+coefficients once.  A block's values are elementwise in its samples, so
+outputs are the same for any thread count.
 """
 
 import math
@@ -20,7 +24,7 @@ import numpy as np
 
 from ._rng import task_seed
 from .ensemble import (RHO_MAX, Spectrum, char_poly, g, g_tilde,
-                       sample_spectrum_gue)
+                       recurrence_coeffs, sample_spectrum_gue)
 
 __all__ = [
     "MaxRecord",
@@ -51,8 +55,11 @@ class OrderingViolation(ArithmeticError):
     """A grid maximum beat its off-axis bound m_star_reg + C_V y (impossible)."""
 
 
-# bytes of one (block x points) working array of the grid recurrence: its
-# three arrays stay resident in a per-core L2 cache of 2 MiB
+# bytes of one (block x points) working array of a grid pass: its three
+# arrays stay resident in a per-core L2 cache of 2 MiB.  Smaller blocks
+# spend more of each step in calls that hold the GIL (half this size:
+# max_experiment(4096, 4, 2.0) on two threads of a 2-core host took
+# 0.65-0.71 s against 0.53-0.59 s)
 _BLOCK_BYTES = 1 << 19
 
 
@@ -184,32 +191,22 @@ def _second_order_center(N):
 
 
 def _grid_maxima(block, grid, y):
-    """Grid maxima (m_star, m_star_reg) of Q_N for each draw of a block.
+    """Max of Q_N over one grid pass, for each draw of a block.
 
-    block is a Spectrum whose (d, e) carry a leading sample axis, and grid
-    is cheb_grid(block.N).  m_star is the max over the grid; m_star_reg the
-    max over the grid shifted by -iy/N (NaN when y is None), which must
-    satisfy the ordering m_star <= m_star_reg + C_V y, or OrderingViolation
-    is raised.  A non-finite maximum fails it too (the shifted grid
-    overflows beyond y/N ~ 2e9).
+    block is a Spectrum whose (d, e) carry a leading sample axis; they are
+    overwritten with their recurrence coefficients.  grid is (x, center):
+    the Chebyshev grid x = cheb_grid(block.N) and the pass's centering, so
+    that Q_N = log|det(x' - A)| + center on the pass's points x'.  Those
+    are x itself when y is None, in real arithmetic, with center
+    N g_tilde(x), and x - iy/N otherwise, in complex, with center
+    -N Re g(x - iy/N).
     """
-    N = block.N
-    xs = grid if y is None else np.concatenate([grid, grid - 1j * (y / N)])
+    x, center = grid
+    xs = x if y is None else x - 1j * (y / block.N)
+    a, b2 = recurrence_coeffs(block.d, block.e)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m, e = char_poly(block.d[:, None], block.e[:, None], xs)
-        logs = np.log(np.abs(m)) + e * math.log(2.0)
-        m_star = (logs[:, :len(grid)] + N * g_tilde(grid)).max(axis=1)
-        if y is None:
-            return m_star, np.full(len(m_star), math.nan)
-        center = g(grid - 1j * (y / N)).real
-        m_star_reg = (logs[:, len(grid):] - N * center).max(axis=1)
-    for a, b in zip(m_star, m_star_reg):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise OrderingViolation(
-                f"non-finite maximum: m_star = {a}, m_star_reg = {b} at y = {y}")
-        if a > b + C_V * y + CV_MARGIN:
-            raise OrderingViolation(f"ordering violated: {a} > {b} + {C_V}*{y}")
-    return m_star, m_star_reg
+        m, e = char_poly(a[:, None], b2[:, None], xs)
+        return (np.log(np.abs(m)) + e * math.log(2.0) + center).max(axis=1)
 
 
 def _quartiles(x):
@@ -240,27 +237,48 @@ def max_experiment(N, n_samples, y, seed, threads=1):
     Deterministic in (N, n_samples, y, seed): sample i always draws
     from the substream derived for index i, whatever the thread count.
     With y set, each record also carries the max over the grid shifted by
-    -iy/N, checked against the ordering bound (see _grid_maxima).
+    -iy/N, and every sample is checked against the ordering
+    m_star <= m_star_reg + C_V y, which a non-finite maximum fails too (the
+    shifted grid overflows beyond y/N ~ 2e9).
     """
-    # blocks as even as the cache budget allows; (2N+1) real or 2(2N+1)
-    # complex points per sample
-    per_sample = (2 * N + 1) * (8 if y is None else 32)
-    n_blocks = -(-n_samples * per_sample // _BLOCK_BYTES)
-    size = -(-n_samples // n_blocks)
-    grid = cheb_grid(N)
+    x = cheb_grid(N)
+    # (shift, centering) of each pass: the grid, and the grid shifted by -iy/N
+    passes = [(None, N * g_tilde(x))]
+    if y is not None:
+        passes.append((y, -N * g(x - 1j * (y / N)).real))
+    tasks = []
+    for p, (shift, _) in enumerate(passes):
+        # blocks as even as the cache budget allows; 2N+1 points per
+        # sample, float64 on the grid and complex128 off it
+        per_sample = (2 * N + 1) * (8 if shift is None else 16)
+        n_blocks = -(-n_samples * per_sample // _BLOCK_BYTES)
+        size = -(-n_samples // n_blocks)
+        tasks += [(p, lo, min(lo + size, n_samples)) for lo in range(0, n_samples, size)]
 
-    def one(lo):
-        spectra = [sample_spectrum_gue(N, task_seed(seed, i))
-                   for i in range(lo, min(lo + size, n_samples))]
+    def one(task):
+        p, lo, hi = task
+        shift, center = passes[p]
+        # each pass draws its own blocks, the same draws bit for bit
+        spectra = [sample_spectrum_gue(N, task_seed(seed, i)) for i in range(lo, hi)]
         block = Spectrum(N=N, d=np.stack([s.d for s in spectra]),
                          e=np.stack([s.e for s in spectra]))
-        return [MaxRecord(N=N, m_star=float(a), m_star_reg=float(b))
-                for a, b in zip(*_grid_maxima(block, grid, y))]
+        return _grid_maxima(block, (x, center), shift)
 
+    # rows m_star and m_star_reg, NaN where no pass ran
+    maxima = np.full((2, n_samples), math.nan)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        records = [r for part in pool.map(one, range(0, n_samples, size)) for r in part]
-
-    m_star = np.array([r.m_star for r in records])
+        for (p, lo, hi), m in zip(tasks, pool.map(one, tasks)):
+            maxima[p, lo:hi] = m
+    m_star, m_star_reg = maxima
+    if y is not None:
+        for a, b in zip(m_star, m_star_reg):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise OrderingViolation(
+                    f"non-finite maximum: m_star = {a}, m_star_reg = {b} at y = {y}")
+            if a > b + C_V * y + CV_MARGIN:
+                raise OrderingViolation(f"ordering violated: {a} > {b} + {C_V}*{y}")
+    records = [MaxRecord(N=N, m_star=float(a), m_star_reg=float(b))
+               for a, b in zip(m_star, m_star_reg)]
     ratio = m_star / math.log(N)
     second = m_star - _second_order_center(N)
     summary = {

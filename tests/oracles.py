@@ -12,7 +12,7 @@ from scipy import integrate
 from charpolylab._rng import substream
 from charpolylab.charpoly import _batched_mean
 from charpolylab.ensemble import (SUPPORT, V, char_poly, g, g_tilde,
-                                  tridiagonal_draw)
+                                  recurrence_coeffs, tridiagonal_draw)
 from charpolylab.extremes import _golden_max_vec, cheb_grid
 from charpolylab.gaussfield import _dpstrf
 from charpolylab.hyperbolic import joukowsky, pseudo_dist
@@ -321,7 +321,7 @@ def mc_char_ratio_oneshot(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
     for task, lo in enumerate(range(0, n_samples, chunk)):
         d, e = tridiagonal_draw(N, substream(seed, task),
                                 size=(min(chunk, n_samples - lo),))
-        dets, exps = char_poly(d, e, xs)
+        dets, exps = char_poly(*recurrence_coeffs(d, e), xs)
         vals[:, lo:lo + len(d)] = _ldexp(
             np.prod(dets[:, :n], axis=1) / np.prod(dets[:, n:], axis=1),
             exps[:, :n].sum(axis=1) - exps[:, n:].sum(axis=1))
@@ -338,7 +338,7 @@ def _mc_dets(N, xs, n_samples, seed, chunk):
     for task, lo in enumerate(range(0, n_samples, chunk)):
         d, e = tridiagonal_draw(N, substream(seed, task),
                                 size=(min(chunk, n_samples - lo),))
-        yield lo, *char_poly(d, e, xs)
+        yield lo, *char_poly(*recurrence_coeffs(d, e), xs)
 
 
 def mc_abs2_moment(N, q, sign, n_samples, seed, chunk=200_000):

@@ -12,7 +12,8 @@ from charpolylab._rng import substream
 from charpolylab.charpoly import (VerificationCase, exp_moment_field, exp_pm2_moment, fs_balanced,
                                   laplace_split, mc_char_ratio, vandermonde_det,
                                   write_verification_report)
-from charpolylab.ensemble import char_poly, g, tridiagonal_draw
+from charpolylab.ensemble import char_poly, g, recurrence_coeffs, tridiagonal_draw
+from charpolylab.extremes import cheb_grid
 from charpolylab.gaussfield import BiasSpec
 from charpolylab.hyperbolic import joukowsky
 from charpolylab.orthopoly import OPTable, _scaled_det
@@ -254,15 +255,15 @@ def test_char_poly_batch_rescale_is_exact():
     # and on real points (where it runs in real arithmetic)
     xs = [0.3 + 0.4j, -0.2 + 0.5j, 0.1 + 1e-3j]
     raw = _raw_char_poly_batch(64, xs, substream(9, 0), 500)
-    mant, exps = (a.T for a in char_poly(*tridiagonal_draw(64, substream(9, 0), size=(500,)),
-                                         np.array(xs)[:, None]))
+    coeffs = recurrence_coeffs(*tridiagonal_draw(64, substream(9, 0), size=(500,)))
+    mant, exps = (a.T for a in char_poly(*coeffs, np.array(xs)[:, None]))
     assert exps.dtype.kind == "i" and np.any(exps != 0)
     assert np.array_equal(np.ldexp(mant.real, exps), raw.real)
     assert np.array_equal(np.ldexp(mant.imag, exps), raw.imag)
     xs = [0.3, -0.95, 1.2]
     raw = _raw_char_poly_batch(64, xs, substream(9, 0), 500)
-    mant, exps = (a.T for a in char_poly(*tridiagonal_draw(64, substream(9, 0), size=(500,)),
-                                         np.array(xs)[:, None]))
+    coeffs = recurrence_coeffs(*tridiagonal_draw(64, substream(9, 0), size=(500,)))
+    mant, exps = (a.T for a in char_poly(*coeffs, np.array(xs)[:, None]))
     assert mant.dtype == float and np.any(exps != 0)
     assert np.array_equal(np.ldexp(mant, exps), raw.real) and not raw.imag.any()
 
@@ -278,13 +279,41 @@ def test_char_poly_layouts_agree_bitwise(N, n_samples, n_points, real, seed):
     xs = rng.uniform(-1.5, 1.5, n_points)
     if not real:
         xs = xs + 1j * rng.uniform(-1.0, 1.0, n_points)
-    m_in, e_in = char_poly(d, e, xs[:, None])
-    m_out, e_out = char_poly(d[:, None], e[:, None], xs)
+    a, b2 = recurrence_coeffs(d, e)
+    m_in, e_in = char_poly(a, b2, xs[:, None])
+    m_out, e_out = char_poly(a[:, None], b2[:, None], xs)
     assert m_in.shape == (n_points, n_samples) and m_out.shape == (n_samples, n_points)
     assert m_in.dtype == m_out.dtype == xs.dtype
     assert np.array_equal(e_in.T, e_out)
     assert np.array_equal(np.ascontiguousarray(m_in.T).view(np.uint64),
                           m_out.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 300), n_samples=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_char_poly_real_grid_is_complex_grid_bitwise(N, n_samples, seed):
+    # with zero imaginary parts a complex product rounds like the real one,
+    # so the max experiment may run its real grid in real arithmetic
+    a, b2 = recurrence_coeffs(*tridiagonal_draw(N, np.random.default_rng(seed),
+                                                size=(n_samples,)))
+    grid = cheb_grid(N)
+    m_r, e_r = char_poly(a[:, None], b2[:, None], grid)
+    m_c, e_c = char_poly(a[:, None], b2[:, None], grid.astype(complex))
+    assert m_r.dtype == np.float64 and m_c.dtype == np.complex128
+    assert not m_c.imag.any()
+    assert np.array_equal(m_r.view(np.uint64), np.ascontiguousarray(m_c.real).view(np.uint64))
+    assert np.array_equal(e_r, e_c)
+
+
+@pytest.mark.parametrize("N", [1, 2, 64, 1024])
+def test_recurrence_coeffs_in_place_bitwise(N):
+    d, e = tridiagonal_draw(N, substream(4, 0), size=(5,))
+    s = 2.0 * math.sqrt(N)
+    want_a, want_b2 = d / s, np.square(e / s)
+    a, b2 = recurrence_coeffs(d, e)
+    assert a is d and b2 is e
+    assert np.array_equal(a.view(np.uint64), want_a.view(np.uint64))
+    assert np.array_equal(b2.view(np.uint64), want_b2.view(np.uint64))
 
 
 @pytest.mark.parametrize("p,q", [
@@ -332,18 +361,20 @@ def test_mc_char_ratio_blocks_match_oneshot(N, n_samples, rows, n_cases, n_point
 
 
 def test_mc_char_ratio_peak_memory():
-    # at fs-verify's N = 256 with 10,000 samples and both cases, the oracle
-    # holds the chunk's d (19.5 MiB), one block of e and the recurrence's
-    # state.  Measured peak: 24.8 MiB; 42.7 MiB with e drawn whole
-    N, n = 256, 10_000
-    tracemalloc.start()
-    try:
-        mc_char_ratio(N, [(0.3 + 0.4j,), (-0.35 + 0.45j,)],
-                      [(-0.2 + 0.5j,), (0.25 + 0.6j,)], n, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= n * N * 8 + (9 << 20), (peak - n * N * 8) / 2**20
+    # fs-verify's two sizes, both cases: the oracle holds the chunk's d, one
+    # block of e and the recurrence's state, and forms the recurrence's
+    # coefficients in place.  Measured peak above d: 5.3 MiB at N = 256
+    # (23.2 MiB with e drawn whole), 8.5 MiB at N = 1024 (32.0 MiB with a
+    # copy of the block's coefficients)
+    for N, n, slack in [(256, 10_000, 9 << 20), (1024, 2_000, 12 << 20)]:
+        tracemalloc.start()
+        try:
+            mc_char_ratio(N, [(0.3 + 0.4j,), (-0.35 + 0.45j,)],
+                          [(-0.2 + 0.5j,), (0.25 + 0.6j,)], n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * N * 8 + slack, (N, (peak - n * N * 8) / 2**20)
 
 
 def test_monte_carlo_oracles_survive_determinant_underflow():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from charpolylab import extremes
 from charpolylab._rng import substream
 from charpolylab.ensemble import (RHO_MAX, Spectrum, char_poly, g, g_tilde,
-                                  sample_spectrum_gue)
+                                  recurrence_coeffs, sample_spectrum_gue)
 from charpolylab.extremes import (C_V, cheb_grid, factor14_check, max_experiment,
                                   experiment_rows)
 from oracles import factor14_unpruned, field_q
@@ -233,6 +233,34 @@ def _eigen_logs(eigs, xs):
     return out
 
 
+def _block(spec):
+    """A one-draw block of its own arrays."""
+    return Spectrum(N=spec.N, d=spec.d[None].copy(), e=spec.e[None].copy())
+
+
+@pytest.mark.parametrize("y", [None, 1.5])
+def test_max_experiment_runs_only_the_shifted_grid_complex(y):
+    # the Chebyshev grid runs in float64, the grid shifted by -iy/N in
+    # complex128, one char_poly call per (pass, block), each sample once per pass
+    N, n_samples = 64, 5
+    calls = []
+
+    def spy(a, b2, xs):
+        calls.append((xs, a.shape[0]))
+        return char_poly(a, b2, xs)
+
+    with mock.patch.object(extremes, "char_poly", spy):
+        records, _ = max_experiment(N, n_samples, y, seed=3, threads=2)
+    grid = cheb_grid(N)
+    real = [n for xs, n in calls if xs.dtype == np.float64 and np.array_equal(xs, grid)]
+    shifted = [n for xs, n in calls if xs.dtype == np.complex128
+               and np.array_equal(xs, grid - 1j * (1.5 / N))]
+    assert sum(real) == n_samples
+    assert sum(shifted) == (0 if y is None else n_samples)
+    assert len(real) + len(shifted) == len(calls)
+    assert np.isnan(records[0].m_star_reg) == (y is None)
+
+
 @pytest.mark.parametrize("N", [64, 256, 1024, 4096])
 def test_grid_field_matches_eigen_route(N):
     # the determinant recurrence against the solved spectrum on pinned draws:
@@ -242,13 +270,14 @@ def test_grid_field_matches_eigen_route(N):
     spec = sample_spectrum_gue(N, 2026 + N)
     grid = cheb_grid(N)
     shifted = grid - 1j * (y / N)
-    block = Spectrum(N=N, d=spec.d[None], e=spec.e[None])
-    m_star, m_star_reg = extremes._grid_maxima(block, grid, y)
+    # _grid_maxima overwrites its block with the recurrence coefficients
+    m_star = extremes._grid_maxima(_block(spec), (grid, N * g_tilde(grid)), None)
+    m_star_reg = extremes._grid_maxima(_block(spec), (grid, -N * g(shifted).real), y)
     eig_real = _eigen_logs(spec.eigenvalues, grid) + N * g_tilde(grid)
     eig_shift = _eigen_logs(spec.eigenvalues, shifted)
     assert abs(m_star[0] - eig_real.max()) <= 1e-9
     assert abs(m_star_reg[0] - (eig_shift - N * g(shifted).real).max()) <= 1e-9
-    m, e = char_poly(spec.d, spec.e, shifted)
+    m, e = char_poly(*recurrence_coeffs(spec.d.copy(), spec.e.copy()), shifted)
     assert np.abs(np.log(np.abs(m)) + e * math.log(2.0) - eig_shift).max() <= 1e-9
 
 

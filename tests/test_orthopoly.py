@@ -155,13 +155,14 @@ def test_h_conjugation_antisymmetry(table_cache):
 
 
 @settings(max_examples=40, deadline=None)
-@given(N=st.integers(1, 64), x=st.floats(-2.0, 2.0),
+@given(N=st.integers(1, 64), x=st.floats(-1.5, 1.5),
        y=st.floats(1e-2, 2.0), n=st.integers(0, 80))
 def test_h_conjugation_antisymmetry_property(N, x, y, n):
     # both the forward and the backward (Miller) route of the chain, also
-    # past the table's n_max
+    # past the table's n_max, on the domain that the backward start-index
+    # bound covers: |Re q| <= 1.5 and Im q >= 1/N
     tab = OPTable(N)
-    q = complex(x, y)
+    q = complex(x, max(y, 1.0 / N))
     um, ue = _h_chain(tab, n, q)
     lm, le = _h_chain(tab, n, q.conjugate())
     ln2 = math.log(2.0)
@@ -398,6 +399,12 @@ def test_table_holds_degrees_to_N_and_chains_run_past_it():
 
 
 def test_start_index_error_names_route_and_bound(monkeypatch):
+    # at the real bound, a q outside the domain it covers (|Re q| <= 1.5,
+    # Im q >= 1/N)
+    with pytest.raises(RuntimeError) as exc:
+        _h_chain(OPTable(2), 3, complex(2.0, 0.01171875))
+    assert str(exc.value) == ("backward h-chain at N=2, q=(2+0.01171875j): start index "
+                              "216834 needed, bound 200000")
     monkeypatch.setattr(orthopoly, "_BACKWARD_HARD_CAP", 100)
     monkeypatch.setattr(orthopoly, "_BACKWARD_CAP_PER_N", 1)
     tab = OPTable(8)

@@ -192,14 +192,15 @@ def test_no_module_imports_scipy_integrate():
     assert not imports, imports
 
 
-# the tracer's counters over _TINY_RUNS, max-experiment on two threads
+# the tracer's counters over _TINY_RUNS, max-experiment on two threads;
+# max-experiment draws each sample once per grid pass
 _TRACED_COUNTS = {
-    "extremes.logsum_terms": 408,
+    "extremes.logsum_terms": 544,
     "orthopoly.table_n_max": 512,
     "charpoly.mc_det_steps": 320,
     "gaussfield.cov_entries": 4602,
-    "rng.substream.calls": 17,
-    "ensemble.sample_spectrum_gue.calls": 4,
+    "rng.substream.calls": 21,
+    "ensemble.sample_spectrum_gue.calls": 6,
     "orthopoly.h_chain.calls": 38,
     "orthopoly.pi_chain.calls": 38,
 }
