@@ -51,8 +51,8 @@ def cov_t(z, w):
     return -0.5 * np.log(np.abs(1.0 - z * w)) - 0.5 * np.log(np.abs(1.0 - z * np.conj(w)))
 
 
-# rows per block of GaussKernel.cross: a block's complex temporaries hold
-# _COV_ROWS x len(b) entries, never a whole matrix
+# rows per block of GaussKernel.matrix: a block's complex temporaries hold
+# _COV_ROWS x len(points) entries, never a whole matrix
 _COV_ROWS = 64
 
 
@@ -62,20 +62,15 @@ class GaussKernel:
 
     cov: object  # broadcasting callable (z, w) -> covariance
 
-    def cross(self, a, b):
-        """cov(a[:, None], b[None, :]) as one float64 array, filled
-        _COV_ROWS rows at a time.  Each entry goes through the same
-        elementwise ops as in the one-shot broadcast, so the bits are equal.
-        """
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)[None, :]
-        out = np.empty((len(a), b.shape[1]))
-        for lo in range(0, len(a), _COV_ROWS):
-            out[lo:lo + _COV_ROWS] = self.cov(a[lo:lo + _COV_ROWS, None], b)
-        return out
-
     def matrix(self, points):
-        return self.cross(points, points)
+        """cov(points[:, None], points[None, :]) as one float64 array, filled
+        _COV_ROWS rows at a time.  Each entry goes through the same
+        elementwise ops as in the one-shot broadcast, so the bits are equal."""
+        pts = np.asarray(points, dtype=complex)
+        out = np.empty((len(pts), len(pts)))
+        for lo in range(0, len(pts), _COV_ROWS):
+            out[lo:lo + _COV_ROWS] = self.cov(pts[lo:lo + _COV_ROWS, None], pts[None, :])
+        return out
 
 
 def kernel_g():

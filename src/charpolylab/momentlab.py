@@ -189,24 +189,27 @@ def omega_grid(params):
     return np.exp(1j * (math.pi / 2.0 + hs * math.exp(-params.n0)))
 
 
-def branch_depth(omegas, n0):
-    """Branching heights of every pair of rays: -log|omega_i - omega_j|,
-    rounded and clipped to [0, n0], with n0 on the diagonal.
+def branch_depth(angles, n0):
+    """Branching heights of rays whose angles differ by `angles`: -log|omega -
+    omega'| = -log(2 sin(angle/2)) rounded and clipped to [0, n0] (n0 at 0).
 
     This is the quantity the two-point estimates are binned by; capping at n0
     (rather than flooring there) is what makes the well-separated and
     nearly-parallel regimes distinguishable.
     """
-    omegas = np.asarray(omegas, dtype=complex)
-    gaps = np.abs(omegas[:, None] - omegas[None, :])
-    np.fill_diagonal(gaps, 1.0)
     with np.errstate(divide="ignore"):
-        np.log(gaps, out=gaps)
-    np.negative(gaps, out=gaps)
-    np.clip(np.round(gaps, out=gaps), 0, n0, out=gaps)
-    depth = gaps.astype(int)
-    np.fill_diagonal(depth, n0)
-    return depth
+        depth = -np.log(2.0 * np.sin(np.asarray(angles, dtype=float) / 2.0))
+    return np.clip(np.round(depth), 0, n0).astype(int)
+
+
+def _ray_cov(ha, hb, angles):
+    """cov_g(omega zeta_ha, omega' zeta_hb) for rays whose angles differ by
+    `angles`: -(1/4) log((1 - rho_a rho_b)^2 + 4 rho_a rho_b sin^2(angle/2)),
+    rho = tanh(h/2), with 1 - rho_a rho_b = u_a + rho_a u_b, u = 1 - rho =
+    2/(e^h + 1), so that no near-boundary value cancels."""
+    ra, rb = ray_point(ha), ray_point(hb)
+    gap = 2.0 / (math.exp(ha) + 1.0) + ra * 2.0 / (math.exp(hb) + 1.0)
+    return -0.25 * np.log(gap ** 2 + 4.0 * ra * rb * np.sin(angles / 2.0) ** 2)
 
 
 def in_tube(barrier_vals, ref_vals, params):
@@ -250,28 +253,41 @@ class LowerBoundResult:
         return doc
 
 
-def _depth_bins(depth, emp2, prod1, exact2, b_ref, slack):
+def _by_lag(fill, op, *args):
+    """op(*args), m x m for m the last argument's last length, written to the
+    left half of an m x 2m buffer whose right half holds fill, and viewed so
+    that its diagonal L is column L: view row i is buffer columns i..i+m-1."""
+    m = args[-1].shape[-1]
+    buf = np.empty((m, 2 * m))
+    buf[:, m:] = fill
+    op(*args, out=buf[:, :m])
+    return np.lib.stride_tricks.as_strided(
+        buf, (m, m), (buf.strides[0] + buf.itemsize, buf.itemsize), writeable=False)
+
+
+def _depth_bins(Y, ey, exact, depth, b_ref, slack):
     """The two-point table: over the pairs i < j of each branch depth m, the
     means of E[Y_i Y_j] and of the exact Gaussian E e^{B_i + B_j}, each over
     the mean of E Y_i E Y_j, and the largest exact / (product e^{m - b_ref + slack}).
 
-    Each bin's entries are gathered once, by index pairs into the upper
-    triangle, so no whole-triangle copy is made.
-    """
-    rows, cols = np.triu_indices(len(depth), k=1)
-    dvals = depth[rows, cols]
-    del depth  # the whole matrix, when the caller passed it inline
+    exact and depth are indexed by the lag L = j - i, on which alone they
+    depend over the ray lattice, and a depth's pairs are the m - L pairs of
+    each of its lags L >= 1: the m x m tables enter by diagonal sums or minima."""
+    m = len(ey)
+    emp = _by_lag(0.0, np.matmul, Y.T, Y).sum(axis=0) / len(Y)
+    low = _by_lag(np.inf, np.multiply.outer, ey, ey).min(axis=0)
+    ind = np.correlate(ey, ey, "full")[m - 1:]
+    n_pairs = m - np.arange(m)
     bins = []
-    for mval in np.flatnonzero(np.bincount(dvals)).tolist():
-        sel = np.flatnonzero(dvals == mval)
-        r, c = rows[sel], cols[sel]
-        e_emp, e_ind, e_exact = emp2[r, c], prod1[r, c], exact2[r, c]
-        lemma_bound = e_exact / (e_ind * math.exp(mval - b_ref + slack))
+    for mval in np.flatnonzero(np.bincount(depth[1:])).tolist():
+        lags = np.flatnonzero(depth[1:] == mval) + 1
+        e_ind = ind[lags].sum()
+        lemma_bound = exact[lags] / (low[lags] * math.exp(mval - b_ref + slack))
         bins.append({
             "m": mval,
-            "n_pairs": len(sel),
-            "factorization_ratio": float(e_emp.mean() / e_ind.mean()),
-            "exact_pair_over_product": float(e_exact.mean() / e_ind.mean()),
+            "n_pairs": int(n_pairs[lags].sum()),
+            "factorization_ratio": float(emp[lags].sum() / e_ind),
+            "exact_pair_over_product": float(n_pairs[lags] @ exact[lags] / e_ind),
             "lemma_bound_constant": float(lemma_bound.max()),
         })
     return bins
@@ -356,28 +372,17 @@ def lower_bound_mc(params, n_samples, seed):
         "ratio_max": float(op_ratio.max()),
     }
 
-    # two-point table binned by branch depth; every m x m table is built in
-    # place and each per-ray covariance block is dropped once read
-    emp2 = Y.T @ Y
-    emp2 /= n_samples
-    del Y
-    prod1 = np.outer(ey_emp, ey_emp)
-    leaf_pts = np.asarray(points[:m])
-    ref_pts = leaf_pts / zeta_leaf * zeta_ref
-    cov_bb = kern.matrix(leaf_pts)
-    c_LR = kern.cross(leaf_pts, ref_pts)
-    cov_bb -= c_LR
-    cov_bb -= c_LR.T
-    del c_LR
-    cov_bb += kern.matrix(ref_pts)
-    cov_bb *= 4.0  # Cov(B_1, B_2) across rays
+    # two-point table binned by branch depth: over the lattice the kernel,
+    # the depth and the exact pair moment depend only on the lag |i - j|
+    angles = np.arange(m) * math.exp(-params.n0)
+    h_leaf, h_ref = params.n0, params.b[params.r]
+    cov_bb = (_ray_cov(h_leaf, h_leaf, angles) + _ray_cov(h_ref, h_ref, angles)
+              - 2.0 * _ray_cov(h_leaf, h_ref, angles))
     # E e^{B1+B2} = e^{(Var B1 + Var B2)/2 + Cov(B1,B2)}, Var B_i = var_b by rotation
-    cov_bb += var_b
-    exact2 = np.exp(cov_bb, out=cov_bb)
+    exact = np.exp(var_b + 4.0 * cov_bb)
     slack = params.n / params.eta + params.eta * math.sqrt(params.n)
-    # depth is passed inline, so _depth_bins holds its only reference
-    bins = _depth_bins(branch_depth(omegas, params.n0), emp2, prod1, exact2,
-                       params.b[params.r], slack)
+    bins = _depth_bins(Y, ey_emp, exact, branch_depth(angles, params.n0),
+                       h_ref, slack)
 
     target = (1.0 - 2.0 * params.delta) * params.n
     field_frac = float((center_max > target).mean())

@@ -14,8 +14,9 @@ from charpolylab.charpoly import _batched_mean
 from charpolylab.ensemble import (SUPPORT, V, char_poly, g, g_tilde,
                                   recurrence_coeffs, tridiagonal_draw)
 from charpolylab.extremes import _golden_max_vec, cheb_grid
-from charpolylab.gaussfield import _dpstrf
-from charpolylab.hyperbolic import joukowsky, pseudo_dist
+from charpolylab.gaussfield import _dpstrf, cov_g
+from charpolylab.hyperbolic import joukowsky, pseudo_dist, ray_point
+from charpolylab.momentlab import omega_grid
 from charpolylab.orthopoly import _ldexp
 
 
@@ -370,9 +371,43 @@ def mc_field_bias_moment(N, bias, n_samples, seed, chunk=100_000):
     return _batched_mean(vals)
 
 
+def branch_depth_pairs(omegas, n0):
+    """Branching heights of every pair of rays, entry by entry:
+    -log|omega_i - omega_j| rounded and clipped to [0, n0], with n0 on the
+    diagonal; the oracle for momentlab.branch_depth's form by lag."""
+    omegas = np.asarray(omegas, dtype=complex)
+    gaps = np.abs(omegas[:, None] - omegas[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    depth = np.clip(np.round(-np.log(gaps)), 0, n0).astype(int)
+    np.fill_diagonal(depth, n0)
+    return depth
+
+
+def depth_bins_pairs(Y, ey, params):
+    """lower_bound_mc's two-point table from m x m tables over the ray pairs:
+    E[Y_i Y_j] as Y^T Y / n, E Y_i E Y_j as an outer product, the exact pair
+    moment from cov_g at every pair of leaf and reference points, and the
+    per-pair depth, all fed to depth_bins_loop; the oracle for the table
+    built by lag (momentlab._depth_bins)."""
+    omegas = omega_grid(params)
+    zeta_leaf, zeta_ref = ray_point(params.n0), ray_point(params.b[params.r])
+    leaf = omegas * zeta_leaf
+    ref = leaf / zeta_leaf * zeta_ref
+    c_lr = cov_g(leaf[:, None], ref[None, :])
+    cov_bb = (cov_g(leaf[:, None], leaf[None, :]) - c_lr - c_lr.T
+              + cov_g(ref[:, None], ref[None, :]))
+    var_b = 4.0 * (cov_g(zeta_leaf, zeta_leaf) + cov_g(zeta_ref, zeta_ref)
+                   - 2.0 * cov_g(zeta_leaf, zeta_ref))
+    exact2 = np.exp(4.0 * cov_bb + var_b)
+    slack = params.n / params.eta + params.eta * math.sqrt(params.n)
+    return depth_bins_loop(branch_depth_pairs(omegas, params.n0),
+                           Y.T @ Y / len(Y), np.outer(ey, ey), exact2,
+                           params.b[params.r], slack)
+
+
 def depth_bins_loop(depth, emp2, prod1, exact2, b_ref, slack):
     """The per-depth two-point table by boolean masks over whole copies of
-    the upper triangle, four per bin: the oracle for momentlab._depth_bins."""
+    the upper triangle of each m x m table, four per bin."""
     bins = []
     iu = np.triu_indices(len(depth), k=1)
     dvals = depth[iu]

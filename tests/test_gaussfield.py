@@ -65,21 +65,16 @@ _EDGE = gaussfield._COV_ROWS
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([0, 1, 2, _EDGE - 1, _EDGE, _EDGE + 1, 2 * _EDGE - 1,
                           2 * _EDGE, 2 * _EDGE + 1]) | st.integers(0, 3 * _EDGE),
-       m=st.integers(0, _EDGE + 2), seed=st.integers(0, 2 ** 32 - 1),
+       seed=st.integers(0, 2 ** 32 - 1),
        kern=st.sampled_from([kernel_g(), kernel_t()]))
-@example(n=0, m=0, seed=0, kern=kernel_g()).via("empty")
-def test_kernel_matrix_row_blocks_bitwise(n, m, seed, kern):
+@example(n=0, seed=0, kern=kernel_g()).via("empty")
+def test_kernel_matrix_row_blocks_bitwise(n, seed, kern):
     # the row-block build against the one-shot broadcast it replaced, for
     # point counts on each side of the block edges
-    rng = np.random.default_rng(seed)
-    pts = random_disk_points(rng, n, rmax=0.99)
-    other = random_disk_points(rng, m, rmax=0.99)
+    pts = random_disk_points(np.random.default_rng(seed), n, rmax=0.99)
     mat = kern.matrix(pts)
     assert mat.dtype == np.float64 and mat.shape == (n, n)
     assert mat.tobytes() == kern.cov(pts[:, None], pts[None, :]).tobytes()
-    cross = kern.cross(pts, other)
-    assert cross.shape == (n, m)
-    assert cross.tobytes() == kern.cov(pts[:, None], other[None, :]).tobytes()
     if n == 0:
         assert bias_variance(BiasSpec(), kern) == 0.0
 

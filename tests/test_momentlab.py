@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from charpolylab import momentlab
 from charpolylab._rng import substream
-from charpolylab.gaussfield import BiasSpec, kernel_g, sample_gauss
+from charpolylab.gaussfield import BiasSpec, cov_g, kernel_g, sample_gauss
 from charpolylab.hyperbolic import hyp_dist, pseudo_dist, ray_point
 from charpolylab.momentlab import (LowerBoundParams, PairConfiguration,
                                    branch_depth, in_tube, lower_bound_mc,
                                    matching_subset_sup, mem_ratio, omega_grid,
                                    pair_config_validate,
                                    random_pair_configuration)
-from oracles import depth_bins_loop, matching_ratio
+from oracles import branch_depth_pairs, depth_bins_pairs, matching_ratio
 
 
 def test_lower_bound_params():
@@ -184,14 +184,35 @@ def test_pair_config_generator_roundtrip():
 
 def test_branch_depth():
     n0 = 8
-    omegas = [1.0, np.exp(1j * 1.0), np.exp(1j * math.exp(-3.0)),
-              np.exp(1j * math.exp(-20.0)), 1.0]
-    depth = branch_depth(omegas, n0)
-    assert (depth == depth.T).all() and (np.diag(depth) == n0).all()
-    assert depth[0, 1] == 0
-    assert depth[0, 2] == 3
-    assert depth[0, 3] == n0
-    assert depth[0, 4] == n0  # coincident rays branch at the leaf
+    depth = branch_depth([0.0, 1.0, math.exp(-3.0), math.exp(-20.0)], n0)
+    assert depth.tolist() == [n0, 0, 3, n0]  # equal rays branch at the leaf
+    # over the ray lattice the per-pair depth depends on the lag alone
+    for n in range(8, 13):
+        params = LowerBoundParams(n=n, delta=0.2, eta=3)
+        omegas = omega_grid(params)
+        m = len(omegas)
+        by_lag = branch_depth(np.arange(m) * math.exp(-params.n0), params.n0)
+        lags = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
+        assert np.array_equal(by_lag[lags], branch_depth_pairs(omegas, params.n0)), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(8, 12), leaf_a=st.booleans(), leaf_b=st.booleans(),
+       data=st.data())
+def test_ray_cov_matches_cov_g_on_lattice(n, leaf_a, leaf_b, data):
+    # the closed form by lag against cov_g at the lattice points, from one
+    # ray i to every ray j.  cov_g rounds z conj(w) near 1: over every pair
+    # the two differ by at most 3.9e-13 (n = 12, both at the leaf), and the
+    # closed form is the one within 3.2e-16 of a 40-digit evaluation
+    params = LowerBoundParams(n=n, delta=0.2, eta=3)
+    omegas = omega_grid(params)
+    m = len(omegas)
+    ha, hb = (params.n0 if leaf else params.b[params.r] for leaf in (leaf_a, leaf_b))
+    i = data.draw(st.integers(0, m - 1))
+    lags = np.abs(np.arange(m) - i)
+    closed = momentlab._ray_cov(ha, hb, lags * math.exp(-params.n0))
+    direct = cov_g(omegas[i] * ray_point(ha), omegas * ray_point(hb))
+    np.testing.assert_allclose(closed, direct, rtol=0, atol=1e-12)
 
 
 def test_barrier_indicator_linear_profile():
@@ -261,11 +282,24 @@ def test_lower_bound_mc_deterministic():
 
 
 def test_depth_bins_match_triangle_loop(monkeypatch):
-    seen = []
-    gather = momentlab._depth_bins
-    monkeypatch.setattr(momentlab, "_depth_bins",
-                        lambda *args: seen.append(args) or gather(*args))
-    res = lower_bound_mc(LowerBoundParams(n=8, delta=0.2, eta=3), 60, seed=5)
-    (args,) = seen
-    assert len(res.per_m_bins) > 2
-    assert res.per_m_bins == depth_bins_loop(*args)
+    # the table by lag against the m x m tables and triangle loop it
+    # replaced, fed the same Y: the other fields are the same bits, the bins
+    # the same depths and pair counts, and the ratios move only by rounding
+    # (at most 2.3e-13 relative over seeds 1-6 at n = 8, 9, 10 and 500
+    # samples, in lemma_bound_constant through the per-pair kernel's error)
+    for n, seed in ((8, 5), (9, 2)):
+        params = LowerBoundParams(n=n, delta=0.2, eta=3)
+        doc = lower_bound_mc(params, 60, seed).to_json_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr(momentlab, "_depth_bins",
+                          lambda Y, ey, *_: depth_bins_pairs(Y, ey, params))
+            ref = lower_bound_mc(params, 60, seed).to_json_dict()
+        bins, ref_bins = doc.pop("per_m_bins"), ref.pop("per_m_bins")
+        assert doc == ref
+        assert len(bins) > 2
+        assert [(b["m"], b["n_pairs"]) for b in bins] == \
+            [(b["m"], b["n_pairs"]) for b in ref_bins]
+        for b, r in zip(bins, ref_bins):
+            for key in ("factorization_ratio", "exact_pair_over_product",
+                        "lemma_bound_constant"):
+                assert b[key] == pytest.approx(r[key], rel=1e-11, abs=0), key

@@ -198,7 +198,7 @@ _TRACED_COUNTS = {
     "extremes.logsum_terms": 544,
     "orthopoly.table_n_max": 512,
     "charpoly.mc_det_steps": 320,
-    "gaussfield.cov_entries": 4602,
+    "gaussfield.cov_entries": 4222,
     "rng.substream.calls": 21,
     "ensemble.sample_spectrum_gue.calls": 6,
     "orthopoly.h_chain.calls": 38,
