@@ -253,10 +253,8 @@ def _cmd_upperbound_verify(cfg):
 
 def _cmd_brw_verify(cfg):
     from .hyperbolic import ray_point
-    grid = []
-    for h in range(2, 9):
-        for th in np.linspace(-0.5, 0.5, 9):
-            grid.append(ray_point(h) * np.exp(1j * th))
+    grid = [ray_point(h) * np.exp(1j * th)
+            for h in range(2, 9) for th in np.linspace(-0.5, 0.5, 9)]
     doc = {"G": gaussfield.brw_check(grid, gaussfield.kernel_g()),
            "T": gaussfield.brw_check(grid, gaussfield.kernel_t())}
     lo, hi = doc["G"]["k_offset_range"]

@@ -258,34 +258,25 @@ def brw_check(grid, kernel):
     Returns c_b (sup of Var(W(z)-W(w))/d_H^2 over pairs with d_H <= 1), c_c
     (sup of |E[W(y)(W(z)-W(w))]|/d_H over the same pairs and all y), and
     k_offset_range, the range of E W(z1)W(z2) minus the branching main term
-    (1/2) min{-log|sin((theta1-theta2)/2)|, h1, h2} with h = d_H(0, z).
+    (1/2) min{-log|sin((theta1-theta2)/2)|, h1, h2} with h = d_H(0, z), over
+    all pairs of distinct grid indices.  The pair tables are arrays with the
+    scalar formulas' bits: sin and log stay math calls, one per pair.
     """
     pts = np.asarray(grid, dtype=complex)
-    n = len(pts)
     cov = kernel.matrix(pts)
-    h = np.array([hyp_dist(0.0, z) for z in pts])
+    d = hyp_dist(pts[:, None], pts[None, :])
+    h = hyp_dist(0.0, pts)
+    i, k = np.nonzero((d > 0.0) & (d <= 1.0))
+    diag = np.diagonal(cov)
+    var = diag[i] + diag[k] - 2.0 * cov[i, k]
+    cross = np.abs(cov[:, i] - cov[:, k]).max(axis=0)
     theta = np.angle(pts)
-
-    c_b = 0.0
-    c_c = 0.0
-    offsets = []
-    for i in range(n):
-        for k in range(n):
-            if i == k:
-                continue  # 0/0 pair excluded
-            d = hyp_dist(pts[i], pts[k])
-            if 0.0 < d <= 1.0:
-                var = cov[i, i] + cov[k, k] - 2.0 * cov[i, k]
-                c_b = max(c_b, var / d**2)
-                cross = np.abs(cov[:, i] - cov[:, k]).max()
-                c_c = max(c_c, cross / d)
-            s = abs(math.sin((theta[i] - theta[k]) / 2.0))
-            log_term = math.inf if s == 0.0 else -math.log(s)
-            main = 0.5 * min(log_term, h[i], h[k])
-            offsets.append(cov[i, k] - main)
-    offsets = np.array(offsets)
+    s = [abs(math.sin(x)) for x in ((theta[:, None] - theta[None, :]) / 2.0).ravel().tolist()]
+    log_term = np.array([-math.log(x) if x else math.inf for x in s]).reshape(d.shape)
+    main = 0.5 * np.minimum(np.minimum(log_term, h[:, None]), h[None, :])
+    offsets = (cov - main)[~np.eye(len(pts), dtype=bool)]
     return {
-        "c_b": float(c_b),
-        "c_c": float(c_c),
+        "c_b": float(np.max(var / d[i, k] ** 2, initial=0.0)),
+        "c_c": float(np.max(cross / d[i, k], initial=0.0)),
         "k_offset_range": (float(offsets.min()), float(offsets.max())),
     }

@@ -18,34 +18,39 @@ __all__ = [
 ]
 
 
-def _check_disk(*points):
-    for z in points:
-        if abs(z) >= 1.0:
-            raise ValueError(f"point {z} not in the open unit disk")
-
-
 def pseudo_dist(a, b):
     """Pseudohyperbolic distance |a-b| / |1 - a*conj(b)|, a metric bounded by 1.
 
     The denominator is evaluated as (1-a) + (1-conj(b)) - (1-a)(1-conj(b)),
     which keeps full relative precision when both points sit within a few
-    ulps of the unit circle.
+    ulps of the unit circle.  Swapping a and b conjugates it: bitwise symmetric.
     """
-    _check_disk(a, b)
+    if abs(a) >= 1.0 or abs(b) >= 1.0:
+        raise ValueError(f"points {a}, {b}: not both in the open unit disk")
     a = complex(a)
-    bc = complex(b).conjugate()
+    b = complex(b)
     u = 1.0 - a
-    v = 1.0 - bc
-    return abs(a - bc.conjugate()) / abs(u + v - u * v)
+    v = 1.0 - b.conjugate()
+    return abs(a - b) / abs(u + v - u * v)
 
 
 def hyp_dist(a, b):
     """Hyperbolic distance on the disk, d(0, z) = log((1+|z|)/(1-|z|)).
 
-    Evaluated as 2*atanh(pseudo_dist(a, b)), which is exact for a = 0 and
-    stable for nearly coincident points.
+    a and b broadcast against each other.  Each entry is 2*atanh(pseudo_dist)
+    bit for bit, stable for nearly coincident points: pseudo_dist's complex
+    arithmetic in real parts, np.hypot for abs, and one math.atanh per entry
+    (np.arctanh differs from it in the last bit).
     """
-    return 2.0 * math.atanh(pseudo_dist(a, b))
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    # np.abs of a complex array may differ from abs in the last bit
+    if (np.hypot(a.real, a.imag) >= 1.0).any() or (np.hypot(b.real, b.imag) >= 1.0).any():
+        raise ValueError("points not all in the open unit disk")
+    ur, ui, vr, vi = 1.0 - a.real, -a.imag, 1.0 - b.real, b.imag  # 1 - a, 1 - conj(b)
+    den = np.hypot((ur + vr) - (ur * vr - ui * vi), (ui + vi) - (ur * vi + ui * vr))
+    with np.errstate(divide="raise", invalid="raise"):  # as float division does
+        rho = np.hypot(a.real - b.real, a.imag - b.imag) / den
+    return np.array([2.0 * math.atanh(p) for p in rho.ravel().tolist()]).reshape(rho.shape)
 
 
 def joukowsky(z):
@@ -97,13 +102,21 @@ def branch_profile_grid(h, j, thetas):
     exp_k = per_pair(lambda a, b: math.exp(min(a, b)))
     k = np.minimum(h, j).reshape(shape)
     cos_t = np.cos(thetas)
-    cosh_a = cosh_plus * (1.0 - cos_t) + cosh_minus * (1.0 + cos_t)
-    exact = np.arccosh(np.maximum(cosh_a, 1.0))
     s = np.abs(np.sin(thetas / 2.0))
     with np.errstate(divide="ignore"):
         log_term = np.where(s > 0.0, -np.log(np.maximum(s, 1e-300)), np.inf)
-    approx = (h + j).reshape(shape) - 2.0 * np.minimum(log_term, k)
-    errors = exact - approx
-    in_regime = (s > 0.0) & (k > log_term)
-    refined = np.where(in_regime, np.abs(errors) * exp_k * np.abs(thetas), 0.0)
+    # the pair-by-pair formula's ops, in its order, in place in the two outputs
+    errors = np.multiply(cosh_plus, 1.0 - cos_t)
+    refined = np.multiply(cosh_minus, 1.0 + cos_t)
+    errors += refined
+    np.maximum(errors, 1.0, out=errors)
+    np.arccosh(errors, out=errors)  # the exact distance
+    np.minimum(log_term, k, out=refined)
+    refined *= 2.0
+    np.subtract((h + j).reshape(shape), refined, out=refined)  # the approximation
+    errors -= refined
+    np.abs(errors, out=refined)
+    refined *= exp_k
+    refined *= np.abs(thetas)
+    np.copyto(refined, 0.0, where=k <= log_term)
     return errors, refined

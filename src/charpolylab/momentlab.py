@@ -4,6 +4,7 @@ the Cauchy-Schwarz counting experiment.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -33,6 +34,16 @@ def mem_ratio(table, bias):
     return exp_moment_field(table, bias) / exp_moment_g(bias)
 
 
+def _log_dist_table(P):
+    """log pseudo_dist over pairs of P, 0 where two points coincide; each pair
+    is evaluated once, as pseudo_dist is symmetric bit for bit."""
+    out = np.zeros((len(P), len(P)))
+    for i, k in itertools.combinations(range(len(P)), 2):
+        if P[i] != P[k]:
+            out[i, k] = out[k, i] = math.log(pseudo_dist(P[i], P[k]))
+    return out
+
+
 def matching_subset_sup(config):
     """Brute-force sup of L(T, S) over all subsets T of Z, S of W.
 
@@ -46,10 +57,7 @@ def matching_subset_sup(config):
     W = [complex(w) for w in config.W]
     n = len(Z)
     lzw = np.array([[math.log(pseudo_dist(z, w)) for w in W] for z in Z])
-    lzz = np.array([[math.log(pseudo_dist(a, b)) if a != b else 0.0
-                     for b in Z] for a in Z])
-    lww = np.array([[math.log(pseudo_dist(a, b)) if a != b else 0.0
-                     for b in W] for a in W])
+    lzz, lww = _log_dist_table(Z), _log_dist_table(W)
     M = (np.arange(2 ** n)[:, None] >> np.arange(n) & 1).astype(float)
     Mc = 1.0 - M
     num = M @ lzw @ M.T + Mc @ lzw @ Mc.T

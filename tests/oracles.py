@@ -199,6 +199,41 @@ def branch_profile_row(h, j, thetas):
     return errors, refined
 
 
+def brw_check_pairs(grid, kernel):
+    """gaussfield.brw_check as a double loop over ordered pairs, with each
+    distance a scalar 2 atanh(pseudo_dist): the reference for its pair
+    tables."""
+    pts = np.asarray(grid, dtype=complex)
+    n = len(pts)
+    cov = kernel.matrix(pts)
+    h = np.array([2.0 * math.atanh(pseudo_dist(0.0, z)) for z in pts])
+    theta = np.angle(pts)
+
+    c_b = 0.0
+    c_c = 0.0
+    offsets = []
+    for i in range(n):
+        for k in range(n):
+            if i == k:
+                continue  # 0/0 pair excluded
+            d = 2.0 * math.atanh(pseudo_dist(pts[i], pts[k]))
+            if 0.0 < d <= 1.0:
+                var = cov[i, i] + cov[k, k] - 2.0 * cov[i, k]
+                c_b = max(c_b, var / d**2)
+                cross = np.abs(cov[:, i] - cov[:, k]).max()
+                c_c = max(c_c, cross / d)
+            s = abs(math.sin((theta[i] - theta[k]) / 2.0))
+            log_term = math.inf if s == 0.0 else -math.log(s)
+            main = 0.5 * min(log_term, h[i], h[k])
+            offsets.append(cov[i, k] - main)
+    offsets = np.array(offsets)
+    return {
+        "c_b": float(c_b),
+        "c_c": float(c_c),
+        "k_offset_range": (float(offsets.min()), float(offsets.max())),
+    }
+
+
 def _pseudo_product(A, B):
     out = 1.0
     for a in A:

@@ -13,7 +13,7 @@ from charpolylab.gaussfield import (BiasSpec, GaussKernel, _dpstrf,
                                     kernel_g, kernel_t, sample_gauss)
 from charpolylab.hyperbolic import hyp_dist, ray_point
 from charpolylab.momentlab import LowerBoundParams, omega_grid
-from oracles import factor_covariance_tril, mobius_to_zero
+from oracles import brw_check_pairs, factor_covariance_tril, mobius_to_zero
 
 
 def random_disk_points(rng, n, rmax=0.9):
@@ -375,3 +375,18 @@ def test_brw_check_g_kernel():
              for h in range(2, 9) for th in np.linspace(-0.5, 0.5, 17)]
     res2 = brw_check(grid2, kernel_g())
     assert res2["c_b"] <= 2.0 * res["c_b"] + 1.0
+
+
+def test_brw_check_matches_the_pair_loop():
+    # brw-verify's grid, and a random one with pairs beyond d_H = 1 and with
+    # two points on each half of the real axis: sin of half their angle gap
+    # is 0 (log term +inf) or 1 (log term -0.0)
+    grid = [ray_point(h) * np.exp(1j * th)
+            for h in range(2, 9) for th in np.linspace(-0.5, 0.5, 9)]
+    rand = np.concatenate([random_disk_points(np.random.default_rng(17), 30),
+                           [0.3, 0.7, -0.4, -0.8]])
+    dist = hyp_dist(rand[:, None], rand[None, :])
+    assert (dist > 1.0).any() and ((dist > 0.0) & (dist <= 1.0)).any()
+    for points in (grid, rand):
+        for kernel in (kernel_g(), kernel_t()):
+            assert brw_check(points, kernel) == brw_check_pairs(points, kernel)

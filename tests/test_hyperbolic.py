@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -32,6 +33,8 @@ def test_hyp_dist_symmetry_and_triangle(rng):
 def test_hyp_dist_domain_error():
     with pytest.raises(ValueError):
         hyp_dist(1.0, 0.0)
+    with pytest.raises(ValueError):
+        hyp_dist(np.array([0.5, 0.2j]), np.array([[0.1], [1.0j]]))
 
 
 def test_isometry_invariance(rng):
@@ -63,6 +66,45 @@ def test_pseudo_dist_metric_property(a, b, c, y):
     # disk automorphisms are isometries
     assert pseudo_dist(mobius_to_zero(y, a), mobius_to_zero(y, b)) == \
         pytest.approx(d_ab, rel=1e-9, abs=1e-12)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+_near_circle = st.builds(lambda k, t: (1.0 - k * 2.0 ** -53) * cmath.exp(1j * t),
+                         st.integers(1, 8), st.floats(-math.pi, math.pi))
+_pair = st.one_of(
+    st.tuples(st.one_of(_disk_point, _near_circle, st.just(0j)),
+              st.one_of(_disk_point, _near_circle)),
+    # two points within a few ulps of the circle and of each other
+    st.builds(lambda z, t: (z, z * cmath.exp(1j * t)), _near_circle,
+              st.floats(-1e-13, 1e-13)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(_pair, min_size=1, max_size=6))
+def test_hyp_dist_array_is_the_scalar_formula(pairs):
+    # each entry of the broadcast hyp_dist is 2 atanh(pseudo_dist) bit for
+    # bit, with the pairs (a, a) and (0, b) added; where the scalar formula
+    # raises (a point rounded onto the circle, a distance rounded to 1, or
+    # a denominator rounded to 0), an array holding that pair raises too
+    pairs = pairs + [(a, a) for a, _ in pairs] + [(0j, b) for _, b in pairs]
+    ok = []
+    for a, b in pairs:
+        try:
+            ok.append((a, b, 2.0 * math.atanh(pseudo_dist(a, b))))
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises((ValueError, ArithmeticError)):
+                hyp_dist(np.array([0j, a]), np.array([0j, b]))
+    if ok:
+        a, b, ref = (np.array(col) for col in zip(*ok))
+        assert _bits(hyp_dist(a, b)) == _bits(ref)
+        at_zero = a == 0
+        assert _bits(hyp_dist(0.0, b[at_zero])) == _bits(ref[at_zero])
+        # matching_subset_sup evaluates each pair of its log-distance
+        # tables once and mirrors it
+        assert all(pseudo_dist(x, y) == pseudo_dist(y, x) for x, y, _ in ok)
 
 
 def test_pseudo_equals_tanh_half_hyp(rng):
@@ -161,10 +203,6 @@ def test_branch_profile_bound_stable_across_grids():
 
     coarse, fine = sweep(2001), sweep(4001)
     assert abs(fine - coarse) <= 0.1 * max(coarse, 0.1)
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).tobytes()
 
 
 def test_branch_profile_grid_row_blocks_match_pairs():
