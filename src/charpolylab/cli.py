@@ -63,6 +63,11 @@ class RunConfig:
         for name, lo in minimums.items():
             if getattr(self, name) < lo:
                 raise ConfigError(f"{name} must be >= {lo}")
+        # more than one thread runs on forked worker processes
+        if self.threads > 1:
+            import multiprocessing
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise ConfigError("threads must be 1 where processes cannot fork")
         # matching-verify scatters up to 7 centers 1.5 epsilon apart in
         # pseudo-distance inside the radius-0.9 disk by rejection (5,000
         # tries).  The bound is measured, not derived: at 1/2 no 7-center

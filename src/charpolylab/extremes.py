@@ -7,16 +7,15 @@ The max experiment never solves for eigenvalues.  Q_N on the 2N+1 grid
 model's determinant recurrence (ensemble.char_poly).  The grid and the
 shifted grid are two passes, the grid in real arithmetic and only the
 shifted grid in complex, and each pass runs on blocks of samples sized so
-that each (block x points) working array stays in a 2 MiB L2 cache.  The
-(pass, block) tasks run in parallel on the thread pool: numpy releases the
-GIL inside an elementwise step on a whole block, but not in its calls on a
-few values, so blocks stay large and each block forms its recurrence
-coefficients once.  A block's values are elementwise in its samples, so
-outputs are the same for any thread count.
+that each (block x points) working array stays in a 2 MiB L2 cache.  Each
+(pass, block) task draws its own block and forms its recurrence
+coefficients once.  With more than one thread the tasks run on forked
+worker processes, the costlier shifted pass first, each pass in at least
+as many blocks as workers.  A block's values are elementwise in its
+samples, so outputs are the same for any thread count and blocking.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -56,10 +55,7 @@ class OrderingViolation(ArithmeticError):
 
 
 # bytes of one (block x points) working array of a grid pass: its three
-# arrays stay resident in a per-core L2 cache of 2 MiB.  Smaller blocks
-# spend more of each step in calls that hold the GIL (half this size:
-# max_experiment(4096, 4, 2.0) on two threads of a 2-core host took
-# 0.65-0.71 s against 0.53-0.59 s)
+# arrays stay resident in a per-core L2 cache of 2 MiB
 _BLOCK_BYTES = 1 << 19
 
 
@@ -209,6 +205,15 @@ def _grid_maxima(block, grid, y):
         return (np.log(np.abs(m)) + e * math.log(2.0) + center).max(axis=1)
 
 
+def _pass_block(N, seed, grid, center, shift, lo, hi):
+    """_grid_maxima on the grid shifted by shift (None: the grid itself) for
+    samples lo..hi-1, each drawn from its own substream: one pool task."""
+    spectra = [sample_spectrum_gue(N, task_seed(seed, i)) for i in range(lo, hi)]
+    block = Spectrum(N=N, d=np.stack([s.d for s in spectra]),
+                     e=np.stack([s.e for s in spectra]))
+    return _grid_maxima(block, (grid, center), shift)
+
+
 def _quartiles(x):
     """np.percentile(x, [25, 50, 75]) as floats, without the np.unique call
     that imports numpy.ma: numpy's linear rule interpolates the sorted
@@ -247,28 +252,30 @@ def max_experiment(N, n_samples, y, seed, threads=1):
     if y is not None:
         passes.append((y, -N * g(x - 1j * (y / N)).real))
     tasks = []
-    for p, (shift, _) in enumerate(passes):
-        # blocks as even as the cache budget allows; 2N+1 points per
-        # sample, float64 on the grid and complex128 off it
+    # the costliest pass first: the shifted grid, in complex
+    for shift, center in reversed(passes):
+        # at least one block per worker, as even as the cache budget
+        # allows; 2N+1 points per sample, float64 on the grid and
+        # complex128 off it
         per_sample = (2 * N + 1) * (8 if shift is None else 16)
-        n_blocks = -(-n_samples * per_sample // _BLOCK_BYTES)
-        size = -(-n_samples // n_blocks)
-        tasks += [(p, lo, min(lo + size, n_samples)) for lo in range(0, n_samples, size)]
-
-    def one(task):
-        p, lo, hi = task
-        shift, center = passes[p]
-        # each pass draws its own blocks, the same draws bit for bit
-        spectra = [sample_spectrum_gue(N, task_seed(seed, i)) for i in range(lo, hi)]
-        block = Spectrum(N=N, d=np.stack([s.d for s in spectra]),
-                         e=np.stack([s.e for s in spectra]))
-        return _grid_maxima(block, (x, center), shift)
-
+        n_blocks = min(n_samples, max(threads, -(-n_samples * per_sample // _BLOCK_BYTES)))
+        cuts = [n_samples * k // n_blocks for k in range(n_blocks + 1)]
+        tasks += [(N, seed, x, center, shift, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    if threads == 1:
+        results = list(map(_pass_block, *zip(*tasks)))
+    else:
+        # fork, not spawn: a forked worker starts with the modules loaded,
+        # where a spawned one would import them again (about 0.14 s), and
+        # the pool forks its workers before it starts a thread of its own
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks)),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_pass_block, *zip(*tasks)))
     # rows m_star and m_star_reg, NaN where no pass ran
     maxima = np.full((2, n_samples), math.nan)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for (p, lo, hi), m in zip(tasks, pool.map(one, tasks)):
-            maxima[p, lo:hi] = m
+    for (*_, shift, lo, hi), m in zip(tasks, results):
+        maxima[0 if shift is None else 1, lo:hi] = m
     m_star, m_star_reg = maxima
     if y is not None:
         for a, b in zip(m_star, m_star_reg):

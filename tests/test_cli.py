@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import tempfile
@@ -472,6 +473,37 @@ def test_numerical_breakdown_exits_3(monkeypatch, capsys, exc):
     assert run(RunConfig(command="gen-spectrum", check=True)) == 3
     err = capsys.readouterr().err
     assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def test_worker_breakdown_exits_3_and_leaves_no_process(monkeypatch, capsys):
+    # a forked worker's exception reaches the parent as the in-process one
+    # does, and the pool is gone when max_experiment returns, pass or fail
+    argv = ["max-experiment", "--N", "16", "--samples", "4"]
+    assert main(argv + ["--threads", "2"]) == 0
+    assert multiprocessing.active_children() == []
+
+    def failing(block, grid, y):
+        raise MemoryError("Unable to allocate 1.0 TiB for an array")
+
+    monkeypatch.setattr(extremes, "_grid_maxima", failing)
+    capsys.readouterr()
+    lines = []
+    for threads in ("1", "2"):
+        assert main(argv + ["--threads", threads]) == 3
+        lines.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert lines[0] == lines[1] == (
+        "error: MemoryError: Unable to allocate 1.0 TiB for an array\n")
+
+
+def test_threads_need_fork(monkeypatch, capsys):
+    # without fork a pool could not start: refused as configuration
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert main(["max-experiment", "--N", "16", "--samples", "2",
+                 "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and len(err.splitlines()) == 1
+    assert main(["max-experiment", "--N", "16", "--samples", "2"]) == 0
 
 
 def _beat_dense_max(orig):

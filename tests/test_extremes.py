@@ -1,4 +1,7 @@
 import math
+import os
+import pickle
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -225,6 +228,29 @@ def test_max_experiment_deterministic_across_threads(N, n_samples, seed, y,
     assert s1 == s2
 
 
+@pytest.mark.parametrize("threads,workers,y", [(64, 1, None), (2, 2, 2.0),
+                                                (1, None, 2.0)])
+def test_max_experiment_worker_count(threads, workers, y):
+    # min(threads, tasks) workers, and no pool at one thread; the mocked
+    # executor maps in-process, so no process starts.  At two threads each
+    # pass is two blocks, the shifted grid's submitted first
+    with mock.patch("concurrent.futures.ProcessPoolExecutor") as pool_cls:
+        pool = pool_cls.return_value.__enter__.return_value
+        pool.map.side_effect = map
+        records, _ = max_experiment(8, 1 if workers == 1 else 4, y, 0,
+                                    threads=threads)
+    if workers is None:
+        pool_cls.assert_not_called()
+    else:
+        pool_cls.assert_called_once()
+        kwargs = pool_cls.call_args.kwargs
+        assert kwargs["max_workers"] == workers
+        assert kwargs["mp_context"].get_start_method() == "fork"
+        shifts = pool.map.call_args.args[5]
+        assert shifts == ((None,) if y is None else (y, y, None, None))
+    assert all(math.isfinite(r.m_star) for r in records)
+
+
 def _eigen_logs(eigs, xs):
     """sum_i log|x - lambda_i| by the eigenvalue route, in row chunks."""
     out = np.empty(len(xs))
@@ -239,18 +265,22 @@ def _block(spec):
 
 
 @pytest.mark.parametrize("y", [None, 1.5])
-def test_max_experiment_runs_only_the_shifted_grid_complex(y):
+def test_max_experiment_runs_only_the_shifted_grid_complex(y, tmp_path):
     # the Chebyshev grid runs in float64, the grid shifted by -iy/N in
-    # complex128, one char_poly call per (pass, block), each sample once per pass
+    # complex128, one char_poly call per (pass, block), each sample once per
+    # pass.  A forked worker inherits the patched spy but not the parent's
+    # memory, so each call is written to a file of its own
     N, n_samples = 64, 5
-    calls = []
 
     def spy(a, b2, xs):
-        calls.append((xs, a.shape[0]))
+        fd, path = tempfile.mkstemp(dir=tmp_path)
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump((xs, a.shape[0]), fh)
         return char_poly(a, b2, xs)
 
     with mock.patch.object(extremes, "char_poly", spy):
         records, _ = max_experiment(N, n_samples, y, seed=3, threads=2)
+    calls = [pickle.loads(p.read_bytes()) for p in tmp_path.iterdir()]
     grid = cheb_grid(N)
     real = [n for xs, n in calls if xs.dtype == np.float64 and np.array_equal(xs, grid)]
     shifted = [n for xs, n in calls if xs.dtype == np.complex128

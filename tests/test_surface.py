@@ -112,37 +112,39 @@ def test_cli_import_skips_quadrature_stack(tmp_path):
     # numpy without the bundled OpenBLAS dpstrf.  So importing the CLI loads
     # no scipy module, and, when that dpstrf is found, neither do the tiny
     # runs: h0 comes from orthopoly's own Faddeeva routine.  No run loads
-    # numpy.ma either.
+    # numpy.ma either.  Nor does importing the CLI load multiprocessing or
+    # concurrent.futures: only a run on more than one thread needs them.
     # The same runs, with a config file and --out, reach every function in
-    # src/ but those _NOT_RUN_BY_THE_RUNS names (threading.setprofile also
-    # records max-experiment's pool threads)
+    # src/ but those _NOT_RUN_BY_THE_RUNS names
     config = tmp_path / "run.conf"
     config.write_text("# a flat key-value file\n\nN = 8\nsamples 2\n")
     runs = _TINY_RUNS + [["max-experiment", "--config", str(config)]]
     runs = [r + ["--out", str(tmp_path / f"out{i}")] for i, r in enumerate(runs)]
-    code = ("import json, os, sys, threading\n"
+    code = ("import json, os, sys\n"
             "seen = set()\n"
             "def record(frame, event, arg):\n"
             "    if event == 'call': seen.add(frame.f_code)\n"
             "sys.setprofile(record)\n"
-            "threading.setprofile(record)\n"
             "import charpolylab.cli as cli\n"
             "def scipy(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "def ma(): return sorted(m for m in sys.modules"
             " if m == 'numpy.ma' or m.startswith('numpy.ma.'))\n"
+            "pools = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+            " or m == 'concurrent.futures' or m.startswith('concurrent.futures.'))\n"
             "after_import = scipy()\n"
             f"codes = [cli.main(a) for a in {runs!r}]\n"
             "sys.setprofile(None)\n"
             "here = os.path.dirname(cli.__file__)\n"
             "reached = sorted({(os.path.basename(c.co_filename), c.co_firstlineno)"
             " for c in seen if os.path.dirname(c.co_filename) == here})\n"
-            "print(json.dumps([after_import, codes, scipy(), ma(),"
+            "print(json.dumps([pools, after_import, codes, scipy(), ma(),"
             " cli.gaussfield._DPSTRF is not None, reached]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    after_import, codes, after_runs, masked, bundled, reached = json.loads(
+    pools, after_import, codes, after_runs, masked, bundled, reached = json.loads(
         out.stdout.splitlines()[-1])
+    assert pools == []
     assert after_import == []
     assert codes == [0] * len(runs)
     # numpy.ma costs 14 ms to import; np.unique (also under np.percentile)
@@ -192,8 +194,8 @@ def test_no_module_imports_scipy_integrate():
     assert not imports, imports
 
 
-# the tracer's counters over _TINY_RUNS, max-experiment on two threads;
-# max-experiment draws each sample once per grid pass
+# the tracer's counters over _TINY_RUNS; max-experiment draws each sample
+# once per grid pass
 _TRACED_COUNTS = {
     "extremes.logsum_terms": 544,
     "orthopoly.table_n_max": 512,
@@ -209,22 +211,33 @@ _TRACED_COUNTS = {
 def test_tracer_counts_the_tiny_runs(tmp_path):
     # bench/tracer.py rebinds names in the package and reads its calls'
     # arguments; a changed call shape would break a traced benchmark run
-    # (--trace 1) only there, so the tiny runs go through it here
-    runs = [r + (["--threads", "2"] if r[0] == "max-experiment" else [])
-            + ["--out", str(tmp_path / f"out{i}")] for i, r in enumerate(_TINY_RUNS)]
+    # (--trace 1) only there, so the tiny runs go through it here.  They
+    # run in-process: the spans of a forked worker never reach the parent's
+    # tracer.  A traced run on two threads, after the counted ones, must
+    # write the bytes of the same run untraced
+    runs = [r + ["--out", str(tmp_path / f"out{i}")] for i, r in enumerate(_TINY_RUNS)]
+    pooled = _TINY_RUNS[0] + ["--threads", "2", "--out"]
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
     code = ("import importlib.util, json\n"
             f"spec = importlib.util.spec_from_file_location('_bench_tracer', "
             f"{str(ROOT / 'bench' / 'tracer.py')!r})\n"
             "tracer = importlib.util.module_from_spec(spec)\n"
             "spec.loader.exec_module(tracer)\n"
             "import charpolylab, charpolylab.cli as cli\n"
+            f"plain = cli.main({pooled + [str(plain)]!r})\n"
             "t = tracer.Tracer()\n"
             "t.install(charpolylab)\n"
             f"codes = [t.run_op(i, lambda a=a: cli.main(a)) for i, a in enumerate({runs!r})]\n"
-            "print(json.dumps([codes, tracer.layer_metrics(t.spans, t.counters)]))")
+            "metrics = tracer.layer_metrics(t.spans, t.counters)\n"
+            f"traced = t.run_op(len(codes), lambda: cli.main({pooled + [str(traced)]!r}))\n"
+            "print(json.dumps([codes, metrics, plain, traced]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    codes, metrics = json.loads(out.stdout.splitlines()[-1])
+    codes, metrics, plain_code, traced_code = json.loads(out.stdout.splitlines()[-1])
     assert codes == [0] * len(runs)
     assert {k: metrics[k] for k in _TRACED_COUNTS} == _TRACED_COUNTS
+    assert plain_code == traced_code == 0
+    for suffix in ("", ".summary.json"):
+        assert (Path(f"{traced}{suffix}").read_bytes()
+                == Path(f"{plain}{suffix}").read_bytes())
