@@ -33,7 +33,7 @@ _COMMAND_MINIMUMS = {
     "matching-verify": {"n_samples": 2},
 }
 
-# lowerbound-sim's points: covariance, dpstrf's copy and residual hold points^2 each
+# lowerbound-sim's points: covariance (factored in place) and factor hold <= points^2 each
 _MAX_POINTS = 4096
 
 

@@ -250,7 +250,9 @@ def max_experiment(N, n_samples, y, seed, threads=1):
     # (shift, centering) of each pass: the grid, and the grid shifted by -iy/N
     passes = [(None, N * g_tilde(x))]
     if y is not None:
-        passes.append((y, -N * g(x - 1j * (y / N)).real))
+        # g's u * u overflows beyond y/N ~ 7e153: a non-finite centre, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            passes.append((y, -N * g(x - 1j * (y / N)).real))
     tasks = []
     # the costliest pass first: the shifted grid, in complex
     for shift, center in reversed(passes):

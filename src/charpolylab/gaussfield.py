@@ -51,8 +51,8 @@ def cov_t(z, w):
     return -0.5 * np.log(np.abs(1.0 - z * w)) - 0.5 * np.log(np.abs(1.0 - z * np.conj(w)))
 
 
-# rows per block of GaussKernel.matrix: a block's complex temporaries hold
-# _COV_ROWS x len(points) entries, never a whole matrix
+# columns per block of the covariance build, rows per block of its factor and
+# residual: a block's temporaries hold _COV_ROWS x len(points) entries
 _COV_ROWS = 64
 
 
@@ -63,13 +63,18 @@ class GaussKernel:
     cov: object  # broadcasting callable (z, w) -> covariance
 
     def matrix(self, points):
-        """cov(points[:, None], points[None, :]) as one float64 array, filled
-        _COV_ROWS rows at a time.  Each entry goes through the same
-        elementwise ops as in the one-shot broadcast, so the bits are equal."""
+        """cov(points[:, None], points[None, :]) as one symmetric Fortran-ordered
+        float64 array: its lower triangle, filled _COV_ROWS columns at a time,
+        has the one-shot broadcast's bits (the same ops in the same argument
+        order), and the strict upper triangle mirrors it."""
         pts = np.asarray(points, dtype=complex)
-        out = np.empty((len(pts), len(pts)))
-        for lo in range(0, len(pts), _COV_ROWS):
-            out[lo:lo + _COV_ROWS] = self.cov(pts[lo:lo + _COV_ROWS, None], pts[None, :])
+        n = len(pts)
+        out = np.empty((n, n), order="F")
+        for lo in range(0, n, _COV_ROWS):
+            hi = min(lo + _COV_ROWS, n)
+            out.T[lo:hi, lo:] = self.cov(pts[None, lo:], pts[lo:hi, None])
+            np.copyto(out[lo:hi, lo:], out[lo:, lo:hi].T,
+                      where=np.arange(lo, n) > np.arange(lo, hi)[:, None])
         return out
 
 
@@ -169,17 +174,18 @@ _DPSTRF = _bundled_dpstrf()
 def _dpstrf(cov):
     """(c, piv, rank, lapack) of LAPACK dpstrf on the lower triangle of cov
     at its default tolerance, as scipy.linalg.lapack.dpstrf(cov, lower=1)
-    returns them: c holds the factor in its lower triangle, piv is 1-based,
-    and lapack names the library that ran, scipy's where numpy carries no
-    bundled dpstrf.  A positive info (rank below n) is the normal outcome;
-    a negative one raises LinAlgError.
+    returns them: c (cov itself, overwritten, if cov is Fortran-ordered
+    float64, else a copy) holds the factor in its lower triangle, piv is
+    1-based, and lapack names the library that ran, scipy's where numpy
+    carries no bundled dpstrf.  A positive info (rank below n) is the normal
+    outcome; a negative one raises LinAlgError.
     """
     if _DPSTRF is None:
         from scipy.linalg import lapack
-        c, piv, rank, info = lapack.dpstrf(cov, lower=1)
+        c, piv, rank, info = lapack.dpstrf(cov, lower=1, overwrite_a=1)
         name = "scipy.linalg.lapack.dpstrf"
     else:
-        c = np.array(cov, dtype=np.float64, order="F")
+        c = np.asfortranarray(cov, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"dpstrf needs a square matrix, got shape {c.shape}")
         piv = np.empty(len(c), dtype=np.int64)
@@ -199,20 +205,27 @@ def _factor_covariance(cov):
     complete pivoting (LAPACK dpstrf at its default tolerance), which stops
     at the numerical rank.  F F^T is positive semidefinite, so the check
     ||F F^T - cov||_F <= 1e-8 * mean variance also bounds cov's eigenvalues
-    below by minus that; LinAlgError if it fails.
+    below by minus that; LinAlgError if it fails.  cov must be symmetric;
+    built by GaussKernel.matrix, it is factored in place and overwritten,
+    and no second n x n array is formed.
     """
     n = cov.shape[0]
+    diag = np.diagonal(cov).copy()
     c, piv, rank, lapack = _dpstrf(cov)
-    # the factor is the lower trapezoid of c's first rank columns; above it
-    # dpstrf left cov's upper triangle, zeroed here in place
-    np.copyto(c[:, :rank], 0.0, where=np.arange(n)[:, None] < np.arange(rank))
+    # row i of the factor is c[i, :i + 1], and cov's upper triangle after it
     F = np.empty((n, rank))
-    F[piv - 1] = c[:, :rank]
-    del c
-    resid = F @ F.T
-    resid -= cov
-    resid = np.linalg.norm(resid)
-    bound = 1e-8 * np.trace(cov) / n
+    for lo in range(0, n, _COV_ROWS):
+        F[piv[lo:lo + _COV_ROWS] - 1] = np.tril(c[lo:lo + _COV_ROWS, :rank], lo)
+    # symmetric F F^T - cov by lower row blocks: cov[i, :i] is c[:i, i]
+    resid = 0.0
+    for lo in range(0, n, _COV_ROWS):
+        hi = min(lo + _COV_ROWS, n)
+        blk = F[lo:hi] @ F[:hi].T
+        d = np.diagonal(blk, lo) - diag[lo:hi]
+        blk = np.tril(blk - c[:hi, lo:hi].T, lo - 1)
+        resid += 2.0 * np.vdot(blk, blk) + np.vdot(d, d)
+    resid = math.sqrt(resid)
+    bound = 1e-8 * diag.sum() / n
     route = f"pivoted Cholesky, rank {rank} of {n} points"
     if not resid <= bound:
         raise np.linalg.LinAlgError(

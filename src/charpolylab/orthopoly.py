@@ -50,6 +50,14 @@ _BACKWARD_GAP_BUFFER = 36.0
 # (measured for N = 8 .. 4096)
 _BACKWARD_HARD_CAP = 200_000
 _BACKWARD_CAP_PER_N = 128
+# the backward run rescales (_rescale) only every _RESCALE steps and at the
+# values it keeps; scales by 2^s are exact (for Re q 0 or above 2^-600 in size),
+# so (m, e) are those of rescaling every step.  W_k = Im(y_k conj y_{k+1})
+# obeys a_k^2 W_{k-1} = Im(q) |y_k|^2 + W_k, W_M = 0, so |y_{k-1}| >= |Im q|
+# |y_k| / a_k^2: for |Im q| >= 1/N a step shrinks |y| by at most 4/M and grows
+# it by at most (|q| + a_{k+1}^2/|Im q|) / a_k^2 <= N (4|q| + 2); 16 steps stay
+# in 2^-400 .. 2^832 for M within the start-index bound, N <= 2^20, |q| <= 2^30
+_RESCALE = 16
 
 
 class DeterminantError(ArithmeticError):
@@ -244,15 +252,17 @@ def _h_chain(table, n, q):
         return _forward(h0, q * h0 + table.gamma0 ** -2 / (2j * math.pi), q, N, n)
 
     # y_{k-1} = (q y_k - y_{k+1}) / a_k^2 from y_{M+1} = 0, y_M = 1, rescaled
-    # like _forward; y_n .. y_0 are kept
+    # every _RESCALE steps and at y_n .. y_0, which are kept
     ms, es = [], []
     nxt, cur, e = 0j, 1.0 + 0j, 0
     for k in range(_start_index(N, n, q), 0, -1):
-        nxt, cur, s = _rescale(cur, (q * cur - nxt) / _a2(N, k))
-        e += s
-        if k <= n + 1:
-            ms.append(cur)
-            es.append(e)
+        nxt, cur = cur, (q * cur - nxt) / _a2(N, k)
+        if k <= n + 1 or k % _RESCALE == 0:
+            nxt, cur, s = _rescale(nxt, cur)
+            e += s
+            if k <= n + 1:
+                ms.append(cur)
+                es.append(e)
     m, e = np.array(ms[::-1]), np.array(es[::-1], dtype=np.int64)
     return h0 / m[0] * m, e - e[0]
 

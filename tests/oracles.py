@@ -17,7 +17,9 @@ from charpolylab.extremes import _golden_max_vec, cheb_grid
 from charpolylab.gaussfield import _dpstrf, cov_g
 from charpolylab.hyperbolic import joukowsky, pseudo_dist, ray_point
 from charpolylab.momentlab import omega_grid
-from charpolylab.orthopoly import _ldexp
+from charpolylab.orthopoly import (_FORWARD_GAP_MAX, _a2, _dominance_gaps,
+                                   _forward, _ldexp, _rescale, _start_index,
+                                   h0_closed)
 
 
 def _quad(rho, support, f, sing=math.nan):
@@ -334,6 +336,26 @@ def mp_chains(N, n, x, q):
     return pis, hs, gamma_sq
 
 
+def h_chain_per_step(table, n, q):
+    """orthopoly._h_chain with its backward run rescaled at every step, as it
+    was before it rescaled every _RESCALE steps; the oracle for its (m, e)."""
+    q = complex(q)
+    h0 = complex(h0_closed(table, q))
+    N = table.N
+    if _dominance_gaps(N, np.arange(1, n), q).sum() <= _FORWARD_GAP_MAX:
+        return _forward(h0, q * h0 + table.gamma0 ** -2 / (2j * math.pi), q, N, n)
+    ms, es = [], []
+    nxt, cur, e = 0j, 1.0 + 0j, 0
+    for k in range(_start_index(N, n, q), 0, -1):
+        nxt, cur, s = _rescale(cur, (q * cur - nxt) / _a2(N, k))
+        e += s
+        if k <= n + 1:
+            ms.append(cur)
+            es.append(e)
+    m, e = np.array(ms[::-1]), np.array(es[::-1], dtype=np.int64)
+    return h0 / m[0] * m, e - e[0]
+
+
 def mp_fs_balanced(N, p, q):
     """fs_balanced for l = 1: -2 pi i gamma_{N-1}^2 (h_{N-1}(q) pi_N(p)
     - h_N(q) pi_{N-1}(p)), as a Python complex."""
@@ -464,10 +486,11 @@ def depth_bins_loop(depth, emp2, prod1, exact2, b_ref, slack):
 
 def factor_covariance_tril(cov):
     """gaussfield._factor_covariance as it was before it worked in place:
-    F from an np.tril copy of dpstrf's output, and the residual from a fresh
-    F F^T - cov; the oracle for F, the rank and the route string."""
+    dpstrf on a Fortran copy of cov, F from an np.tril copy of its output,
+    and the residual from a fresh F F^T - cov; the oracle for F, the rank
+    and the route string.  cov is left as it was."""
     n = cov.shape[0]
-    c, piv, rank, lapack = _dpstrf(cov)
+    c, piv, rank, lapack = _dpstrf(np.array(cov, order="F"))
     F = np.empty((n, rank))
     F[piv - 1] = np.tril(c[:, :rank])
     resid = np.linalg.norm(F @ F.T - cov)

@@ -564,6 +564,8 @@ _FIELD_VALUES = {
        values=st.fixed_dictionaries({}, optional=_FIELD_VALUES), out=st.booleans())
 @example(command="max-experiment", values={"N": 64, "n_samples": 2, "y": 1e12,
                                            "check": True}, out=True)
+@example(command="max-experiment", values={"N": 16, "n_samples": 10, "y": 1e300},
+         out=False)
 @example(command="matching-verify", values={"epsilon": 1e-15, "n_samples": 20,
                                             "seed": 1}, out=True)
 @example(command="fs-verify", values={"n_samples": 1, "check": True}, out=True)

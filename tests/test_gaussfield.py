@@ -69,12 +69,15 @@ _EDGE = gaussfield._COV_ROWS
        kern=st.sampled_from([kernel_g(), kernel_t()]))
 @example(n=0, seed=0, kern=kernel_g()).via("empty")
 def test_kernel_matrix_row_blocks_bitwise(n, seed, kern):
-    # the row-block build against the one-shot broadcast it replaced, for
-    # point counts on each side of the block edges
+    # the column-block build against the one-shot broadcast it replaced, for
+    # point counts on each side of the block edges: the lower triangle,
+    # diagonal included, bit for bit, and its mirror image above it
     pts = random_disk_points(np.random.default_rng(seed), n, rmax=0.99)
     mat = kern.matrix(pts)
     assert mat.dtype == np.float64 and mat.shape == (n, n)
-    assert mat.tobytes() == kern.cov(pts[:, None], pts[None, :]).tobytes()
+    lower = np.tril_indices(n)
+    assert mat[lower].tobytes() == kern.cov(pts[:, None], pts[None, :])[lower].tobytes()
+    assert mat.tobytes() == mat.T.tobytes() and mat.flags.f_contiguous
     if n == 0:
         assert bias_variance(BiasSpec(), kern) == 0.0
 
@@ -217,7 +220,8 @@ def _lowerbound_covariance(n, monkeypatch):
                                           (None, 120, 40)],
                          ids=["lowerbound_n9", "lowerbound_n10", "gram_rank40"])
 def test_dpstrf_matches_scipy(n, points, rank, monkeypatch):
-    # the binding to numpy's OpenBLAS against scipy's dpstrf, bit for bit
+    # the binding to numpy's OpenBLAS against scipy's dpstrf, bit for bit,
+    # each in place on its own Fortran copy
     from scipy.linalg import lapack
     if n is None:
         x = np.random.default_rng(40).standard_normal((points, 40))
@@ -225,11 +229,37 @@ def test_dpstrf_matches_scipy(n, points, rank, monkeypatch):
     else:
         cov = _lowerbound_covariance(n, monkeypatch)
     assert cov.shape == (points, points)
-    c, piv, got_rank, name = _dpstrf(cov)
-    ref_c, ref_piv, ref_rank, info = lapack.dpstrf(cov, lower=1)
+    runs = {}
+    for route in ("bundled", "scipy"):
+        if route == "scipy":
+            monkeypatch.setattr(gaussfield, "_DPSTRF", None)
+        buf = np.array(cov, order="F")
+        runs[route] = _dpstrf(buf)
+        assert np.shares_memory(runs[route][0], buf), route
+    (c, piv, got_rank, name), (ref_c, ref_piv, ref_rank, ref_name) = runs.values()
     assert name == "numpy's bundled OpenBLAS dpstrf"
+    assert ref_name == "scipy.linalg.lapack.dpstrf"
+    info = lapack.dpstrf(np.array(cov, order="F"), lower=1)[3]
     assert got_rank == ref_rank == rank and info == (rank < points)
     assert np.array_equal(piv, ref_piv) and np.array_equal(c, ref_c)
+
+
+@pytest.mark.parametrize("route", ["bundled", "scipy"])
+def test_dpstrf_reads_only_the_lower_triangle(route, monkeypatch):
+    # the in-place factor never reads cov's strict upper triangle, which
+    # _factor_covariance's residual then takes as cov's lower one
+    if route == "bundled" and gaussfield._DPSTRF is None:
+        pytest.skip("numpy carries no bundled OpenBLAS dpstrf")
+    if route == "scipy":
+        monkeypatch.setattr(gaussfield, "_DPSTRF", None)
+    cov = _lowerbound_covariance(9, monkeypatch)
+    poisoned = cov.copy(order="F")
+    poisoned[np.triu_indices(len(cov), 1)] = math.nan
+    c, piv, rank, _ = _dpstrf(cov.copy(order="F"))
+    nan_c, nan_piv, nan_rank, _ = _dpstrf(poisoned)
+    lower = np.tril_indices(len(cov))
+    assert nan_rank == rank and np.array_equal(nan_piv, piv)
+    assert nan_c[lower].tobytes() == c[lower].tobytes()
 
 
 @pytest.mark.skipif(gaussfield._DPSTRF is None,
@@ -250,11 +280,13 @@ def _factor_cases(monkeypatch):
 
 
 def test_factor_covariance_matches_tril_oracle(monkeypatch):
-    # the in-place factor against the np.tril one it replaced: the same F,
-    # bit for bit, and the same route string, residual included
+    # the in-place factor and its row-block residual against the copying
+    # np.tril one they replaced: the same F, bit for bit, and the same route
+    # string, residual included.  The oracle runs first: the factor
+    # overwrites a Fortran-ordered cov
     for name, cov in _factor_cases(monkeypatch):
-        F, route = _factor_covariance(cov)
         ref_F, ref_route = factor_covariance_tril(cov)
+        F, route = _factor_covariance(cov)
         assert F.shape == ref_F.shape and F.tobytes() == ref_F.tobytes(), name
         assert route == ref_route, name
     neg = -kernel_g().matrix(np.array([0.1, 0.5j, -0.3 + 0.2j]))
@@ -264,12 +296,30 @@ def test_factor_covariance_matches_tril_oracle(monkeypatch):
         _factor_covariance(neg)
 
 
+def test_factor_residual_reads_the_last_row_block(monkeypatch):
+    # a factor wrong only in F's last row, which the residual sees in its
+    # last row block alone, fails the check: no block is skipped
+    pts = random_disk_points(np.random.default_rng(7), 2 * _EDGE + 9)
+    cov = kernel_g().matrix(pts)
+    assert _factor_covariance(cov.copy(order="F"))[0].shape[0] == len(pts)
+
+    def corrupt(buf, real=_dpstrf):
+        c, piv, rank, lapack = real(buf)
+        c[np.flatnonzero(piv == len(c))[0], 0] += 1e-6
+        return c, piv, rank, lapack
+    monkeypatch.setattr(gaussfield, "_dpstrf", corrupt)
+    with pytest.raises(np.linalg.LinAlgError, match="residual .* above bound"):
+        _factor_covariance(cov)
+
+
 def test_covariance_path_peak_memory(monkeypatch):
     # at lowerbound-sim's n = 9 ray grid (726 points, rank 464) the Gaussian
-    # path holds the float64 covariance, dpstrf's copy and the n x rank
-    # factor, and no complex n x n array.  Measured peaks: 2.65 n^2 doubles
-    # for both calls; 4.0 and 4.03 when the covariance was one broadcast
-    # (two complex n x n temporaries) and the factor took an np.tril copy
+    # path holds the float64 covariance, factored in place, and the n x rank
+    # factor, and no complex n x n array.  Measured peaks: 1.94 and 1.91 n^2
+    # doubles; 2.67 and 2.65 while dpstrf worked on a copy and the residual
+    # was a full n x n product, 4.0 and 4.03 when the covariance was one
+    # broadcast (two complex n x n temporaries) and the factor took an
+    # np.tril copy
     points = []
     monkeypatch.setattr(momentlab, "sample_gauss",
                         lambda pts, *args: points.append(pts) or sample_gauss(pts, *args))
@@ -285,7 +335,7 @@ def test_covariance_path_peak_memory(monkeypatch):
             tracemalloc.stop()
     n = len(points[0])
     assert n == 726
-    assert max(peaks) <= 3 * n * n * 8, [p / (n * n * 8) for p in peaks]
+    assert max(peaks) <= 2.25 * n * n * 8, [p / (n * n * 8) for p in peaks]
 
 
 def test_sample_gauss_degenerate_cluster_rank_one():

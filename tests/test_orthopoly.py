@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from charpolylab import orthopoly
@@ -14,7 +14,8 @@ from charpolylab.orthopoly import (DeterminantError, OPTable,
                                    global_parametrix_onecut, h0_closed,
                                    m_matrix, r_weight, y_matrix, _exp2,
                                    _h_chain, _ldexp, _pi_chain)
-from oracles import h0_quadrature, mp_chains, mp_faddeeva, mp_fs_balanced
+from oracles import (h0_quadrature, h_chain_per_step, mp_chains, mp_faddeeva,
+                     mp_fs_balanced)
 
 
 def _value(chain, n):
@@ -169,6 +170,25 @@ def test_h_conjugation_antisymmetry_property(N, x, y, n):
     assert math.log(abs(lm[n])) + le[n] * ln2 == pytest.approx(
         math.log(abs(um[n])) + ue[n] * ln2, rel=1e-12, abs=1e-12)
     assert lm[n] / abs(lm[n]) == pytest.approx(-np.conj(um[n] / abs(um[n])), abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 256),
+       x=st.floats(-1.5, 1.5).filter(lambda x: x == 0.0 or abs(x) >= 2.0 ** -600),
+       y=st.floats(1e-3, 2.0), n=st.integers(0, 80), lower=st.booleans())
+@example(N=1024, x=0.2, y=0.0, n=1024, lower=False).via("Im q = 1/N, start near 100 N")
+@example(N=8, x=-0.9, y=0.05, n=8, lower=True).via("past the forward gap")
+def test_h_chain_matches_per_step_rescaling(N, x, y, n, lower):
+    # the backward run rescaled every _RESCALE steps against the per-step
+    # one it replaced, bit for bit, on the domain that the start-index
+    # bound covers: |Re q| <= 1.5 and |Im q| >= 1/N, in both half-planes.
+    # A Re q near the subnormal range (2^-1000 at N = 1) makes products
+    # q * y subnormal, where a scale by 2^s is no longer exact
+    q = complex(x, max(y, 1.0 / N))
+    q = q.conjugate() if lower else q
+    m, e = _h_chain(OPTable(N), n, q)
+    ref_m, ref_e = h_chain_per_step(OPTable(N), n, q)
+    assert m.tobytes() == ref_m.tobytes() and e.tobytes() == ref_e.tobytes()
 
 
 def test_h0_large_q_decay(table_cache):
