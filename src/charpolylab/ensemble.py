@@ -8,8 +8,8 @@ Spectra are drawn from the exact tridiagonal realization.  The
 characteristic polynomial det(x - A) of a draw comes straight from that
 tridiagonal matrix, by the three-term determinant recurrence (char_poly, on
 the coefficients that recurrence_coeffs forms once per block of draws),
-which every Monte Carlo and grid-maximum route runs; eigenvalues are solved
-only where they are the output (gen-spectrum) or an oracle.
+which every Monte Carlo and grid-maximum route runs; eigenvalues (dsterf)
+are solved only where they are the output (gen-spectrum) or an oracle.
 """
 
 import math
@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _lapack
 from ._rng import substream
 
 __all__ = [
@@ -102,7 +103,7 @@ class Spectrum:
     """One draw (d, e) of the tridiagonal model.
 
     The N eigenvalues of T(d, e) / (2 sqrt N), ascending, are solved by
-    LAPACK dsterf on first read.  A block of draws stacked along a leading
+    _lapack.dsterf on first read.  A block of draws stacked along a leading
     sample axis (as the max experiment evaluates them) has no eigenvalues.
     """
 
@@ -112,14 +113,7 @@ class Spectrum:
 
     @cached_property
     def eigenvalues(self):
-        # only gen-spectrum and the tests read eigenvalues, so only they load scipy
-        from scipy.linalg import lapack
-
-        # dsterf rejects an empty off-diagonal
-        w, info = (self.d, 0) if self.N == 1 else lapack.dsterf(self.d, self.e)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
-        return np.sort(w) / (2.0 * math.sqrt(self.N))
+        return _lapack.dsterf(self.d, self.e) / (2.0 * math.sqrt(self.N))
 
 
 def tridiagonal_blocks(N, rng, n, rows):

@@ -8,12 +8,12 @@ signed point biases, reproducible sampling at finite point sets, and
 branching-covariance diagnostics.
 """
 
-import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from ._rng import substream
 from .hyperbolic import hyp_dist
 
@@ -150,56 +150,6 @@ class FieldSample:
     factorization: str
 
 
-def _bundled_dpstrf():
-    """LAPACK dpstrf from the OpenBLAS that numpy itself links, as a ctypes
-    function, or None.  numpy 2.x wheels ship it as scipy_dpstrf_64_, with
-    64-bit integers; dlsym on numpy's own LAPACK extension finds it among
-    that module's libraries, already loaded.  Arrays go in as addresses;
-    the trailing size_t is the Fortran length of the UPLO string.
-    """
-    try:
-        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dpstrf_64_
-    except (OSError, AttributeError):
-        return None
-    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    fn.restype = None
-    fn.argtypes = [ctypes.c_char_p, i64, ptr, i64, ptr, i64,
-                   ctypes.POINTER(ctypes.c_double), ptr, i64, ctypes.c_size_t]
-    return fn
-
-
-_DPSTRF = _bundled_dpstrf()
-
-
-def _dpstrf(cov):
-    """(c, piv, rank, lapack) of LAPACK dpstrf on the lower triangle of cov
-    at its default tolerance, as scipy.linalg.lapack.dpstrf(cov, lower=1)
-    returns them: c (cov itself, overwritten, if cov is Fortran-ordered
-    float64, else a copy) holds the factor in its lower triangle, piv is
-    1-based, and lapack names the library that ran, scipy's where numpy
-    carries no bundled dpstrf.  A positive info (rank below n) is the normal
-    outcome; a negative one raises LinAlgError.
-    """
-    if _DPSTRF is None:
-        from scipy.linalg import lapack
-        c, piv, rank, info = lapack.dpstrf(cov, lower=1, overwrite_a=1)
-        name = "scipy.linalg.lapack.dpstrf"
-    else:
-        c = np.asfortranarray(cov, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError(f"dpstrf needs a square matrix, got shape {c.shape}")
-        piv = np.empty(len(c), dtype=np.int64)
-        work = np.empty(2 * len(c))
-        n, rank, info = ctypes.c_int64(len(c)), ctypes.c_int64(), ctypes.c_int64()
-        _DPSTRF(b"L", n, c.ctypes.data, n, piv.ctypes.data, rank,
-                ctypes.c_double(-1.0), work.ctypes.data, info, 1)
-        rank, info = rank.value, info.value
-        name = "numpy's bundled OpenBLAS dpstrf"
-    if info < 0:
-        raise np.linalg.LinAlgError(f"dpstrf: argument {-info} is illegal")
-    return c, piv, rank, name
-
-
 def _factor_covariance(cov):
     """F (n x rank), rows in cov's order, with F F^T = cov: Cholesky with
     complete pivoting (LAPACK dpstrf at its default tolerance), which stops
@@ -211,7 +161,7 @@ def _factor_covariance(cov):
     """
     n = cov.shape[0]
     diag = np.diagonal(cov).copy()
-    c, piv, rank, lapack = _dpstrf(cov)
+    c, piv, rank = _lapack.dpstrf(cov)
     # row i of the factor is c[i, :i + 1], and cov's upper triangle after it
     F = np.empty((n, rank))
     for lo in range(0, n, _COV_ROWS):
@@ -230,7 +180,8 @@ def _factor_covariance(cov):
     if not resid <= bound:
         raise np.linalg.LinAlgError(
             f"{route}: residual {resid:.1e} above bound {bound:.1e}")
-    return F, f"{route}, residual {resid:.1e} <= {bound:.1e}, by {lapack}"
+    return F, (f"{route}, residual {resid:.1e} <= {bound:.1e}, "
+               "by numpy's bundled OpenBLAS dpstrf")
 
 
 # rows per matrix product in sample_gauss

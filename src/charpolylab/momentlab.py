@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._lapack import one_blas_thread
 from .charpoly import exp_moment_field
 from .gaussfield import exp_moment_g, kernel_g, sample_gauss
 from .hyperbolic import pseudo_dist, ray_point
@@ -301,6 +302,7 @@ def _depth_bins(Y, ey, exact, depth, b_ref, slack):
     return bins
 
 
+@one_blas_thread()
 def lower_bound_mc(params, n_samples, seed):
     """Sample the comparison field on the ray grid and run the biased
     second-moment bookkeeping.
@@ -318,6 +320,10 @@ def lower_bound_mc(params, n_samples, seed):
     (with the exact dropped-indicator Gaussian value per bin), and the
     fraction of runs whose center-recentered maximum clears (1 - 2 delta) n,
     both for the field increment and for the doubled bias functional.
+
+    It runs on a BLAS pool of one thread, whatever the caller's, so the
+    factor, its residual and the products of sample_gauss and _depth_bins
+    give the same bits at any OPENBLAS_NUM_THREADS.
     """
     omegas = omega_grid(params)
     m = len(omegas)

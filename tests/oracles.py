@@ -8,13 +8,14 @@ import math
 import mpmath
 import numpy as np
 from scipy import integrate
+from scipy.linalg import lapack
 
 from charpolylab._rng import substream
 from charpolylab.charpoly import _batched_mean
 from charpolylab.ensemble import (SUPPORT, V, char_poly, g, g_tilde,
                                   recurrence_coeffs, tridiagonal_draw)
 from charpolylab.extremes import _golden_max_vec, cheb_grid
-from charpolylab.gaussfield import _dpstrf, cov_g
+from charpolylab.gaussfield import cov_g
 from charpolylab.hyperbolic import joukowsky, pseudo_dist, ray_point
 from charpolylab.momentlab import omega_grid
 from charpolylab.orthopoly import (_FORWARD_GAP_MAX, _a2, _dominance_gaps,
@@ -486,11 +487,11 @@ def depth_bins_loop(depth, emp2, prod1, exact2, b_ref, slack):
 
 def factor_covariance_tril(cov):
     """gaussfield._factor_covariance as it was before it worked in place:
-    dpstrf on a Fortran copy of cov, F from an np.tril copy of its output,
-    and the residual from a fresh F F^T - cov; the oracle for F, the rank
-    and the route string.  cov is left as it was."""
+    scipy's dpstrf on a Fortran copy of cov, F from an np.tril copy of its
+    output, and the residual from a fresh F F^T - cov; the oracle for F, the
+    rank and the route string.  cov is left as it was."""
     n = cov.shape[0]
-    c, piv, rank, lapack = _dpstrf(np.array(cov, order="F"))
+    c, piv, rank, _ = lapack.dpstrf(np.array(cov, order="F"), lower=1)
     F = np.empty((n, rank))
     F[piv - 1] = np.tril(c[:, :rank])
     resid = np.linalg.norm(F @ F.T - cov)
@@ -499,4 +500,5 @@ def factor_covariance_tril(cov):
     if not resid <= bound:
         raise np.linalg.LinAlgError(
             f"{route}: residual {resid:.1e} above bound {bound:.1e}")
-    return F, f"{route}, residual {resid:.1e} <= {bound:.1e}, by {lapack}"
+    return F, (f"{route}, residual {resid:.1e} <= {bound:.1e}, "
+               "by numpy's bundled OpenBLAS dpstrf")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from charpolylab import (charpoly, cli, extremes, gaussfield, momentlab,
+from charpolylab import (_lapack, charpoly, cli, extremes, momentlab,
                          orthopoly)
 from charpolylab._rng import substream, task_seed
 from charpolylab.gaussfield import GaussKernel, cov_g
@@ -22,10 +22,6 @@ from charpolylab.orthopoly import DeterminantError
 from charpolylab.cli import (ConfigError, RunConfig, build_config, emit, main,
                              run)
 from oracles import branch_profile_row
-
-# the LAPACK that factors the Gaussian field's covariance in this install
-_LAPACK = ("scipy.linalg.lapack.dpstrf" if gaussfield._DPSTRF is None
-           else "numpy's bundled OpenBLAS dpstrf")
 
 
 def test_emit_csv_roundtrip(tmp_path):
@@ -391,25 +387,29 @@ def test_lowerbound_sim_reports_route_on_stderr(tmp_path, capsys):
     resid, lapack = resid.split(", by ")
     value, bound = map(float, resid.split(" <= "))
     assert bound == 8.6e-09 and value <= bound
-    assert lapack == _LAPACK
+    assert lapack == "numpy's bundled OpenBLAS dpstrf"
     assert "route" not in captured.out
     doc = json.loads(out.read_text())
     assert "factorization" not in doc and "n_points" not in doc
 
 
-def test_lowerbound_sim_falls_back_to_scipy_lapack(tmp_path, capsys, monkeypatch):
-    # without numpy's bundled dpstrf the factor comes from scipy's: the same
-    # bytes, and the route line names the LAPACK that ran
-    args = ["lowerbound-sim", "--n", "9", "--samples", "40", "--seed", "3", "--out"]
-    bundled, fallback = tmp_path / "bundled.json", tmp_path / "scipy.json"
-    assert main(args + [str(bundled)]) == 0
-    monkeypatch.setattr(gaussfield, "_DPSTRF", None)
-    assert main(args + [str(fallback)]) == 0
-    routes = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("route:")]
-    assert [r.rsplit(", by ", 1)[1] for r in routes] == [
-        _LAPACK, "scipy.linalg.lapack.dpstrf"]
-    assert bundled.read_bytes() == fallback.read_bytes()
+def test_numpy_without_bundled_lapack_exits_2(tmp_path, capsys, monkeypatch):
+    # a numpy built without scipy-openblas (against Accelerate, MKL or a
+    # system LAPACK) has no such symbols: here the binding looks them up in
+    # a library that lacks them.  The two commands that need LAPACK exit 2
+    # with one line naming the routine; the others still run
+    import _ctypes
+    monkeypatch.setattr(_lapack, "_LIBRARY", _ctypes.__file__)
+    _lapack._bind.cache_clear()
+    for argv, routine in ((["gen-spectrum", "--N", "8"], "scipy_dsterf_64_"),
+                          (["lowerbound-sim", "--n", "4", "--eta", "1", "--samples", "5"],
+                           "scipy_openblas_get_num_threads64_")):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: numpy {np.__version__} bundles no OpenBLAS {routine}\n")
+        assert list(tmp_path.iterdir()) == []
+    assert main(["mem-verify", "--check"]) == 0
 
 
 def test_indefinite_covariance_exits_3(monkeypatch, capsys):

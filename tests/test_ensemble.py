@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.linalg import eigh_tridiagonal
 
-from charpolylab import ensemble
+from charpolylab import _lapack, ensemble
 from charpolylab._rng import substream
 from charpolylab.cli import main
 from charpolylab.ensemble import (ELL_V, SUPPORT, g, g_tilde, rho,
@@ -170,8 +170,9 @@ def test_spectrum_roundtrip(tmp_path):
 
 def test_sterf_matches_eigh_tridiagonal():
     # the eigenvalue route (gen-spectrum and the oracles): dsterf on the
-    # drawn (d, e), bit for bit as eigh_tridiagonal, and the draw untouched
-    for N in (2, 3, 17, 128, 1000):
+    # drawn (d, e), bit for bit as eigh_tridiagonal, and the draw untouched;
+    # at N = 1, with no off-diagonal, the eigenvalue is d itself
+    for N in (1, 2, 3, 17, 128, 1000):
         for seed in range(3):
             spec = sample_spectrum_gue(N, seed)
             d0, e0 = spec.d.copy(), spec.e.copy()
@@ -179,6 +180,15 @@ def test_sterf_matches_eigh_tridiagonal():
                                    lapack_driver="sterf")
             assert np.array_equal(spec.eigenvalues, np.sort(ref) / (2.0 * math.sqrt(N)))
             assert np.array_equal(spec.d, d0) and np.array_equal(spec.e, e0)
+
+
+@pytest.mark.parametrize("d,e", [(np.ones(3), np.ones(1)), (np.ones(3), np.ones(3)),
+                                 (np.ones((2, 3)), np.ones((2, 2)))],
+                         ids=["short_e", "long_e", "block_of_draws"])
+def test_dsterf_rejects_mismatched_shapes(d, e):
+    # LAPACK would read n - 1 off-diagonal entries from a buffer of any size
+    with pytest.raises(ValueError, match="n - 1 entries"):
+        _lapack.dsterf(d, e)
 
 
 @settings(max_examples=60, deadline=None)

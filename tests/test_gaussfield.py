@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from charpolylab import gaussfield, momentlab
+from charpolylab import _lapack, gaussfield, momentlab
+from charpolylab._lapack import dpstrf
 from charpolylab._rng import substream
-from charpolylab.gaussfield import (BiasSpec, GaussKernel, _dpstrf,
+from charpolylab.gaussfield import (BiasSpec, GaussKernel,
                                     _factor_covariance, bias_variance,
                                     brw_check, cov_g, cov_t, exp_moment_g,
                                     kernel_g, kernel_t, sample_gauss)
@@ -214,14 +215,12 @@ def _lowerbound_covariance(n, monkeypatch):
     return exc.value.args[0]
 
 
-@pytest.mark.skipif(gaussfield._DPSTRF is None,
-                    reason="numpy carries no bundled OpenBLAS dpstrf")
 @pytest.mark.parametrize("n,points,rank", [(9, 726, 464), (10, 1614, 826),
                                           (None, 120, 40)],
                          ids=["lowerbound_n9", "lowerbound_n10", "gram_rank40"])
 def test_dpstrf_matches_scipy(n, points, rank, monkeypatch):
-    # the binding to numpy's OpenBLAS against scipy's dpstrf, bit for bit,
-    # each in place on its own Fortran copy
+    # the binding to numpy's OpenBLAS, in place on a Fortran copy, against
+    # scipy's dpstrf on another copy, bit for bit
     from scipy.linalg import lapack
     if n is None:
         x = np.random.default_rng(40).standard_normal((points, 40))
@@ -229,46 +228,32 @@ def test_dpstrf_matches_scipy(n, points, rank, monkeypatch):
     else:
         cov = _lowerbound_covariance(n, monkeypatch)
     assert cov.shape == (points, points)
-    runs = {}
-    for route in ("bundled", "scipy"):
-        if route == "scipy":
-            monkeypatch.setattr(gaussfield, "_DPSTRF", None)
-        buf = np.array(cov, order="F")
-        runs[route] = _dpstrf(buf)
-        assert np.shares_memory(runs[route][0], buf), route
-    (c, piv, got_rank, name), (ref_c, ref_piv, ref_rank, ref_name) = runs.values()
-    assert name == "numpy's bundled OpenBLAS dpstrf"
-    assert ref_name == "scipy.linalg.lapack.dpstrf"
-    info = lapack.dpstrf(np.array(cov, order="F"), lower=1)[3]
+    buf = np.array(cov, order="F")
+    c, piv, got_rank = dpstrf(buf)
+    assert np.shares_memory(c, buf)
+    ref_c, ref_piv, ref_rank, info = lapack.dpstrf(np.array(cov, order="F"), lower=1)
     assert got_rank == ref_rank == rank and info == (rank < points)
     assert np.array_equal(piv, ref_piv) and np.array_equal(c, ref_c)
 
 
-@pytest.mark.parametrize("route", ["bundled", "scipy"])
-def test_dpstrf_reads_only_the_lower_triangle(route, monkeypatch):
+def test_dpstrf_reads_only_the_lower_triangle(monkeypatch):
     # the in-place factor never reads cov's strict upper triangle, which
     # _factor_covariance's residual then takes as cov's lower one
-    if route == "bundled" and gaussfield._DPSTRF is None:
-        pytest.skip("numpy carries no bundled OpenBLAS dpstrf")
-    if route == "scipy":
-        monkeypatch.setattr(gaussfield, "_DPSTRF", None)
     cov = _lowerbound_covariance(9, monkeypatch)
     poisoned = cov.copy(order="F")
     poisoned[np.triu_indices(len(cov), 1)] = math.nan
-    c, piv, rank, _ = _dpstrf(cov.copy(order="F"))
-    nan_c, nan_piv, nan_rank, _ = _dpstrf(poisoned)
+    c, piv, rank = dpstrf(cov.copy(order="F"))
+    nan_c, nan_piv, nan_rank = dpstrf(poisoned)
     lower = np.tril_indices(len(cov))
     assert nan_rank == rank and np.array_equal(nan_piv, piv)
     assert nan_c[lower].tobytes() == c[lower].tobytes()
 
 
-@pytest.mark.skipif(gaussfield._DPSTRF is None,
-                    reason="numpy carries no bundled OpenBLAS dpstrf")
 @pytest.mark.parametrize("shape", [(3, 2), (3,)])
 def test_dpstrf_rejects_non_square(shape):
     # LAPACK would read n^2 entries from a buffer that has fewer
     with pytest.raises(ValueError, match="square"):
-        _dpstrf(np.ones(shape))
+        dpstrf(np.ones(shape))
 
 
 def _factor_cases(monkeypatch):
@@ -303,11 +288,11 @@ def test_factor_residual_reads_the_last_row_block(monkeypatch):
     cov = kernel_g().matrix(pts)
     assert _factor_covariance(cov.copy(order="F"))[0].shape[0] == len(pts)
 
-    def corrupt(buf, real=_dpstrf):
-        c, piv, rank, lapack = real(buf)
+    def corrupt(buf, real=dpstrf):
+        c, piv, rank = real(buf)
         c[np.flatnonzero(piv == len(c))[0], 0] += 1e-6
-        return c, piv, rank, lapack
-    monkeypatch.setattr(gaussfield, "_dpstrf", corrupt)
+        return c, piv, rank
+    monkeypatch.setattr(_lapack, "dpstrf", corrupt)
     with pytest.raises(np.linalg.LinAlgError, match="residual .* above bound"):
         _factor_covariance(cov)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charpolylab import momentlab
+from charpolylab import _lapack, momentlab
 from charpolylab._rng import substream
 from charpolylab.gaussfield import BiasSpec, cov_g, kernel_g, sample_gauss
 from charpolylab.hyperbolic import hyp_dist, pseudo_dist, ray_point
@@ -279,6 +279,39 @@ def test_lower_bound_mc_deterministic():
     a = lower_bound_mc(params, 60, seed=5)
     b = lower_bound_mc(params, 60, seed=5)
     assert a.to_json_dict() == b.to_json_dict()
+
+
+def test_lower_bound_mc_runs_on_one_blas_thread(monkeypatch):
+    # the sampling and the two-point table see a BLAS pool of 1, and the
+    # caller's pool (here 2) is back afterwards, also after a failure
+    get = _lapack._bind("scipy_openblas_get_num_threads64_")
+    set_pool = _lapack._bind("scipy_openblas_set_num_threads64_")
+    seen = []
+
+    def spy(name, fail=False):
+        real = getattr(momentlab, name)
+
+        def call(*args):
+            seen.append((name, get()))
+            if fail:
+                raise np.linalg.LinAlgError(name)
+            return real(*args)
+        return call
+    params = LowerBoundParams(n=4, delta=0.2, eta=1)
+    caller = get()
+    set_pool(2)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(momentlab, "sample_gauss", spy("sample_gauss"))
+            patch.setattr(momentlab, "_depth_bins", spy("_depth_bins"))
+            lower_bound_mc(params, 5, 1)
+            assert seen == [("sample_gauss", 1), ("_depth_bins", 1)] and get() == 2
+            patch.setattr(momentlab, "sample_gauss", spy("sample_gauss", fail=True))
+            with pytest.raises(np.linalg.LinAlgError):
+                lower_bound_mc(params, 5, 1)
+            assert get() == 2
+    finally:
+        set_pool(caller)
 
 
 def test_depth_bins_match_triangle_loop(monkeypatch):

@@ -70,8 +70,6 @@ _NOT_RUN_BY_THE_RUNS = {
         "extremes.factor14_check.<locals>.log_abs"],
     "criterion 9 (equilibrium self-consistency)": [
         "ensemble.V", "ensemble.rho", "ensemble._gue_stieltjes"],
-    "gen-spectrum (loads scipy's dsterf)": [
-        "cli._cmd_gen_spectrum", "ensemble.Spectrum.eigenvalues"],
 }
 
 
@@ -96,7 +94,7 @@ def _function_defs():
     return out
 
 
-# tiny runs of the eight benchmarked commands
+# tiny runs of the nine commands
 _TINY_RUNS = [["max-experiment", "--N", "8", "--y", "2", "--samples", "2"],
               ["mem-verify"],
               ["upperbound-verify", "--N", "8", "--samples", "2"],
@@ -104,15 +102,15 @@ _TINY_RUNS = [["max-experiment", "--N", "8", "--y", "2", "--samples", "2"],
               ["lowerbound-sim", "--n", "4", "--eta", "1", "--samples", "5"],
               ["matching-verify", "--samples", "2"],
               ["brw-verify"],
-              ["branch-verify"]]
+              ["branch-verify"],
+              ["gen-spectrum", "--N", "8"]]
 
 
 def test_cli_import_skips_quadrature_stack(tmp_path):
-    # scipy serves only gen-spectrum's eigenvalues and the fallback for a
-    # numpy without the bundled OpenBLAS dpstrf.  So importing the CLI loads
-    # no scipy module, and, when that dpstrf is found, neither do the tiny
-    # runs: h0 comes from orthopoly's own Faddeeva routine.  No run loads
-    # numpy.ma either.  Nor does importing the CLI load multiprocessing or
+    # LAPACK comes from numpy's bundled OpenBLAS (charpolylab._lapack) and
+    # h0 from orthopoly's own Faddeeva routine, so neither importing the CLI
+    # nor any of the tiny runs loads a scipy module.  No run loads numpy.ma
+    # either.  Nor does importing the CLI load multiprocessing or
     # concurrent.futures: only a run on more than one thread needs them.
     # The same runs, with a config file and --out, reach every function in
     # src/ but those _NOT_RUN_BY_THE_RUNS names
@@ -137,12 +135,11 @@ def test_cli_import_skips_quadrature_stack(tmp_path):
             "here = os.path.dirname(cli.__file__)\n"
             "reached = sorted({(os.path.basename(c.co_filename), c.co_firstlineno)"
             " for c in seen if os.path.dirname(c.co_filename) == here})\n"
-            "print(json.dumps([pools, after_import, codes, scipy(), ma(),"
-            " cli.gaussfield._DPSTRF is not None, reached]))")
+            "print(json.dumps([pools, after_import, codes, scipy(), ma(), reached]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    pools, after_import, codes, after_runs, masked, bundled, reached = json.loads(
+    pools, after_import, codes, after_runs, masked, reached = json.loads(
         out.stdout.splitlines()[-1])
     assert pools == []
     assert after_import == []
@@ -150,8 +147,7 @@ def test_cli_import_skips_quadrature_stack(tmp_path):
     # numpy.ma costs 14 ms to import; np.unique (also under np.percentile)
     # loads it
     assert masked == []
-    if bundled:
-        assert after_runs == []
+    assert after_runs == []
     reached = {tuple(r) for r in reached}
     allowed = {name for names in _NOT_RUN_BY_THE_RUNS.values() for name in names}
     defs = _function_defs()
@@ -177,8 +173,10 @@ def test_no_module_reads_the_environment():
 
 
 def test_no_module_imports_scipy_integrate():
-    # quadrature is an oracle's tool (tests/oracles.py): every formula in
-    # src/ is a closed form or a recurrence
+    # no module in src/ imports scipy: quadrature is an oracle's tool
+    # (tests/oracles.py), every formula in src/ is a closed form or a
+    # recurrence, and LAPACK comes from numpy's bundled OpenBLAS (_lapack).
+    # scipy is a test dependency only
     imports = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -188,21 +186,20 @@ def test_no_module_imports_scipy_integrate():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 names = [node.module] + [f"{node.module}.{alias.name}"
                                          for alias in node.names]
-            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
-                   for n in names):
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 imports.append(f"{path.name}:{node.lineno}")
     assert not imports, imports
 
 
 # the tracer's counters over _TINY_RUNS; max-experiment draws each sample
-# once per grid pass
+# once per grid pass, and gen-spectrum draws one spectrum
 _TRACED_COUNTS = {
     "extremes.logsum_terms": 544,
     "orthopoly.table_n_max": 512,
     "charpoly.mc_det_steps": 320,
     "gaussfield.cov_entries": 4222,
-    "rng.substream.calls": 21,
-    "ensemble.sample_spectrum_gue.calls": 6,
+    "rng.substream.calls": 22,
+    "ensemble.sample_spectrum_gue.calls": 7,
     "orthopoly.h_chain.calls": 38,
     "orthopoly.pi_chain.calls": 38,
 }
