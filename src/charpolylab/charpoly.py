@@ -22,7 +22,7 @@ import numpy as np
 
 from ._emit import emit
 from ._rng import substream
-from .ensemble import char_poly, g, recurrence_coeffs, tridiagonal_blocks
+from .ensemble import char_poly, g, recurrence_coeffs, tridiagonal_draw
 from .hyperbolic import joukowsky
 from .orthopoly import (m_matrix, _exp2, _h_chain, _ldexp, _pi_chain,
                         _scaled_det, _tilde_factor)
@@ -148,13 +148,15 @@ def exp_moment_field(table, bias):
     m_cache = {}
 
     def cells(v):
+        # M is evaluated in the upper half-plane, once per point there;
         # conjugation carries M11, M22 to their conjugates and flips the
         # sign of M12, M21 (the Cauchy transforms are conjugate-antisymmetric)
-        if v not in m_cache:
-            M = m_matrix(table, v if v.imag >= 0 else np.conj(v))
-            m = M.m if v.imag >= 0 else np.conj(M.m) * [[1, -1], [-1, 1]]
-            m_cache[v] = m, M.e
-        return m_cache[v]
+        at = v if v.imag >= 0 else np.conj(v)
+        if at not in m_cache:
+            M = m_matrix(table, at)
+            m_cache[at] = M.m, M.e
+        m, e = m_cache[at]
+        return (m if v.imag >= 0 else np.conj(m) * [[1, -1], [-1, 1]]), e
 
     # q-rows (M22, M12), p-rows (M21, M11)
     rows = []
@@ -219,14 +221,12 @@ def _batched_mean(values):
     return values.mean(), np.abs(means).std(ddof=1) / math.sqrt(nb) if nb > 1 else 0.0
 
 
-# draws per e block of mc_char_ratio: a 4 MiB buffer (a chunk's whole e is
-# 20 MB at N = 256 with 10,000 draws), but at least 1024 draws, as the
-# recurrence's per-step numpy calls outweigh its arithmetic on short
-# blocks (N = 1024, 2,000 draws: 0.34 s in blocks of 128, 0.21 in 1,024)
-_E_BLOCK_BYTES = 4 << 20
-_E_BLOCK_MIN_ROWS = 1024
-# draws per chunk of mc_char_ratio, each from a substream of its own
-_CHUNK = 200_000
+# draws per block of mc_char_ratio: 4 MiB of d (and about as much of e),
+# but at least 1024 draws, as the recurrence's per-step numpy calls
+# outweigh its arithmetic on short blocks (N = 1024, 2,000 draws: 0.34 s in
+# blocks of 128, 0.21 in 1,024)
+_BLOCK_BYTES = 4 << 20
+_BLOCK_MIN_ROWS = 1024
 
 
 def mc_char_ratio(N, p_pts, q_pts, n_samples, seed):
@@ -234,10 +234,10 @@ def mc_char_ratio(N, p_pts, q_pts, n_samples, seed):
 
     p_pts and q_pts hold one case's points, or, with a leading case axis,
     one row of points per case; every case then reads the same draws and
-    the result is one (mean, SE) per case.  Draws come in chunks of at most
-    _CHUNK, chunk j from substream(seed, j); a chunk's d is held whole and
-    its e is drawn and run through the recurrence one block of rows at a
-    time (tridiagonal_blocks), which gives the values of one whole draw."""
+    the result is one (mean, SE) per case.  Draws come in blocks of
+    max(_BLOCK_MIN_ROWS, _BLOCK_BYTES / 8N), block j drawn whole from
+    substream(seed, j) and released before the next is drawn, so beside
+    the cases x n_samples values the memory does not grow with n_samples."""
     ps = np.array(p_pts, dtype=complex)
     one_case = ps.ndim == 1
     ps = np.atleast_2d(ps)
@@ -245,21 +245,19 @@ def mc_char_ratio(N, p_pts, q_pts, n_samples, seed):
     # cases x points x samples: the sample axis is the long one
     xs = np.concatenate([ps, np.atleast_2d(np.array(q_pts, dtype=complex))],
                         axis=1)[..., None]
-    rows = max(_E_BLOCK_MIN_ROWS, _E_BLOCK_BYTES // (8 * N))
+    rows = max(_BLOCK_MIN_ROWS, _BLOCK_BYTES // (8 * N))
     vals = np.empty((len(xs), n_samples), dtype=complex)
-    at = 0
-    for task, lo in enumerate(range(0, n_samples, _CHUNK)):
-        for d, e in tridiagonal_blocks(N, substream(seed, task),
-                                       min(_CHUNK, n_samples - lo), rows):
-            dets, exps = char_poly(*recurrence_coeffs(d, e), xs)
-            # one elementwise multiply per point: np.prod would reduce a
-            # one-draw block in numpy's reduction loop, whose complex
-            # product rounds differently (no fused multiply-add)
-            pts = np.moveaxis(dets, 1, 0)
-            vals[:, at:at + len(d)] = _ldexp(
-                reduce(np.multiply, pts[:n]) / reduce(np.multiply, pts[n:]),
-                exps[:, :n].sum(axis=1) - exps[:, n:].sum(axis=1))
-            at += len(d)
+    for j, lo in enumerate(range(0, n_samples, rows)):
+        d, e = tridiagonal_draw(N, substream(seed, j), size=(min(rows, n_samples - lo),))
+        dets, exps = char_poly(*recurrence_coeffs(d, e), xs)
+        del d, e  # freed before the next block is drawn, not after
+        # one elementwise multiply per point: np.prod would reduce a
+        # one-draw block in numpy's reduction loop, whose complex product
+        # rounds differently (no fused multiply-add)
+        pts = np.moveaxis(dets, 1, 0)
+        vals[:, lo:lo + dets.shape[-1]] = _ldexp(
+            reduce(np.multiply, pts[:n]) / reduce(np.multiply, pts[n:]),
+            exps[:, :n].sum(axis=1) - exps[:, n:].sum(axis=1))
     out = [_batched_mean(v) for v in vals]
     return out[0] if one_case else out
 

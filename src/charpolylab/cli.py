@@ -290,7 +290,7 @@ COMMANDS = tuple(_RUNNERS)
 # ArithmeticErrors; LinAlgError is a failed dsterf or covariance factor;
 # RuntimeError the h-chain bound or the pair scatter; MemoryError an array
 # the machine refused (fs-verify holds cases x samples complex values, plus
-# per chunk min(samples, charpoly._CHUNK) x N float64 of d and one block of e)
+# one block of draws, whose size does not grow with the samples)
 _BREAKDOWNS = (ArithmeticError, np.linalg.LinAlgError, RuntimeError, MemoryError)
 
 

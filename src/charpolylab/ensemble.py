@@ -34,7 +34,6 @@ __all__ = [
     "rho",
     "sample_spectrum_gue",
     "stieltjes",
-    "tridiagonal_blocks",
     "tridiagonal_draw",
 ]
 
@@ -116,30 +115,10 @@ class Spectrum:
         return _lapack.dsterf(self.d, self.e) / (2.0 * math.sqrt(self.N))
 
 
-def tridiagonal_blocks(N, rng, n, rows):
-    """n draws (d, e) of the beta = 2 Hermite tridiagonal model
-    (Dumitriu-Edelman, J. Math. Phys. 43, 2002), yielded in blocks of `rows`
-    draws: d_i ~ N(0, 1) and e_k ~ sqrt(chi^2_{2(N-k)}/2) for k = 1 .. N-1,
-    with shapes (rows, N) and (rows, N-1), the last block shorter.
-
-    All of d is drawn first, as one (n, N) array that the d blocks are views
-    of; then e, one block at a time, into one reused buffer, so a yielded e
-    block is valid only until the next block is drawn.  The stream is read
-    in the order of one (n, N) draw of d and one (n, N-1) draw of e, so
-    every value, and where rng is left, is the same for any rows.
-    """
-    d = rng.standard_normal((n, N))
-    buf = np.empty((min(rows, n), N - 1))
-    for lo in range(0, n, rows):
-        e = buf[:min(rows, n - lo)]
-        # chi^2_{2k}/2 is standard_gamma(k), bit for bit, as numpy draws
-        # chisquare(2k) as 2 standard_gamma(k); at N = 1 nothing is drawn
-        rng.standard_gamma(np.arange(N - 1, 0, -1), out=e)
-        yield d[lo:lo + len(e)], np.sqrt(e, out=e)
-
-
 def tridiagonal_draw(N, rng, size=()):
-    """(d, e) of tridiagonal_blocks in one block, with shapes size + (N,)
+    """Draws (d, e) of the beta = 2 Hermite tridiagonal model
+    (Dumitriu-Edelman, J. Math. Phys. 43, 2002): d_i ~ N(0, 1) and
+    e_k ~ sqrt(chi^2_{2(N-k)}/2) for k = 1 .. N-1, with shapes size + (N,)
     and size + (N-1,).
 
     T(d, e) / (2 sqrt N) has the eigenvalue law
@@ -147,9 +126,12 @@ def tridiagonal_draw(N, rng, size=()):
     (size=(n,)) consume the stream the same way: d first, then e.
     """
     size = tuple(size)
-    n = math.prod(size)
-    (d, e), = tridiagonal_blocks(N, rng, n, n)
-    return d.reshape(size + (N,)), e.reshape(size + (N - 1,))
+    d = rng.standard_normal(size + (N,))
+    e = np.empty(size + (N - 1,))
+    # chi^2_{2k}/2 is standard_gamma(k), bit for bit, as numpy draws
+    # chisquare(2k) as 2 standard_gamma(k); at N = 1 nothing is drawn
+    rng.standard_gamma(np.arange(N - 1, 0, -1), out=e)
+    return d, np.sqrt(e, out=e)
 
 
 # steps between power-of-two rescalings in char_poly
@@ -175,13 +157,12 @@ def char_poly(a, b2, xs):
     (mantissa, exponent) arrays with value mantissa * 2**exponent.
 
     a and b2 are the recurrence coefficients (recurrence_coeffs) of draws of
-    tridiagonal_draw, or of blocks of tridiagonal_blocks, with or without
-    leading sample axes.  The state, and the result, take the broadcast
-    shape of xs against a.shape[:-1], real for real xs: xs[:, None] against
-    one sample axis gives points x samples, a[:, None] and b2[:, None]
-    against a 1-d xs give samples x points.  Every step is four numpy calls
-    on the whole state, so put the longer axis last, where numpy's inner
-    loop runs.  The three-term recurrence is
+    tridiagonal_draw, with or without leading sample axes.  The state, and
+    the result, take the broadcast shape of xs against a.shape[:-1], real
+    for real xs: xs[:, None] against one sample axis gives points x samples,
+    a[:, None] and b2[:, None] against a 1-d xs give samples x points.
+    Every step is four numpy calls on the whole state, so put the longer
+    axis last, where numpy's inner loop runs.  The three-term recurrence is
     D_k = (x - a_k) D_{k-1} - b_{k-1}^2 D_{k-2}.  Every _RESCALE steps D_k
     and D_{k-1} are divided by 2**s, s the binary exponent of |D_k|: a
     power-of-two scale is exact, so no determinant over- or underflows and,

@@ -366,10 +366,10 @@ def mp_fs_balanced(N, p, q):
         return complex(t * (hs[N - 1] * pis[N] - hs[N] * pis[N - 1]))
 
 
-def mc_char_ratio_oneshot(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
-    """charpoly.mc_char_ratio with each chunk drawn whole (d and e at once)
-    and run through the recurrence in one call: the oracle for its blocked
-    draw."""
+def mc_char_ratio_oneshot(N, p_pts, q_pts, n_samples, seed, rows):
+    """charpoly.mc_char_ratio in blocks of `rows` draws, block j drawn whole
+    from substream(seed, j) and each side's determinants multiplied by
+    np.prod: the oracle for its block loop."""
     ps = np.array(p_pts, dtype=complex)
     one_case = ps.ndim == 1
     ps = np.atleast_2d(ps)
@@ -377,9 +377,9 @@ def mc_char_ratio_oneshot(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
     xs = np.concatenate([ps, np.atleast_2d(np.array(q_pts, dtype=complex))],
                         axis=1)[..., None]
     vals = np.empty((len(xs), n_samples), dtype=complex)
-    for task, lo in enumerate(range(0, n_samples, chunk)):
-        d, e = tridiagonal_draw(N, substream(seed, task),
-                                size=(min(chunk, n_samples - lo),))
+    for j, lo in enumerate(range(0, n_samples, rows)):
+        d, e = tridiagonal_draw(N, substream(seed, j),
+                                size=(min(rows, n_samples - lo),))
         dets, exps = char_poly(*recurrence_coeffs(d, e), xs)
         vals[:, lo:lo + len(d)] = _ldexp(
             np.prod(dets[:, :n], axis=1) / np.prod(dets[:, n:], axis=1),
@@ -390,9 +390,9 @@ def mc_char_ratio_oneshot(N, p_pts, q_pts, n_samples, seed, chunk=200_000):
 
 def _mc_dets(N, xs, n_samples, seed, chunk):
     """det(x - A) at xs over n_samples tridiagonal draws, in chunks of at
-    most `chunk` draws, chunk j from substream(seed, j) as in mc_char_ratio.
-    Yields the chunk's first sample index and char_poly's (mantissas,
-    exponents), points x samples."""
+    most `chunk` draws, chunk j drawn whole from substream(seed, j), as
+    mc_char_ratio draws its blocks.  Yields the chunk's first sample index
+    and char_poly's (mantissas, exponents), points x samples."""
     xs = np.array(xs, dtype=complex)[:, None]
     for task, lo in enumerate(range(0, n_samples, chunk)):
         d, e = tridiagonal_draw(N, substream(seed, task),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from charpolylab import charpoly, ensemble
+from charpolylab import charpoly
 from charpolylab._rng import substream
 from charpolylab.charpoly import (VerificationCase, exp_moment_field, exp_pm2_moment, fs_balanced,
                                   laplace_split, mc_char_ratio, vandermonde_det,
@@ -322,8 +322,10 @@ def test_recurrence_coeffs_in_place_bitwise(N):
     ([(0.3 + 0.4j, -0.1 + 0.5j), (-0.35 + 0.45j, 0.2 - 0.3j)],
      [(0.2 + 0.6j, -0.3 - 0.5j), (0.25 + 0.6j, 0.6 + 0.2j)])])
 def test_mc_char_ratio_case_axis_matches_one_case_calls(monkeypatch, p, q):
-    # every case reads the same draws, so each gives its one-case call's bits
-    monkeypatch.setattr(charpoly, "_CHUNK", 300)
+    # every case reads the same draws, so each gives its one-case call's
+    # bits, here across blocks of 300 draws
+    monkeypatch.setattr(charpoly, "_BLOCK_BYTES", 0)
+    monkeypatch.setattr(charpoly, "_BLOCK_MIN_ROWS", 300)
     cases = mc_char_ratio(16, p, q, 1_000, seed=7)
     assert len(cases) == len(p)
     for (mc, se), pc, qc in zip(cases, p, q):
@@ -339,34 +341,32 @@ def _bits(cases):
 @settings(max_examples=60, deadline=None)
 @given(N=st.integers(1, 40), n_samples=st.integers(1, 1000), rows=st.integers(1, 700),
        n_cases=st.integers(1, 3), n_points=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-@example(N=5, n_samples=301, rows=1, n_cases=2, n_points=2, seed=0)
+@example(N=5, n_samples=602, rows=300, n_cases=2, n_points=2, seed=0)
 def test_mc_char_ratio_blocks_match_oneshot(N, n_samples, rows, n_cases, n_points, seed):
-    # e drawn and run in blocks of rows draws, across chunk = 300 boundaries,
-    # gives the values and SEs of each chunk drawn and run whole
+    # blocks of rows draws, block j drawn whole from substream(seed, j),
+    # give the oracle's values and SEs across block boundaries
     rng = np.random.default_rng(seed)
     p, q = (rng.uniform(-0.8, 0.8, (n_cases, n_points))
             + 1j * rng.uniform(0.2, 0.8, (n_cases, n_points)) for _ in range(2))
-    blocks = ensemble.tridiagonal_blocks
-    with mock.patch.object(charpoly, "_CHUNK", 300):
+    with mock.patch.multiple(charpoly, _BLOCK_BYTES=0, _BLOCK_MIN_ROWS=rows):
         got = _bits(mc_char_ratio(N, p, q, n_samples, seed))
-        with mock.patch.object(charpoly, "tridiagonal_blocks",
-                               lambda N, rng, n, _: blocks(N, rng, n, rows)):
-            assert _bits(mc_char_ratio(N, p, q, n_samples, seed)) == got
-    # the one-shot body's np.prod reduces a chunk of one draw with several
-    # points a side in numpy's reduction loop, which rounds a complex product
+    # the oracle's np.prod reduces a block of one draw with several points
+    # a side in numpy's reduction loop, which rounds a complex product
     # differently from its elementwise loop; mc_char_ratio multiplies
-    # elementwise at every block length, so only such a chunk may differ
-    if n_points == 1 or n_samples % 300 != 1:
-        assert got == _bits(mc_char_ratio_oneshot(N, p, q, n_samples, seed, chunk=300))
+    # elementwise at every block length, so only such a block may differ
+    if n_points == 1 or (n_samples - 1) % rows:
+        assert got == _bits(mc_char_ratio_oneshot(N, p, q, n_samples, seed, rows))
 
 
 def test_mc_char_ratio_peak_memory():
-    # fs-verify's two sizes, both cases: the oracle holds the chunk's d, one
-    # block of e and the recurrence's state, and forms the recurrence's
-    # coefficients in place.  Measured peak above d: 5.3 MiB at N = 256
-    # (23.2 MiB with e drawn whole), 8.5 MiB at N = 1024 (32.0 MiB with a
-    # copy of the block's coefficients)
-    for N, n, slack in [(256, 10_000, 9 << 20), (1024, 2_000, 12 << 20)]:
+    # fs-verify's two sizes, both cases, and ten times its draws at N = 256:
+    # the oracle holds the cases x draws values, one block of draws and the
+    # recurrence's state, and frees a block before it draws the next, so
+    # beside the values its peak does not grow with the draws.  Measured
+    # peak beside the values: 9.0 MiB at N = 256 at either draw count,
+    # 16.4 MiB at N = 1024 (32.9 MiB with two blocks alive at once)
+    for N, n, slack in [(256, 10_000, 10 << 20), (256, 100_000, 10 << 20),
+                        (1024, 2_000, 18 << 20)]:
         tracemalloc.start()
         try:
             mc_char_ratio(N, [(0.3 + 0.4j,), (-0.35 + 0.45j,)],
@@ -374,7 +374,7 @@ def test_mc_char_ratio_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= n * N * 8 + slack, (N, (peak - n * N * 8) / 2**20)
+        assert peak <= 2 * n * 16 + slack, (N, n, (peak - 2 * n * 16) / 2**20)
 
 
 def test_monte_carlo_oracles_survive_determinant_underflow():

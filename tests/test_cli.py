@@ -318,30 +318,34 @@ def test_fs_verify_at_n2048_passes(tmp_path):
     assert all(np.isfinite(float(r["mc_value"])) for r in rows)
 
 
-def test_fs_verify_draws_once_per_chunk(monkeypatch):
-    # both cases read one draw per chunk of at most 200,000 samples: one
-    # whole d per chunk, and e blocks that tile it in order
-    chunks = []
-    blocks = charpoly.tridiagonal_blocks
+def test_fs_verify_draws_once_per_block(monkeypatch):
+    # both cases read one draw per block, block j drawn whole from
+    # substream(seed, j); at N = 4 a block is 131,072 draws, so 200,001
+    # draws make two blocks, which tile the samples in order
+    streams, draws, blocks = [], [], []
+    substream_, draw, char_poly = charpoly.substream, charpoly.tridiagonal_draw, charpoly.char_poly
 
-    def counted(N, rng, n, rows):
-        chunks.append([])
-        for d, e in blocks(N, rng, n, rows):
-            # the row of the chunk's whole d at which this block starts
-            start = (d.ctypes.data - d.base.ctypes.data) // d.strides[0]
-            chunks[-1].append((d.base.shape, start, len(d), len(e)))
-            yield d, e
+    def counted_substream(seed, index):
+        streams.append((seed, index, substream_(seed, index)))
+        return streams[-1][2]
 
-    monkeypatch.setattr(charpoly, "tridiagonal_blocks", counted)
+    def counted_draw(N, rng, size=()):
+        draws.append((N, rng, size))
+        return draw(N, rng, size)
+
+    def counted_char_poly(a, b2, xs):
+        blocks.append(len(a))
+        return char_poly(a, b2, xs)
+
+    monkeypatch.setattr(charpoly, "substream", counted_substream)
+    monkeypatch.setattr(charpoly, "tridiagonal_draw", counted_draw)
+    monkeypatch.setattr(charpoly, "char_poly", counted_char_poly)
     assert main(["fs-verify", "--N", "4", "--samples", "200001"]) == 0
-    assert [chunk[0][0] for chunk in chunks] == [(200_000, 4), (1, 4)]
-    for chunk in chunks:
-        whole = chunk[0][0]
-        assert all(base == whole and len_e == len_d for base, _, len_d, len_e in chunk)
-        ends = [start + len_d for _, start, len_d, _ in chunk]
-        assert [start for _, start, _, _ in chunk] == [0] + ends[:-1]
-        assert ends[-1] == whole[0]
-    assert len(chunks[0]) > 1
+    assert [(seed, index) for seed, index, _ in streams] == [(task_seed(1, 0), 0),
+                                                             (task_seed(1, 0), 1)]
+    assert [(N, size) for N, _, size in draws] == [(4, (131_072,)), (4, (68_929,))]
+    assert all(rng is stream for (_, rng, _), (_, _, stream) in zip(draws, streams))
+    assert blocks == [131_072, 68_929]
 
 
 def test_fs_verify_case0_row_is_the_one_case_oracle(tmp_path):
@@ -410,6 +414,23 @@ def test_numpy_without_bundled_lapack_exits_2(tmp_path, capsys, monkeypatch):
             f"error: numpy {np.__version__} bundles no OpenBLAS {routine}\n")
         assert list(tmp_path.iterdir()) == []
     assert main(["mem-verify", "--check"]) == 0
+
+
+def test_mem_verify_evaluates_m_once_per_point(monkeypatch):
+    # exp_moment_field evaluates M in the upper half-plane and takes a row
+    # point below the axis from its conjugate's cells, so no point is
+    # evaluated twice
+    calls = []
+    m_matrix = charpoly.m_matrix
+
+    def counted(table, q):
+        calls.append((table.N, complex(q)))
+        return m_matrix(table, q)
+
+    monkeypatch.setattr(charpoly, "m_matrix", counted)
+    assert main(["mem-verify"]) == 0
+    assert calls and all(q.imag >= 0 for _, q in calls)
+    assert len(calls) == len(set(calls)), calls
 
 
 def test_indefinite_covariance_exits_3(monkeypatch, capsys):

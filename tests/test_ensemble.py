@@ -191,32 +191,9 @@ def test_dsterf_rejects_mismatched_shapes(d, e):
         _lapack.dsterf(d, e)
 
 
-@settings(max_examples=60, deadline=None)
-@given(N=st.integers(1, 64), n=st.integers(1, 3000),
-       kind=st.sampled_from(["one", "non_divisor", "over"]), data=st.data(),
-       seed=st.integers(0, 2**32 - 1))
-def test_tridiagonal_blocks_are_one_draw(N, n, kind, data, seed):
-    # blocks of rows draws give tridiagonal_draw's values and leave the
-    # stream where it does: the next value drawn is the same
-    if kind == "one":
-        rows = 1
-    elif kind == "over":
-        rows = n + data.draw(st.integers(1, 50))
-    else:
-        rows = next(r for r in range(data.draw(st.integers(2, n + 1)), n + 2) if n % r)
-    ref = substream(seed, 0)
-    d, e = ensemble.tridiagonal_draw(N, ref, size=(n,))
-    rng = substream(seed, 0)
-    got = [(bd.copy(), be.copy()) for bd, be in ensemble.tridiagonal_blocks(N, rng, n, rows)]
-    assert [len(bd) for bd, _ in got] == [min(rows, n - lo) for lo in range(0, n, rows)]
-    assert np.array_equal(np.concatenate([bd for bd, _ in got]), d)
-    assert np.array_equal(np.concatenate([be for _, be in got]), e)
-    assert rng.random() == ref.random()
-
-
 def test_tridiagonal_draw_stream_use(rng):
     # one draw and a batch take d, then e, from the stream: sample i of the
-    # max experiment and the Monte Carlo chunks keep their draws
+    # max experiment and the Monte Carlo blocks keep their draws
     for N in (1, 2, 9):
         seed = int(rng.integers(2**32))
         for size in ((), (3,)):

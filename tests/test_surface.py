@@ -172,6 +172,36 @@ def test_no_module_reads_the_environment():
     assert not reads, reads
 
 
+def test_every_private_module_name_is_read():
+    # a private module-level name that src/ never reads is dead, or a knob
+    # that only the tests set; a name counts as read where src/ loads it,
+    # takes it as an attribute or imports it
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [f"{path.stem}.{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert defined
+    unread = [name for name in defined if name.split(".", 1)[1] not in read]
+    assert not unread, unread
+
+
 def test_no_module_imports_scipy_integrate():
     # no module in src/ imports scipy: quadrature is an oracle's tool
     # (tests/oracles.py), every formula in src/ is a closed form or a
@@ -192,7 +222,8 @@ def test_no_module_imports_scipy_integrate():
 
 
 # the tracer's counters over _TINY_RUNS; max-experiment draws each sample
-# once per grid pass, and gen-spectrum draws one spectrum
+# once per grid pass, gen-spectrum draws one spectrum, and mem-verify
+# evaluates M once per point
 _TRACED_COUNTS = {
     "extremes.logsum_terms": 544,
     "orthopoly.table_n_max": 512,
@@ -200,8 +231,8 @@ _TRACED_COUNTS = {
     "gaussfield.cov_entries": 4222,
     "rng.substream.calls": 22,
     "ensemble.sample_spectrum_gue.calls": 7,
-    "orthopoly.h_chain.calls": 38,
-    "orthopoly.pi_chain.calls": 38,
+    "orthopoly.h_chain.calls": 31,
+    "orthopoly.pi_chain.calls": 31,
 }
 
 
