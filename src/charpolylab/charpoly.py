@@ -15,7 +15,6 @@ the ratio formulas hold as printed for arguments in either half-plane
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "laplace_split",
     "exp_pm2_moment",
     "mc_char_ratio",
-    "VerificationCase",
     "write_verification_report",
 ]
 
@@ -214,11 +212,14 @@ def exp_pm2_moment(table, q, sign):
 # ---------------------------------------------------------------------------
 
 def _batched_mean(values):
-    """Mean and batch-means standard error of a 1-d array, over 50 batches."""
+    """Mean and batch-means standard error of a 1-d array, over 50 batches.
+
+    For complex values the error is that of the complex mean: numpy's std
+    of a complex array is the hypot of its real and imaginary parts' std."""
     values = np.asarray(values)
     nb = min(50, len(values))
     means = np.array([c.mean() for c in np.array_split(values, nb)])
-    return values.mean(), np.abs(means).std(ddof=1) / math.sqrt(nb) if nb > 1 else 0.0
+    return values.mean(), means.std(ddof=1) / math.sqrt(nb) if nb > 1 else 0.0
 
 
 # draws per block of mc_char_ratio: 4 MiB of d (and about as much of e),
@@ -262,23 +263,8 @@ def mc_char_ratio(N, p_pts, q_pts, n_samples, seed):
     return out[0] if one_case else out
 
 
-@dataclass
-class VerificationCase:
-    case_id: str
-    N: int
-    formula_value: float
-    mc_value: float
-    mc_stderr: float
-
-    @property
-    def z_score(self):
-        if self.mc_stderr == 0.0:
-            return 0.0 if self.formula_value == self.mc_value else math.inf
-        return (self.mc_value - self.formula_value) / self.mc_stderr
-
-
-def write_verification_report(cases, path):
-    """CSV report: case_id, N, formula_value, mc_value, mc_stderr, z_score."""
-    emit([[c.case_id, c.N, c.formula_value, c.mc_value, c.mc_stderr, c.z_score]
-          for c in cases], path, "csv",
+def write_verification_report(rows, path):
+    """CSV report, one row per case: case_id, N, formula_value, mc_value,
+    mc_stderr, z_score."""
+    emit(rows, path, "csv",
          header=["case_id", "N", "formula_value", "mc_value", "mc_stderr", "z_score"])

@@ -327,7 +327,6 @@ def lower_bound_mc(params, n_samples, seed):
     """
     omegas = omega_grid(params)
     m = len(omegas)
-    kern = kernel_g()
     zeta_leaf = ray_point(params.n0)
     zeta_ref = ray_point(params.b[params.r])
 
@@ -346,7 +345,7 @@ def lower_bound_mc(params, n_samples, seed):
                              for k in range(params.r + 1, params.eta + 1)]
                             for w in omegas], dtype=int)
 
-    sample = sample_gauss(points, kern, n_samples, seed)
+    sample = sample_gauss(points, kernel_g(), n_samples, seed)
     route, vals = sample.factorization, sample.values
     del sample  # so that the del of vals below frees the values
     leaf = vals[:, :m]
@@ -370,13 +369,16 @@ def lower_bound_mc(params, n_samples, seed):
     ratios = [b.mean() ** 2 / (b ** 2).mean() for b in batches]
     cs_se = float(np.std(ratios, ddof=1) / math.sqrt(nb)) if nb > 1 else 0.0
 
-    # one-point: empirical E Y(omega) vs exact E e^{B_omega(G)}; by rotation
-    # invariance of the kernel the exact value is the same for every omega
+    # over the lattice the kernel, the depth and the exact pair moment
+    # depend only on the lag |i - j|; cov_bb[L] = Cov(B_i, B_{i+L}) / 4
+    angles = np.arange(m) * math.exp(-params.n0)
+    h_leaf, h_ref = params.n0, params.b[params.r]
+    cov_bb = (_ray_cov(h_leaf, h_leaf, angles) + _ray_cov(h_ref, h_ref, angles)
+              - 2.0 * _ray_cov(h_leaf, h_ref, angles))
+    var_b = 4.0 * cov_bb[0]  # Var B_omega, the same on every ray by rotation
+
+    # one-point: empirical E Y(omega) vs exact E e^{B_omega(G)}
     ey_emp = Y.mean(axis=0)
-    c_ll = kern.cov(zeta_leaf, zeta_leaf)
-    c_rr = kern.cov(zeta_ref, zeta_ref)
-    c_lr = kern.cov(zeta_leaf, zeta_ref)
-    var_b = 4.0 * (c_ll + c_rr - 2.0 * c_lr)  # Var B_omega on every ray
     ey_exact = math.exp(var_b / 2.0)
     op_ratio = ey_emp / ey_exact
     one_point = {
@@ -386,13 +388,8 @@ def lower_bound_mc(params, n_samples, seed):
         "ratio_max": float(op_ratio.max()),
     }
 
-    # two-point table binned by branch depth: over the lattice the kernel,
-    # the depth and the exact pair moment depend only on the lag |i - j|
-    angles = np.arange(m) * math.exp(-params.n0)
-    h_leaf, h_ref = params.n0, params.b[params.r]
-    cov_bb = (_ray_cov(h_leaf, h_leaf, angles) + _ray_cov(h_ref, h_ref, angles)
-              - 2.0 * _ray_cov(h_leaf, h_ref, angles))
-    # E e^{B1+B2} = e^{(Var B1 + Var B2)/2 + Cov(B1,B2)}, Var B_i = var_b by rotation
+    # two-point table binned by branch depth
+    # E e^{B1+B2} = e^{(Var B1 + Var B2)/2 + Cov(B1,B2)}
     exact = np.exp(var_b + 4.0 * cov_bb)
     slack = params.n / params.eta + params.eta * math.sqrt(params.n)
     bins = _depth_bins(Y, ey_emp, exact, branch_depth(angles, params.n0),

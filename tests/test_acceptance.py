@@ -7,8 +7,6 @@ fixtures.  Master seeds are fixed, so every number here is reproducible.
 
 import math
 import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -29,6 +27,7 @@ from charpolylab.momentlab import (LowerBoundParams, lower_bound_mc,
 from charpolylab.orthopoly import (OPTable, global_parametrix_onecut, m_matrix,
                                    r_weight, y_matrix)
 
+from bytediff import SMALL_RUNS, run_outputs
 from oracles import ell_v_profile, quad_g_tilde
 
 SEED = 20260808
@@ -86,7 +85,7 @@ def test_criterion_3_fs_oracle():
         table = OPTable(N)
         f = fs_balanced(table, p, q)
         mc, se = mc_char_ratio(N, p, q, 1_000_000, task_seed(SEED, 100 + i))
-        zs.append(abs(mc - f) / (se * math.sqrt(2.0)))
+        zs.append(abs(mc - f) / se)
     elapsed = time.time() - t0
     ok = all(z <= 3.0 for z in zs)
     _report(3, "Fyodorov-Strahov oracle", ok,
@@ -309,20 +308,6 @@ def test_criterion_12_lower_bound_simulator():
     assert ok
 
 
-_SMALL_RUNS = {
-    "gen-spectrum": ["--N", "64", "--seed", "11"],
-    "max-experiment": ["--N", "128", "--samples", "8", "--seed", "5",
-                       "--y", "2"],
-    "fs-verify": ["--N", "4", "--samples", "20000", "--seed", "2"],
-    "mem-verify": ["--seed", "1"],
-    "branch-verify": ["--seed", "1"],
-    "matching-verify": ["--samples", "60", "--seed", "4"],
-    "lowerbound-sim": ["--n", "9", "--samples", "100", "--seed", "3"],
-    "upperbound-verify": ["--N", "64", "--samples", "10", "--seed", "6"],
-    "brw-verify": ["--seed", "1"],
-}
-
-
 def _out_ext(cmd):
     return ".json" if cmd in ("lowerbound-sim", "upperbound-verify",
                               "brw-verify") else ".csv"
@@ -330,7 +315,7 @@ def _out_ext(cmd):
 
 def test_criterion_13_reproducibility(tmp_path):
     pairs = []
-    for cmd, args in _SMALL_RUNS.items():
+    for cmd, args in SMALL_RUNS.items():
         ext = _out_ext(cmd)
         p1 = tmp_path / f"{cmd}-1{ext}"
         p2 = tmp_path / f"{cmd}-2{ext}"
@@ -352,23 +337,14 @@ def test_criterion_13_reproducibility(tmp_path):
     assert ok
 
 
-def test_blas_pool_size_moves_no_output(tmp_path):
-    # every command's files are the same for a BLAS pool of 1 and of 2:
-    # lowerbound-sim, whose covariance factor and the products that apply
-    # it run in BLAS, sets the pool to 1 around them
-    runs = _SMALL_RUNS
+def test_blas_pool_size_moves_no_output():
+    # every command's files, stdout, stderr and exit code are the same for a
+    # BLAS pool of 1 and of 2: lowerbound-sim, whose covariance factor and
+    # the products that apply it run in BLAS, sets the pool to 1 around them
+    argvs = [[cmd] + args + ["--out", "out"] for cmd, args in SMALL_RUNS.items()]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    outputs = []
-    for pool in ("1", "2"):
-        out = tmp_path / pool
-        out.mkdir()
-        argvs = [[cmd] + args + ["--out", str(out / (cmd + _out_ext(cmd)))]
-                 for cmd, args in runs.items()]
-        code = ("import charpolylab.cli as cli\n"
-                f"assert [cli.main(a) for a in {argvs!r}] == [0] * {len(argvs)}")
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env={**os.environ, "OPENBLAS_NUM_THREADS": pool, "PYTHONPATH": src})
-        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    outputs = [run_outputs(src, argvs, {"OPENBLAS_NUM_THREADS": pool}) for pool in ("1", "2")]
+    assert [r["code"] for r in outputs[0]] == [0] * len(argvs)
     # gen-spectrum and max-experiment each write a second file
-    assert len(outputs[0]) == len(runs) + 2
+    assert sum(len(r["files"]) for r in outputs[0]) == len(argvs) + 2
     assert outputs[0] == outputs[1]

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from charpolylab import charpoly
 from charpolylab._rng import substream
-from charpolylab.charpoly import (VerificationCase, exp_moment_field, exp_pm2_moment, fs_balanced,
+from charpolylab.charpoly import (_batched_mean, exp_moment_field, exp_pm2_moment, fs_balanced,
                                   laplace_split, mc_char_ratio, vandermonde_det,
                                   write_verification_report)
 from charpolylab.ensemble import char_poly, g, recurrence_coeffs, tridiagonal_draw
@@ -57,7 +57,7 @@ def test_fs_balanced_vs_monte_carlo(table_cache):
     p, q = [0.3 + 0.4j], [-0.2 + 0.5j]
     f = fs_balanced(tab, p, q)
     mc, se = mc_char_ratio(4, p, q, 300_000, seed=31)
-    assert abs(mc - f) < 3.0 * se * math.sqrt(2.0)
+    assert abs(mc - f) < 3.0 * se
 
 
 # the two cases fs-verify checks against Monte Carlo
@@ -225,13 +225,31 @@ def test_exp_pm2_minus_needs_two_levels(table_cache):
 
 
 def test_verification_report(tmp_path):
-    c = VerificationCase("case", 4, 1.0, 1.1, 0.05)
-    assert c.z_score == pytest.approx(2.0)
     path = tmp_path / "report.csv"
-    write_verification_report([c], path)
+    write_verification_report([["case", 4, 1.0, 1.1, 0.05, 2.0]], path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "case_id,N,formula_value,mc_value,mc_stderr,z_score"
     assert len(lines) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 500), seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(1e-3, 1e3),
+       shift=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+       phase=st.floats(-math.pi, math.pi))
+def test_batched_mean_se_is_the_complex_means(n, seed, spread, shift, phase):
+    # the standard error of the complex mean: a common shift and a unit phase
+    # leave it alone, and it is the hypot of its components' errors
+    rng = substream(seed, 0)
+    vals = rng.standard_normal(n) + 1j * spread * rng.standard_normal(n)
+    _, se = _batched_mean(vals)
+    assert se > 0.0
+    assert se == pytest.approx(math.hypot(_batched_mean(vals.real)[1],
+                                          _batched_mean(vals.imag)[1]), rel=1e-12)
+    # the shifted values round at the shift's scale, not the spread's
+    assert _batched_mean(vals + shift)[1] == pytest.approx(
+        se, rel=1e-9, abs=1e-13 * abs(shift))
+    assert _batched_mean(vals * np.exp(1j * phase))[1] == pytest.approx(se, rel=1e-12)
 
 
 def _raw_char_poly_batch(N, xs, rng, n_samples):

@@ -361,6 +361,46 @@ def test_fs_verify_case0_row_is_the_one_case_oracle(tmp_path):
     assert float(row["mc_stderr"]) == float(se)
 
 
+@pytest.mark.parametrize("moves", [None, (2.9, 3.5)])
+def test_fs_verify_reports_and_checks_one_z(tmp_path, capsys, monkeypatch, moves):
+    # z = |mc - f| / se, with the values the command used, is the z_score
+    # column and what --check compares with 3.  With `moves`, case i's
+    # formula value is put moves[i] standard errors from its Monte Carlo
+    # mean, so one case passes near the bound and the other fails
+    mcs, fs = [], []
+    mc_char_ratio, fs_balanced = charpoly.mc_char_ratio, charpoly.fs_balanced
+
+    def spy_mc(*args):
+        mcs.extend(mc_char_ratio(*args))
+        return mcs
+
+    def spy_fs(table, p, q):
+        f = fs_balanced(table, p, q)
+        if moves:
+            mc, se = mcs[len(fs)]
+            f = mc + moves[len(fs)] * se
+        fs.append(f)
+        return f
+
+    monkeypatch.setattr(charpoly, "mc_char_ratio", spy_mc)
+    monkeypatch.setattr(charpoly, "fs_balanced", spy_fs)
+    out = tmp_path / "fs.csv"
+    code = main(["fs-verify", "--N", "16", "--samples", "3000", "--seed", "9",
+                 "--check", "--out", str(out)])
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    zs = [float(abs(mc - f) / se) for (mc, se), f in zip(mcs, fs)]
+    assert len(rows) == len(zs) == 2
+    assert [float(r["z_score"]) for r in rows] == zs
+    assert [float(r["mc_stderr"]) for r in rows] == [float(se) for _, se in mcs]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"check balanced_l1_case{i}: {'pass' if z <= 3.0 else 'FAIL'}"
+                     for i, z in enumerate(zs)]
+    assert code == (0 if max(zs) <= 3.0 else 1)
+    if moves:
+        assert zs == pytest.approx(moves, rel=1e-12) and code == 1
+
+
 def test_branch_verify_is_the_pair_by_pair_sweep(tmp_path):
     out = tmp_path / "bv.csv"
     assert main(["branch-verify", "--out", str(out)]) == 0
