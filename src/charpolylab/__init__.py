@@ -12,7 +12,7 @@ from .orthopoly import (OPTable, RHMatrix, global_parametrix_onecut,
                         m_matrix, r_weight, y_matrix)
 from .charpoly import (exp_moment_field, exp_pm2_moment, fs_balanced,
                        laplace_split, vandermonde_det)
-from .extremes import MaxRecord, cheb_grid, factor14_check, max_experiment
+from .extremes import cheb_grid, factor14_check, max_experiment
 from .momentlab import (LowerBoundParams, PairConfiguration, in_tube,
                         lower_bound_mc, mem_ratio, omega_grid,
                         pair_config_validate)

@@ -38,6 +38,9 @@ def emit(records, path, format, header=None):
         with open(tmp, "x", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        # the target, not the temp file's random name
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         if os.path.exists(tmp):  # gone once renamed
             os.remove(tmp)

@@ -12,7 +12,7 @@ configuration error, 3 a numerical or sampling routine broke down.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -108,11 +108,14 @@ def _cmd_gen_spectrum(cfg):
 
 
 def _cmd_max_experiment(cfg):
-    records, summary = extremes.max_experiment(cfg.N, cfg.n_samples, cfg.y,
+    columns, summary = extremes.max_experiment(cfg.N, cfg.n_samples, cfg.y,
                                                cfg.seed, threads=cfg.threads)
     if cfg.out_path:
-        emit(extremes.experiment_rows(records), cfg.out_path, "csv",
-             header=extremes.EXPERIMENT_CSV_FIELDS)
+        names = ["m_star", "m_star_over_logN", "m_star_centered_2nd_order",
+                 "m_star_reg"]
+        rows = [[cfg.N, i, *row]
+                for i, row in enumerate(zip(*(columns[k] for k in names)))]
+        emit(rows, cfg.out_path, "csv", header=["N", "seed_index", *names])
         emit(summary, str(cfg.out_path) + ".summary.json", "json")
     med = summary["ratio_quartiles"][1]
     med2 = summary["second_order_quartiles"][1]
@@ -202,9 +205,9 @@ def _cmd_matching_verify(cfg):
 
 def _cmd_lowerbound_sim(cfg):
     params = momentlab.LowerBoundParams(n=cfg.n, delta=cfg.delta, eta=cfg.eta)
-    res = momentlab.lower_bound_mc(params, cfg.n_samples, cfg.seed)
-    print(f"route: covariance factor = {res.factorization}", file=sys.stderr)
-    doc = res.to_json_dict()
+    res, route = momentlab.lower_bound_mc(params, cfg.n_samples, cfg.seed)
+    print(f"route: covariance factor = {route}", file=sys.stderr)
+    doc = asdict(res)
     if cfg.out_path:
         emit(doc, cfg.out_path, "json")
     br = params.b[params.r]
@@ -221,10 +224,10 @@ def _cmd_lowerbound_sim(cfg):
 
 def _cmd_upperbound_verify(cfg):
     # tail fraction of the grid maximum
-    records, _ = extremes.max_experiment(cfg.N, cfg.n_samples, None, cfg.seed,
+    columns, _ = extremes.max_experiment(cfg.N, cfg.n_samples, None, cfg.seed,
                                          threads=cfg.threads)
     thresh = math.log(cfg.N) + 3.0 * math.log(math.log(cfg.N))
-    tail = float(np.mean([r.m_star > thresh for r in records]))
+    tail = float(np.mean(columns["m_star"] > thresh))
     # Chebyshev-grid factor on random polynomials
     rng = substream(cfg.seed, 1)
     worst_ratio = 0.0

@@ -16,7 +16,6 @@ samples, so outputs are the same for any thread count and blocking.
 """
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -26,7 +25,6 @@ from .ensemble import (RHO_MAX, Spectrum, char_poly, g, g_tilde,
                        recurrence_coeffs, sample_spectrum_gue)
 
 __all__ = [
-    "MaxRecord",
     "cheb_grid",
     "factor14_check",
     "Factor14Violation",
@@ -34,11 +32,7 @@ __all__ = [
     "max_experiment",
     "CV_MARGIN",
     "C_V",
-    "EXPERIMENT_CSV_FIELDS",
 ]
-
-EXPERIMENT_CSV_FIELDS = ["N", "seed_index", "m_star", "m_star_over_logN",
-                         "m_star_centered_2nd_order", "m_star_reg"]
 
 # shift constant of the off-axis ordering: pi * sup rho, the exact bound
 C_V = math.pi * RHO_MAX
@@ -172,15 +166,6 @@ def factor14_check(N, roots=None, cheb_coeffs=None):
     return {"max_ratio": ratio, "grid_max": grid_max, "dense_max": dense_max}
 
 
-@dataclass
-class MaxRecord:
-    """Grid maxima of the centered field for one sampled spectrum."""
-
-    N: int
-    m_star: float
-    m_star_reg: float
-
-
 def _second_order_center(N):
     """log N - (3/4) log log N, the second-order centering of the maximum."""
     return math.log(N) - 0.75 * math.log(math.log(N))
@@ -239,12 +224,16 @@ def _quartiles(x):
 def max_experiment(N, n_samples, y, seed, threads=1):
     """Per-sample grid maxima of the centered field, plus a quartile summary.
 
-    Deterministic in (N, n_samples, y, seed): sample i always draws
-    from the substream derived for index i, whatever the thread count.
-    With y set, each record also carries the max over the grid shifted by
-    -iy/N, and every sample is checked against the ordering
-    m_star <= m_star_reg + C_V y, which a non-finite maximum fails too (the
-    shifted grid overflows beyond y/N ~ 2e9).
+    Returns (columns, summary).  columns holds the experiment CSV's
+    per-sample columns by name, each a float64 array over the samples:
+    the grid maximum m_star, its ratio to log N and its second-order
+    centering, whose quartiles the summary reports, and m_star_reg, the max
+    over the grid shifted by -iy/N (NaN where y is None).  Deterministic in
+    (N, n_samples, y, seed): sample i always draws from the substream
+    derived for index i, whatever the thread count.  With y set, every
+    sample is checked against the ordering m_star <= m_star_reg + C_V y,
+    which a non-finite maximum fails too (the shifted grid overflows beyond
+    y/N ~ 2e9).
     """
     x = cheb_grid(N)
     # (shift, centering) of each pass: the grid, and the grid shifted by -iy/N
@@ -286,24 +275,18 @@ def max_experiment(N, n_samples, y, seed, threads=1):
                     f"non-finite maximum: m_star = {a}, m_star_reg = {b} at y = {y}")
             if a > b + C_V * y + CV_MARGIN:
                 raise OrderingViolation(f"ordering violated: {a} > {b} + {C_V}*{y}")
-    records = [MaxRecord(N=N, m_star=float(a), m_star_reg=float(b))
-               for a, b in zip(m_star, m_star_reg)]
-    ratio = m_star / math.log(N)
-    second = m_star - _second_order_center(N)
+    columns = {
+        "m_star": m_star,
+        "m_star_over_logN": m_star / math.log(N),
+        "m_star_centered_2nd_order": m_star - _second_order_center(N),
+        "m_star_reg": m_star_reg,
+    }
     summary = {
         "N": N,
         "n_samples": n_samples,
         "y": y,
         "seed": seed,
-        "ratio_quartiles": _quartiles(ratio),
-        "second_order_quartiles": _quartiles(second),
+        "ratio_quartiles": _quartiles(columns["m_star_over_logN"]),
+        "second_order_quartiles": _quartiles(columns["m_star_centered_2nd_order"]),
     }
-    return records, summary
-
-
-def experiment_rows(records):
-    """Rows for the experiment CSV (see EXPERIMENT_CSV_FIELDS)."""
-    return [[r.N, i, r.m_star, r.m_star / math.log(r.N),
-             r.m_star - _second_order_center(r.N), r.m_star_reg]
-            for i, r in enumerate(records)]
-
+    return columns, summary

@@ -6,7 +6,7 @@ the Cauchy-Schwarz counting experiment.
 import cmath
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -233,7 +233,8 @@ def in_tube(barrier_vals, ref_vals, params):
 
 @dataclass
 class LowerBoundResult:
-    """Empirical output of the second-moment experiment."""
+    """Empirical output of the second-moment experiment; its asdict is
+    lowerbound-sim's JSON record."""
 
     n: int
     delta: float
@@ -252,14 +253,6 @@ class LowerBoundResult:
     per_m_bins: list
     field_max_exceed_frac: float
     bias_max_exceed_frac: float
-    # numerical route of the Gaussian sample (FieldSample.factorization),
-    # not part of the JSON record
-    factorization: str
-
-    def to_json_dict(self):
-        doc = asdict(self)
-        del doc["factorization"]
-        return doc
 
 
 def _by_lag(fill, op, *args):
@@ -314,12 +307,14 @@ def lower_bound_mc(params, n_samples, seed):
     variant keeps an extra shared fluctuation inside every Y.  The max
     statistics below are recentered at the common point i zeta_{b_r}.)
 
-    Returns empirical P[Z > 0] with its Cauchy-Schwarz lower bound
-    (mean Z)^2 / mean(Z^2), the one-point comparison of E Y(omega) against
-    the exact Gaussian value, a two-point table binned by branch depth
-    (with the exact dropped-indicator Gaussian value per bin), and the
-    fraction of runs whose center-recentered maximum clears (1 - 2 delta) n,
-    both for the field increment and for the doubled bias functional.
+    Returns (record, route).  The LowerBoundResult record holds empirical
+    P[Z > 0] with its Cauchy-Schwarz lower bound (mean Z)^2 / mean(Z^2),
+    the one-point comparison of E Y(omega) against the exact Gaussian value,
+    a two-point table binned by branch depth (with the exact
+    dropped-indicator Gaussian value per bin), and the fraction of runs
+    whose center-recentered maximum clears (1 - 2 delta) n, both for the
+    field increment and for the doubled bias functional.  route is the
+    Gaussian sample's numerical route (FieldSample.factorization).
 
     It runs on a BLAS pool of one thread, whatever the caller's, so the
     factor, its residual and the products of sample_gauss and _depth_bins
@@ -407,5 +402,4 @@ def lower_bound_mc(params, n_samples, seed):
         cs_ratio=cs_ratio, cs_ratio_se=cs_se,
         one_point=one_point, per_m_bins=bins,
         field_max_exceed_frac=field_frac, bias_max_exceed_frac=bias_frac,
-        factorization=route,
-    )
+    ), route

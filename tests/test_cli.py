@@ -261,16 +261,27 @@ def test_unknown_command_rejected():
         RunConfig(command="nope")
 
 
-def test_unwritable_output_fails():
-    code = main(["gen-spectrum", "--N", "8", "--seed", "1",
-                 "--out", "/nonexistent-dir/x.csv"])
-    assert code == 2
+def _failed_write_error(argv, capsys):
+    """stderr of two runs of argv that must fail to write (exit 2); the
+    line names the target, not the temp file's random name, so both runs
+    print the same line."""
+    errs = []
+    for _ in range(2):
+        assert main(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and len(errs[0].splitlines()) == 1
+    assert f"'{argv[-1]}'" in errs[0] and ".tmp" not in errs[0]
 
 
-def test_output_onto_directory_exits_2_and_leaves_no_temp(tmp_path):
+def test_unwritable_output_fails(capsys):
+    _failed_write_error(["gen-spectrum", "--N", "8", "--seed", "1",
+                         "--out", "/nonexistent-dir/x.csv"], capsys)
+
+
+def test_output_onto_directory_exits_2_and_leaves_no_temp(tmp_path, capsys):
     target = tmp_path / "out"
     target.mkdir()
-    assert main(["mem-verify", "--out", str(target)]) == 2
+    _failed_write_error(["mem-verify", "--out", str(target)], capsys)
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     assert list(target.iterdir()) == []
 
@@ -673,7 +684,7 @@ def test_check_passing_command(tmp_path):
     assert main(["lowerbound-sim", "--n", "10", "--samples", "150", "--seed", "2",
                  "--check", "--out", str(tmp_path / "lb.json")]) == 0
     doc = json.loads((tmp_path / "lb.json").read_text())
-    assert set(doc) == {f.name for f in fields(momentlab.LowerBoundResult)} - {"factorization"}
+    assert set(doc) == {f.name for f in fields(momentlab.LowerBoundResult)}
     for key in ("n", "eta", "r", "n0", "n_omega", "n_samples"):
         assert type(doc[key]) is int, key
     assert type(doc["barrier_vacuous"]) is bool

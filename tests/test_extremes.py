@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 import os
 import pickle
@@ -11,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from charpolylab import extremes
 from charpolylab._rng import substream
+from charpolylab.cli import main
 from charpolylab.ensemble import (RHO_MAX, Spectrum, char_poly, g, g_tilde,
                                   recurrence_coeffs, sample_spectrum_gue)
-from charpolylab.extremes import (C_V, cheb_grid, factor14_check, max_experiment,
-                                  experiment_rows)
+from charpolylab.extremes import C_V, cheb_grid, factor14_check, max_experiment
 from oracles import factor14_unpruned, field_q
 
 
@@ -189,9 +191,8 @@ def test_shift_monotonicity_pointwise():
 
 
 def test_regularized_max_ordering():
-    records, _ = max_experiment(256, 20, 2.0, seed=100)
-    for rec in records:
-        assert rec.m_star <= rec.m_star_reg + C_V * 2.0 + 1e-9
+    columns, _ = max_experiment(256, 20, 2.0, seed=100)
+    assert np.all(columns["m_star"] <= columns["m_star_reg"] + C_V * 2.0 + 1e-9)
     # the ordering is checked on every sample: a bound no sample meets raises
     with mock.patch.object(extremes, "C_V", -1e3):
         with pytest.raises(extremes.OrderingViolation, match="ordering violated"):
@@ -208,8 +209,8 @@ def test_equilibrium_shift_bound():
     assert gap.max() >= 0.8 * bound
 
 
-def _record_array(records):
-    return np.array([[r.N, r.m_star, r.m_star_reg] for r in records])
+def _record_array(columns):
+    return np.array(list(columns.values()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -237,7 +238,7 @@ def test_max_experiment_worker_count(threads, workers, y):
     with mock.patch("concurrent.futures.ProcessPoolExecutor") as pool_cls:
         pool = pool_cls.return_value.__enter__.return_value
         pool.map.side_effect = map
-        records, _ = max_experiment(8, 1 if workers == 1 else 4, y, 0,
+        columns, _ = max_experiment(8, 1 if workers == 1 else 4, y, 0,
                                     threads=threads)
     if workers is None:
         pool_cls.assert_not_called()
@@ -248,7 +249,7 @@ def test_max_experiment_worker_count(threads, workers, y):
         assert kwargs["mp_context"].get_start_method() == "fork"
         shifts = pool.map.call_args.args[5]
         assert shifts == ((None,) if y is None else (y, y, None, None))
-    assert all(math.isfinite(r.m_star) for r in records)
+    assert np.isfinite(columns["m_star"]).all()
 
 
 def _eigen_logs(eigs, xs):
@@ -279,7 +280,7 @@ def test_max_experiment_runs_only_the_shifted_grid_complex(y, tmp_path):
         return char_poly(a, b2, xs)
 
     with mock.patch.object(extremes, "char_poly", spy):
-        records, _ = max_experiment(N, n_samples, y, seed=3, threads=2)
+        columns, _ = max_experiment(N, n_samples, y, seed=3, threads=2)
     calls = [pickle.loads(p.read_bytes()) for p in tmp_path.iterdir()]
     grid = cheb_grid(N)
     real = [n for xs, n in calls if xs.dtype == np.float64 and np.array_equal(xs, grid)]
@@ -288,7 +289,7 @@ def test_max_experiment_runs_only_the_shifted_grid_complex(y, tmp_path):
     assert sum(real) == n_samples
     assert sum(shifted) == (0 if y is None else n_samples)
     assert len(real) + len(shifted) == len(calls)
-    assert np.isnan(records[0].m_star_reg) == (y is None)
+    assert (np.isnan(columns["m_star_reg"]) == (y is None)).all()
 
 
 @pytest.mark.parametrize("N", [64, 256, 1024, 4096])
@@ -311,13 +312,32 @@ def test_grid_field_matches_eigen_route(N):
     assert np.abs(np.log(np.abs(m)) + e * math.log(2.0) - eig_shift).max() <= 1e-9
 
 
-def test_max_experiment_rows():
-    records, summary = max_experiment(64, 4, None, seed=2)
-    rows = experiment_rows(records)
-    assert len(rows) == 4
-    logN = math.log(64)
-    assert rows[0][3] == pytest.approx(rows[0][2] / logN)
-    assert summary["ratio_quartiles"][0] <= summary["ratio_quartiles"][2]
+def test_max_experiment_rows(tmp_path):
+    # the CSV's ratio and second-order columns are the arrays whose quartiles
+    # the summary reports, and its m_star column is, bit for bit, the array
+    # whose tail fraction upperbound-verify takes at the same N, samples and
+    # seed (.17g round-trips a float)
+    out = tmp_path / "max.csv"
+    run = ["--N", "64", "--samples", "7", "--seed", "2"]
+    assert main(["max-experiment", *run, "--y", "2", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    col = {name: np.array([float(r[name]) for r in rows]) for name in rows[0]}
+    summary = json.loads(open(f"{out}.summary.json").read())
+    assert col["N"].tolist() == [64.0] * 7 and col["seed_index"].tolist() == list(range(7))
+    assert extremes._quartiles(col["m_star_over_logN"]) == summary["ratio_quartiles"]
+    assert (extremes._quartiles(col["m_star_centered_2nd_order"])
+            == summary["second_order_quartiles"])
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(max_experiment(*args, **kwargs))
+        return seen[-1]
+
+    with mock.patch.object(extremes, "max_experiment", spy):
+        assert main(["upperbound-verify", *run]) == 0
+    assert len(seen) == 1
+    assert seen[0][0]["m_star"].tobytes() == col["m_star"].tobytes()
 
 
 @settings(max_examples=300, deadline=None)

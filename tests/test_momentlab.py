@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -264,12 +265,12 @@ def test_barrier_pass_rate_grows_with_eta():
 
 def test_lower_bound_mc_small():
     params = LowerBoundParams(n=8, delta=0.2, eta=3)
-    res = lower_bound_mc(params, 120, seed=3)
+    res, _ = lower_bound_mc(params, 120, seed=3)
     err = 2.0 * math.hypot(res.p_z_se, res.cs_ratio_se)
     assert res.p_z_positive >= res.cs_ratio - err
     assert res.cs_ratio <= 1.0 + 1e-12
     assert res.n_omega == len(omega_grid(params))
-    doc = res.to_json_dict()
+    doc = asdict(res)
     assert set(doc) >= {"n", "delta", "eta", "p_z_positive", "cs_ratio",
                         "per_m_bins"}
 
@@ -278,7 +279,7 @@ def test_lower_bound_mc_deterministic():
     params = LowerBoundParams(n=8, delta=0.2, eta=3)
     a = lower_bound_mc(params, 60, seed=5)
     b = lower_bound_mc(params, 60, seed=5)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert (asdict(a[0]), a[1]) == (asdict(b[0]), b[1])
 
 
 def test_lower_bound_mc_runs_on_one_blas_thread(monkeypatch):
@@ -322,11 +323,11 @@ def test_depth_bins_match_triangle_loop(monkeypatch):
     # samples, in lemma_bound_constant through the per-pair kernel's error)
     for n, seed in ((8, 5), (9, 2)):
         params = LowerBoundParams(n=n, delta=0.2, eta=3)
-        doc = lower_bound_mc(params, 60, seed).to_json_dict()
+        doc = asdict(lower_bound_mc(params, 60, seed)[0])
         with monkeypatch.context() as patch:
             patch.setattr(momentlab, "_depth_bins",
                           lambda Y, ey, *_: depth_bins_pairs(Y, ey, params))
-            ref = lower_bound_mc(params, 60, seed).to_json_dict()
+            ref = asdict(lower_bound_mc(params, 60, seed)[0])
         bins, ref_bins = doc.pop("per_m_bins"), ref.pop("per_m_bins")
         assert doc == ref
         assert len(bins) > 2
