@@ -33,7 +33,8 @@ _COMMAND_MINIMUMS = {
     "matching-verify": {"n_samples": 2},
 }
 
-# lowerbound-sim's points: covariance (factored in place) and factor hold <= points^2 each
+# lowerbound-sim's points: the covariance (points^2 doubles), factored in place
+# with the factor a view of it, and at most points^2/2 packed entries beside it
 _MAX_POINTS = 4096
 
 

@@ -157,22 +157,40 @@ def _factor_covariance(cov):
     ||F F^T - cov||_F <= 1e-8 * mean variance also bounds cov's eigenvalues
     below by minus that; LinAlgError if it fails.  cov must be symmetric;
     built by GaussKernel.matrix, it is factored in place and overwritten,
-    and no second n x n array is formed.
+    and F is a view of its first rank columns: the path holds n^2 + rank^2/2
+    doubles, cov and the packed entries of cov's upper triangle that F
+    overwrites, and no n x rank copy.
     """
     n = cov.shape[0]
     diag = np.diagonal(cov).copy()
     c, piv, rank = _lapack.dpstrf(cov)
-    # row i of the factor is c[i, :i + 1], and cov's upper triangle after it
-    F = np.empty((n, rank))
-    for lo in range(0, n, _COV_ROWS):
-        F[piv[lo:lo + _COV_ROWS] - 1] = np.tril(c[lo:lo + _COV_ROWS, :rank], lo)
-    # symmetric F F^T - cov by lower row blocks: cov[i, :i] is c[:i, i]
+    # L's row i is c[i, :i + 1], and cov's upper triangle lies above it:
+    # cov[j, :j] is c[:j, j].  F takes the columns j < rank, so there those
+    # entries are packed, then zeroed, then L's rows move to piv - 1
+    inv = np.argsort(piv)
+    upper = np.empty(rank * (rank - 1) // 2)
+    for lo in range(0, rank, _COV_ROWS):
+        hi = min(lo + _COV_ROWS, rank)
+        above = c[:hi, lo:hi].T
+        mask = np.arange(hi) < np.arange(lo, hi)[:, None]  # c[:j, j], j by j
+        upper[lo * (lo - 1) // 2:hi * (hi - 1) // 2] = above[mask]
+        above[mask] = 0.0
+        c[:, lo:hi] = c[inv, lo:hi]
+    F = c[:, :rank]
+    # symmetric F F^T - cov by lower row blocks: cov[i, :i] is packed in
+    # upper for i < rank, and is c[:i, i] after
     resid = 0.0
     for lo in range(0, n, _COV_ROWS):
         hi = min(lo + _COV_ROWS, n)
         blk = F[lo:hi] @ F[:hi].T
         d = np.diagonal(blk, lo) - diag[lo:hi]
-        blk = np.tril(blk - c[:hi, lo:hi].T, lo - 1)
+        low = c[:hi, lo:hi].T
+        if lo < rank:
+            top = min(hi, rank)
+            low = low.copy()
+            low[:top - lo][np.arange(hi) < np.arange(lo, top)[:, None]] = (
+                upper[lo * (lo - 1) // 2:top * (top - 1) // 2])
+        blk = np.tril(blk - low, lo - 1)
         resid += 2.0 * np.vdot(blk, blk) + np.vdot(d, d)
     resid = math.sqrt(resid)
     bound = 1e-8 * diag.sum() / n

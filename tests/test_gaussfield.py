@@ -286,7 +286,11 @@ def test_factor_residual_reads_the_last_row_block(monkeypatch):
     # last row block alone, fails the check: no block is skipped
     pts = random_disk_points(np.random.default_rng(7), 2 * _EDGE + 9)
     cov = kernel_g().matrix(pts)
-    assert _factor_covariance(cov.copy(order="F"))[0].shape[0] == len(pts)
+    # a Fortran-ordered cov is factored in place, and F is a view of it
+    buf = cov.copy(order="F")
+    rank = dpstrf(cov.copy(order="F"))[2]
+    F = _factor_covariance(buf)[0]
+    assert np.shares_memory(F, buf) and F.shape == (len(pts), rank)
 
     def corrupt(buf, real=dpstrf):
         c, piv, rank = real(buf)
@@ -297,14 +301,28 @@ def test_factor_residual_reads_the_last_row_block(monkeypatch):
         _factor_covariance(cov)
 
 
+@pytest.mark.parametrize("i,j", [(0, 1), (70, 130), (462, 463)])
+def test_factor_residual_reads_the_packed_upper_entries(i, j, monkeypatch):
+    # F overwrites cov's first rank columns, upper triangle included, so the
+    # residual reads cov[j, i] (i < j < rank) from a packed copy: dpstrf
+    # never reads the entry, and the residual must see it moved
+    cov = _lowerbound_covariance(9, monkeypatch)
+    rank = dpstrf(cov.copy(order="F"))[2]
+    assert i < j < rank == 464
+    cov[i, j] += 1e-6
+    with pytest.raises(np.linalg.LinAlgError, match="residual .* above bound"):
+        _factor_covariance(cov)
+
+
 def test_covariance_path_peak_memory(monkeypatch):
     # at lowerbound-sim's n = 9 ray grid (726 points, rank 464) the Gaussian
-    # path holds the float64 covariance, factored in place, and the n x rank
-    # factor, and no complex n x n array.  Measured peaks: 1.94 and 1.91 n^2
-    # doubles; 2.67 and 2.65 while dpstrf worked on a copy and the residual
-    # was a full n x n product, 4.0 and 4.03 when the covariance was one
-    # broadcast (two complex n x n temporaries) and the factor took an
-    # np.tril copy
+    # path holds the float64 covariance, factored in place with the factor a
+    # view of it, and the rank^2/2 packed upper entries, and no n x rank copy
+    # and no complex n x n array.  Measured peaks: 1.51 and 1.48 n^2 doubles;
+    # 1.94 and 1.91 while the factor was an n x rank copy, 2.67 and 2.65
+    # while dpstrf worked on a copy and the residual was a full n x n
+    # product, 4.0 and 4.03 when the covariance was one broadcast (two
+    # complex n x n temporaries) and the factor took an np.tril copy
     points = []
     monkeypatch.setattr(momentlab, "sample_gauss",
                         lambda pts, *args: points.append(pts) or sample_gauss(pts, *args))
@@ -320,7 +338,7 @@ def test_covariance_path_peak_memory(monkeypatch):
             tracemalloc.stop()
     n = len(points[0])
     assert n == 726
-    assert max(peaks) <= 2.25 * n * n * 8, [p / (n * n * 8) for p in peaks]
+    assert max(peaks) <= 1.75 * n * n * 8, [p / (n * n * 8) for p in peaks]
 
 
 def test_sample_gauss_degenerate_cluster_rank_one():
