@@ -12,17 +12,19 @@ def _fmt(v):
     return str(v)
 
 
-def emit(records, path, format, header=None):
-    """Write records atomically; CSV floats carry 17 significant digits.
+def emit(records, path, header=None):
+    """Write records atomically: a dict as JSON, other records as CSV rows.
 
     The text goes to a temp file of its own in the target's directory, which
     is renamed over the target, or removed if anything fails.
 
-    csv: records is a list of rows, header a list of column names.
-    json: records is an object of native JSON values; anything else (an
+    CSV: an iterable of rows, header a list of column names; floats carry 17
+    significant digits.  JSON: native JSON values only; anything else (an
     np.int64 or np.bool_, say) raises TypeError before a file is opened.
     """
-    if format == "csv":
+    if isinstance(records, dict):
+        text = json.dumps(records, indent=1, sort_keys=True) + "\n"
+    else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         if header:
@@ -30,8 +32,6 @@ def emit(records, path, format, header=None):
         for row in records:
             w.writerow([_fmt(v) for v in row])
         text = buf.getvalue()
-    else:
-        text = json.dumps(records, indent=1, sort_keys=True) + "\n"
     head, name = os.path.split(str(path))
     tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
     try:

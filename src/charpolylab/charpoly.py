@@ -211,15 +211,15 @@ def exp_pm2_moment(table, q, sign):
 # Monte Carlo oracles over the exact tridiagonal ensemble
 # ---------------------------------------------------------------------------
 
-def _batched_mean(values):
-    """Mean and batch-means standard error of a 1-d array, over 50 batches.
+def _batch_se(values, batches, stat):
+    """Batch-means standard error of stat over min(batches, len(values))
+    near-equal batches of a 1-d array.
 
-    For complex values the error is that of the complex mean: numpy's std
-    of a complex array is the hypot of its real and imaginary parts' std."""
-    values = np.asarray(values)
-    nb = min(50, len(values))
-    means = np.array([c.mean() for c in np.array_split(values, nb)])
-    return values.mean(), means.std(ddof=1) / math.sqrt(nb) if nb > 1 else 0.0
+    For complex statistics the error is that of the complex mean: numpy's
+    std of a complex array is the hypot of its real and imaginary parts'."""
+    nb = min(batches, len(values))
+    stats = np.array([stat(c) for c in np.array_split(values, nb)])
+    return stats.std(ddof=1) / math.sqrt(nb) if nb > 1 else 0.0
 
 
 # draws per block of mc_char_ratio: 4 MiB of d (and about as much of e),
@@ -233,19 +233,16 @@ _BLOCK_MIN_ROWS = 1024
 def mc_char_ratio(N, p_pts, q_pts, n_samples, seed):
     """Monte Carlo E[prod det(p - A) / prod det(q - A)] with batch-means SE.
 
-    p_pts and q_pts hold one case's points, or, with a leading case axis,
-    one row of points per case; every case then reads the same draws and
-    the result is one (mean, SE) per case.  Draws come in blocks of
+    p_pts and q_pts hold one row of points per case; every case reads the
+    same draws, and the result is one (mean, SE) per case, the SE over 50
+    batches.  Draws come in blocks of
     max(_BLOCK_MIN_ROWS, _BLOCK_BYTES / 8N), block j drawn whole from
     substream(seed, j) and released before the next is drawn, so beside
     the cases x n_samples values the memory does not grow with n_samples."""
     ps = np.array(p_pts, dtype=complex)
-    one_case = ps.ndim == 1
-    ps = np.atleast_2d(ps)
     n = ps.shape[1]
     # cases x points x samples: the sample axis is the long one
-    xs = np.concatenate([ps, np.atleast_2d(np.array(q_pts, dtype=complex))],
-                        axis=1)[..., None]
+    xs = np.concatenate([ps, np.array(q_pts, dtype=complex)], axis=1)[..., None]
     rows = max(_BLOCK_MIN_ROWS, _BLOCK_BYTES // (8 * N))
     vals = np.empty((len(xs), n_samples), dtype=complex)
     for j, lo in enumerate(range(0, n_samples, rows)):
@@ -259,12 +256,10 @@ def mc_char_ratio(N, p_pts, q_pts, n_samples, seed):
         vals[:, lo:lo + dets.shape[-1]] = _ldexp(
             reduce(np.multiply, pts[:n]) / reduce(np.multiply, pts[n:]),
             exps[:, :n].sum(axis=1) - exps[:, n:].sum(axis=1))
-    out = [_batched_mean(v) for v in vals]
-    return out[0] if one_case else out
+    return [(v.mean(), _batch_se(v, 50, np.mean)) for v in vals]
 
 
 def write_verification_report(rows, path):
     """CSV report, one row per case: case_id, N, formula_value, mc_value,
     mc_stderr, z_score."""
-    emit(rows, path, "csv",
-         header=["case_id", "N", "formula_value", "mc_value", "mc_stderr", "z_score"])
+    emit(rows, path, header=["case_id", "N", "formula_value", "mc_value", "mc_stderr", "z_score"])

@@ -101,11 +101,10 @@ def _cmd_gen_spectrum(cfg):
     checks = [("sorted", bool(np.all(np.diff(spec.eigenvalues) >= 0))),
               ("length", len(spec.eigenvalues) == cfg.N)]
     if cfg.out_path:
-        emit(enumerate(spec.eigenvalues), cfg.out_path, "csv",
-             header=["index", "eigenvalue"])
+        emit(enumerate(spec.eigenvalues), cfg.out_path, header=["index", "eigenvalue"])
         emit({"N": spec.N, "model": "gue", "seed": cfg.seed,
-              "sampler": "tridiagonal"}, str(cfg.out_path) + ".json", "json")
-    return None, checks
+              "sampler": "tridiagonal"}, str(cfg.out_path) + ".json")
+    return checks
 
 
 def _cmd_max_experiment(cfg):
@@ -116,13 +115,12 @@ def _cmd_max_experiment(cfg):
                  "m_star_reg"]
         rows = [[cfg.N, i, *row]
                 for i, row in enumerate(zip(*(columns[k] for k in names)))]
-        emit(rows, cfg.out_path, "csv", header=["N", "seed_index", *names])
-        emit(summary, str(cfg.out_path) + ".summary.json", "json")
+        emit(rows, cfg.out_path, header=["N", "seed_index", *names])
+        emit(summary, str(cfg.out_path) + ".summary.json")
     med = summary["ratio_quartiles"][1]
     med2 = summary["second_order_quartiles"][1]
-    checks = [("median_ratio_band", 0.55 <= med <= 1.1),
-              ("median_second_order_band", -3.0 <= med2 <= 4.0)]
-    return summary, checks
+    return [("median_ratio_band", 0.55 <= med <= 1.1),
+            ("median_second_order_band", -3.0 <= med2 <= 4.0)]
 
 
 def _cmd_fs_verify(cfg):
@@ -142,7 +140,7 @@ def _cmd_fs_verify(cfg):
         checks.append((name, z <= 3.0))
     if cfg.out_path:
         charpoly.write_verification_report(rows, cfg.out_path)
-    return rows, checks
+    return checks
 
 
 def _cmd_mem_verify(cfg):
@@ -155,11 +153,10 @@ def _cmd_mem_verify(cfg):
         ratio = momentlab.mem_ratio(orthopoly.OPTable(N), bias)
         rows.append([N, "singleton_pair_ray", ratio, abs(ratio - 1.0)])
     if cfg.out_path:
-        emit(rows, cfg.out_path, "csv", header=["N", "bias_id", "ratio", "abs_error"])
+        emit(rows, cfg.out_path, header=["N", "bias_id", "ratio", "abs_error"])
     errs = [r[3] for r in rows]
-    checks = [("strictly_decreasing", all(a > b for a, b in zip(errs, errs[1:]))),
-              ("final_below_quarter", errs[-1] < 0.25)]
-    return rows, checks
+    return [("strictly_decreasing", all(a > b for a, b in zip(errs, errs[1:]))),
+            ("final_below_quarter", errs[-1] < 0.25)]
 
 
 def _cmd_branch_verify(cfg):
@@ -177,10 +174,9 @@ def _cmd_branch_verify(cfg):
     max_abs = float(worst.max())
     rows = [[h, j, float(worst[h, j])] for h in range(n) for j in range(n)]
     if cfg.out_path:
-        emit(rows, cfg.out_path, "csv", header=["h", "j", "max_abs_error"])
-    checks = [("uniform_error_bound", max_abs <= 1.0),
-              ("refined_constant", max_c <= 10.0)]
-    return {"max_abs_error": max_abs, "refined_constant": max_c}, checks
+        emit(rows, cfg.out_path, header=["h", "j", "max_abs_error"])
+    return [("uniform_error_bound", max_abs <= 1.0),
+            ("refined_constant", max_c <= 10.0)]
 
 
 def _cmd_matching_verify(cfg):
@@ -198,29 +194,26 @@ def _cmd_matching_verify(cfg):
     full = sups.max()
     rows = [[i, s] for i, s in enumerate(sups)]
     if cfg.out_path:
-        emit(rows, cfg.out_path, "csv", header=["config_index", "subset_sup"])
-    checks = [("finite", bool(np.isfinite(full))),
-              ("stable", full <= 2.0 * half)]
-    return {"sup_first_half": float(half), "sup_full": float(full)}, checks
+        emit(rows, cfg.out_path, header=["config_index", "subset_sup"])
+    return [("finite", bool(np.isfinite(full))),
+            ("stable", full <= 2.0 * half)]
 
 
 def _cmd_lowerbound_sim(cfg):
     params = momentlab.LowerBoundParams(n=cfg.n, delta=cfg.delta, eta=cfg.eta)
     res, route = momentlab.lower_bound_mc(params, cfg.n_samples, cfg.seed)
     print(f"route: covariance factor = {route}", file=sys.stderr)
-    doc = asdict(res)
     if cfg.out_path:
-        emit(doc, cfg.out_path, "json")
+        emit(asdict(res), cfg.out_path)
     br = params.b[params.r]
     small = [b for b in res.per_m_bins if b["m"] <= 0.75 * br]
-    checks = [
+    return [
         ("cauchy_schwarz", res.p_z_positive >= res.cs_ratio - 2.0 *
          math.hypot(res.p_z_se, res.cs_ratio_se)),
         ("bias_max_exceeds", res.bias_max_exceed_frac >= 0.5),
         ("small_m_factorization",
          all(abs(b["factorization_ratio"] - 1.0) <= 0.3 for b in small)),
     ]
-    return doc, checks
 
 
 def _cmd_upperbound_verify(cfg):
@@ -235,8 +228,7 @@ def _cmd_upperbound_verify(cfg):
     for t in range(50):
         deg = int(rng.integers(4, 257))
         roots = rng.uniform(-1.1, 1.1, deg) + 1j * rng.uniform(-0.3, 0.3, deg)
-        worst_ratio = max(worst_ratio,
-                          extremes.factor14_check(deg, roots=roots)["max_ratio"])
+        worst_ratio = max(worst_ratio, extremes.factor14_check(roots=roots))
     # Laplace transform bound over the verification grid
     tab = orthopoly.OPTable(64)
     c_emp = 0.0
@@ -250,11 +242,10 @@ def _cmd_upperbound_verify(cfg):
     doc = {"tail_fraction": tail, "worst_factor_ratio": worst_ratio,
            "laplace_bound_constant": c_emp}
     if cfg.out_path:
-        emit(doc, cfg.out_path, "json")
-    checks = [("tail_below_5pct", tail < 0.05),
-              ("factor14", worst_ratio <= 14.0),
-              ("laplace_bound", c_emp <= 100.0)]
-    return doc, checks
+        emit(doc, cfg.out_path)
+    return [("tail_below_5pct", tail < 0.05),
+            ("factor14", worst_ratio <= 14.0),
+            ("laplace_bound", c_emp <= 100.0)]
 
 
 def _cmd_brw_verify(cfg):
@@ -266,11 +257,10 @@ def _cmd_brw_verify(cfg):
     lo, hi = doc["G"]["k_offset_range"]
     center = gaussfield.K_OFFSET_G
     if cfg.out_path:
-        emit(doc, cfg.out_path, "json")
-    checks = [("k_offset_width", hi - lo <= 2.0),
-              ("k_offset_around_center", lo >= center - 1.0 and hi <= center + 1.0),
-              ("c_b_finite", math.isfinite(doc["G"]["c_b"]))]
-    return doc, checks
+        emit(doc, cfg.out_path)
+    return [("k_offset_width", hi - lo <= 2.0),
+            ("k_offset_around_center", lo >= center - 1.0 and hi <= center + 1.0),
+            ("c_b_finite", math.isfinite(doc["G"]["c_b"]))]
 
 
 _RUNNERS = {
@@ -298,8 +288,8 @@ _BREAKDOWNS = (ArithmeticError, np.linalg.LinAlgError, RuntimeError, MemoryError
 def run(config):
     """Execute a command; returns the process exit code."""
     try:
-        _, checks = _RUNNERS[config.command](config)
-    except (ConfigError, OSError) as exc:
+        checks = _RUNNERS[config.command](config)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _BREAKDOWNS as exc:
@@ -374,7 +364,7 @@ def main(argv=None):
         flag_values = {k: v for k, v in vars(args).items()
                        if v is not None and k not in ("command", "config")}
         config = build_config(args.command, file_values, flag_values)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     return run(config)

@@ -10,12 +10,14 @@ shifted grid in complex, and each pass runs on blocks of samples sized so
 that each (block x points) working array stays in a 2 MiB L2 cache.  Each
 (pass, block) task draws its own block and forms its recurrence
 coefficients once.  With more than one thread the tasks run on forked
-worker processes, the costlier shifted pass first, each pass in at least
-as many blocks as workers.  A block's values are elementwise in its
-samples, so outputs are the same for any thread count and blocking.
+worker processes, at most one per CPU, the costlier shifted pass first,
+each pass in at least as many blocks as workers.  A block's values are
+elementwise in its samples, so outputs are the same for any thread count
+and blocking.
 """
 
 import math
+import os
 from functools import partial
 
 import numpy as np
@@ -93,20 +95,20 @@ def _root_log_sums(x, roots):
     return out
 
 
-def factor14_check(N, roots=None, cheb_coeffs=None):
+def factor14_check(roots=None, cheb_coeffs=None):
     """Ratio of the dense-grid sup of |P| on [-1,1] to its Chebyshev-grid max.
 
-    P has degree exactly N >= 1, given either by its roots or by coefficients
-    in the Chebyshev basis.  The dense proxy is the 8N+1 extrema grid
-    cos(pi j / 8N) plus a golden-section polish of each interior grid peak
-    that can win.  Raises Factor14Violation beyond 14 (which no degree-N
-    polynomial can reach).  Node j = 4k is bitwise the Chebyshev node
-    cos(pi k / 2N), as pi*4k/8N rounds exactly like pi*k/2N, so the grid max
-    is read off the dense values.  Real roots stay real: |x - r| is the
-    complex hypot(x - r, 0) bit for bit.  From Chebyshev coefficients the
-    dense values are one DCT-I of the zero-padded coefficients, and a polish
-    point is sum_k c_k cos(k arccos x) as an elementwise product and sum, so
-    no BLAS pool enters its bits.
+    P has degree N >= 1, given either by its N roots or by its N + 1
+    coefficients in the Chebyshev basis, the last nonzero.  The dense proxy
+    is the 8N+1 extrema grid cos(pi j / 8N) plus a golden-section polish of
+    each interior grid peak that can win.  Raises Factor14Violation beyond
+    14 (which no degree-N polynomial can reach).  Node j = 4k is bitwise the
+    Chebyshev node cos(pi k / 2N), as pi*4k/8N rounds exactly like pi*k/2N,
+    so the grid max is read off the dense values.  Real roots stay real:
+    |x - r| is the complex hypot(x - r, 0) bit for bit.  From Chebyshev
+    coefficients the dense values are one DCT-I of the zero-padded
+    coefficients, and a polish point is sum_k c_k cos(k arccos x) as an
+    elementwise product and sum, so no BLAS pool enters its bits.
 
     Only peaks within log(1/0.78) of the dense max are polished, and none of
     the others could raise the max.  Let M = sup |P|, reached at angle t0
@@ -123,21 +125,20 @@ def factor14_check(N, roots=None, cheb_coeffs=None):
     """
     if (roots is None) == (cheb_coeffs is None):
         raise ValueError("supply exactly one of roots or cheb_coeffs")
+    N = len(roots) if cheb_coeffs is None else len(cheb_coeffs) - 1
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ValueError("degree must be >= 1")
     dense = np.cos(np.pi * np.arange(8 * N + 1) / (8 * N))[::-1]  # ascending
     if roots is not None:
         roots = np.asarray(roots, dtype=complex)
-        if len(roots) != N:
-            raise ValueError("degree (root count) must equal N")
         if not roots.imag.any():
             roots = roots.real
         log_abs = partial(_root_log_sums, roots=roots)
         vals = log_abs(dense)
     else:
         cheb_coeffs = np.asarray(cheb_coeffs, dtype=float)
-        if len(cheb_coeffs) != N + 1 or cheb_coeffs[-1] == 0.0:
-            raise ValueError("coefficient length must be N+1 with nonzero lead")
+        if cheb_coeffs[-1] == 0.0:
+            raise ValueError("the leading Chebyshev coefficient must be nonzero")
         k = np.arange(N + 1)
 
         def log_abs(x):
@@ -163,7 +164,7 @@ def factor14_check(N, roots=None, cheb_coeffs=None):
     ratio = math.exp(dense_max - grid_max)
     if ratio > 14.0:
         raise Factor14Violation(f"sup ratio {ratio} exceeds 14")
-    return {"max_ratio": ratio, "grid_max": grid_max, "dense_max": dense_max}
+    return ratio
 
 
 def _second_order_center(N):
@@ -235,6 +236,9 @@ def max_experiment(N, n_samples, y, seed, threads=1):
     which a non-finite maximum fails too (the shifted grid overflows beyond
     y/N ~ 2e9).
     """
+    # no more workers, nor blocks per pass, than CPUs: a pool forks all its
+    # workers at once
+    threads = min(threads, os.cpu_count() or 1)
     x = cheb_grid(N)
     # (shift, centering) of each pass: the grid, and the grid shifted by -iy/N
     passes = [(None, N * g_tilde(x))]

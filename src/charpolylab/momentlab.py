@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import one_blas_thread
-from .charpoly import exp_moment_field
+from .charpoly import _batch_se, exp_moment_field
 from .gaussfield import exp_moment_g, kernel_g, sample_gauss
 from .hyperbolic import pseudo_dist, ray_point
 
@@ -359,10 +359,7 @@ def lower_bound_mc(params, n_samples, seed):
 
     mean_z = Z.mean()
     cs_ratio = float(mean_z ** 2 / (Z ** 2).mean())
-    nb = min(10, n_samples)
-    batches = np.array_split(Z, nb)
-    ratios = [b.mean() ** 2 / (b ** 2).mean() for b in batches]
-    cs_se = float(np.std(ratios, ddof=1) / math.sqrt(nb)) if nb > 1 else 0.0
+    cs_se = float(_batch_se(Z, 10, lambda b: b.mean() ** 2 / (b ** 2).mean()))
 
     # over the lattice the kernel, the depth and the exact pair moment
     # depend only on the lag |i - j|; cov_bb[L] = Cov(B_i, B_{i+L}) / 4

@@ -11,7 +11,7 @@ from scipy import integrate
 from scipy.linalg import lapack
 
 from charpolylab._rng import substream
-from charpolylab.charpoly import _batched_mean
+from charpolylab.charpoly import _batch_se
 from charpolylab.ensemble import (SUPPORT, V, char_poly, g, g_tilde,
                                   recurrence_coeffs, tridiagonal_draw)
 from charpolylab.extremes import _golden_max_vec, cheb_grid
@@ -125,7 +125,7 @@ def field_q(spectrum, q):
 def factor14_unpruned(N, roots=None, cheb_coeffs=None):
     """Dense-to-Chebyshev-grid sup ratio of |P| with every interior grid peak
     polished, the grid evaluated on its own and roots taken as complex: the
-    oracle for extremes.factor14_check.  Returns max_ratio only, unchecked
+    oracle for extremes.factor14_check.  Returns the ratio, unchecked
     against 14.
     """
     if roots is not None:
@@ -366,16 +366,18 @@ def mp_fs_balanced(N, p, q):
         return complex(t * (hs[N - 1] * pis[N] - hs[N] * pis[N - 1]))
 
 
+def _mean_se(vals):
+    """Mean and 50-batch standard error, as charpoly.mc_char_ratio reports."""
+    return vals.mean(), _batch_se(vals, 50, np.mean)
+
+
 def mc_char_ratio_oneshot(N, p_pts, q_pts, n_samples, seed, rows):
     """charpoly.mc_char_ratio in blocks of `rows` draws, block j drawn whole
     from substream(seed, j) and each side's determinants multiplied by
     np.prod: the oracle for its block loop."""
     ps = np.array(p_pts, dtype=complex)
-    one_case = ps.ndim == 1
-    ps = np.atleast_2d(ps)
     n = ps.shape[1]
-    xs = np.concatenate([ps, np.atleast_2d(np.array(q_pts, dtype=complex))],
-                        axis=1)[..., None]
+    xs = np.concatenate([ps, np.array(q_pts, dtype=complex)], axis=1)[..., None]
     vals = np.empty((len(xs), n_samples), dtype=complex)
     for j, lo in enumerate(range(0, n_samples, rows)):
         d, e = tridiagonal_draw(N, substream(seed, j),
@@ -384,8 +386,7 @@ def mc_char_ratio_oneshot(N, p_pts, q_pts, n_samples, seed, rows):
         vals[:, lo:lo + len(d)] = _ldexp(
             np.prod(dets[:, :n], axis=1) / np.prod(dets[:, n:], axis=1),
             exps[:, :n].sum(axis=1) - exps[:, n:].sum(axis=1))
-    out = [_batched_mean(v) for v in vals]
-    return out[0] if one_case else out
+    return [_mean_se(v) for v in vals]
 
 
 def _mc_dets(N, xs, n_samples, seed, chunk):
@@ -411,7 +412,7 @@ def mc_abs2_moment(N, q, sign, n_samples, seed, chunk=200_000):
     for lo, dets, exps in _mc_dets(N, [q], n_samples, seed, chunk):
         vals[lo:lo + dets.shape[1]] = np.ldexp(np.abs(dets[0]) ** (2 * sign) * 2.0 ** f,
                                                2 * sign * exps[0] + int(k))
-    return _batched_mean(vals)
+    return _mean_se(vals)
 
 
 def mc_field_bias_moment(N, bias, n_samples, seed, chunk=100_000):
@@ -426,7 +427,7 @@ def mc_field_bias_moment(N, bias, n_samples, seed, chunk=100_000):
         logs = 2.0 * (np.log(np.abs(dets)) + exps * math.log(2.0))
         w = logs[:len(p_pts)].sum(axis=0) - logs[len(p_pts):].sum(axis=0)
         vals[lo:lo + dets.shape[1]] = np.exp(w - N * log_center)
-    return _batched_mean(vals)
+    return _mean_se(vals)
 
 
 def branch_depth_pairs(omegas, n0):

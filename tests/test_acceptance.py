@@ -84,7 +84,7 @@ def test_criterion_3_fs_oracle():
     for i, (N, p, q) in enumerate(cases):
         table = OPTable(N)
         f = fs_balanced(table, p, q)
-        mc, se = mc_char_ratio(N, p, q, 1_000_000, task_seed(SEED, 100 + i))
+        [(mc, se)] = mc_char_ratio(N, [p], [q], 1_000_000, task_seed(SEED, 100 + i))
         zs.append(abs(mc - f) / se)
     elapsed = time.time() - t0
     ok = all(z <= 3.0 for z in zs)
@@ -207,25 +207,25 @@ def test_criterion_8_chebyshev_factor():
     for _ in range(400):
         deg = int(rng.integers(1, 257))
         roots = rng.uniform(-1, 1, deg)
-        worst = max(worst, factor14_check(deg, roots=roots)["max_ratio"])
+        worst = max(worst, factor14_check(roots=roots))
         count += 1
     for _ in range(300):
         deg = 2 * int(rng.integers(1, 129))
         half = (rng.uniform(-1.05, 1.05, deg // 2)
                 + 1j * rng.uniform(0.0, 0.2, deg // 2))
         roots = np.concatenate([half, np.conj(half)])
-        worst = max(worst, factor14_check(deg, roots=roots)["max_ratio"])
+        worst = max(worst, factor14_check(roots=roots))
         count += 1
     for _ in range(300):
         deg = int(rng.integers(1, 257))
         coeffs = rng.standard_normal(deg + 1)
         coeffs[-1] = coeffs[-1] if coeffs[-1] != 0 else 1.0
-        worst = max(worst, factor14_check(deg, cheb_coeffs=coeffs)["max_ratio"])
+        worst = max(worst, factor14_check(cheb_coeffs=coeffs))
         count += 1
     for deg in (16, 64, 256):  # pure Chebyshev oscillation
         coeffs = np.zeros(deg + 1)
         coeffs[-1] = 1.0
-        worst = max(worst, factor14_check(deg, cheb_coeffs=coeffs)["max_ratio"])
+        worst = max(worst, factor14_check(cheb_coeffs=coeffs))
         count += 1
     ok = worst <= 14.0
     _report(8, "Chebyshev grid factor", ok,

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from charpolylab import charpoly
 from charpolylab._rng import substream
-from charpolylab.charpoly import (_batched_mean, exp_moment_field, exp_pm2_moment, fs_balanced,
+from charpolylab.charpoly import (_batch_se, exp_moment_field, exp_pm2_moment, fs_balanced,
                                   laplace_split, mc_char_ratio, vandermonde_det,
                                   write_verification_report)
 from charpolylab.ensemble import char_poly, g, recurrence_coeffs, tridiagonal_draw
@@ -56,7 +56,7 @@ def test_fs_balanced_vs_monte_carlo(table_cache):
     tab = table_cache(4)
     p, q = [0.3 + 0.4j], [-0.2 + 0.5j]
     f = fs_balanced(tab, p, q)
-    mc, se = mc_char_ratio(4, p, q, 300_000, seed=31)
+    [(mc, se)] = mc_char_ratio(4, [p], [q], 300_000, seed=31)
     assert abs(mc - f) < 3.0 * se
 
 
@@ -242,14 +242,17 @@ def test_batched_mean_se_is_the_complex_means(n, seed, spread, shift, phase):
     # leave it alone, and it is the hypot of its components' errors
     rng = substream(seed, 0)
     vals = rng.standard_normal(n) + 1j * spread * rng.standard_normal(n)
-    _, se = _batched_mean(vals)
+
+    def batch_se(v):
+        return _batch_se(v, 50, np.mean)
+
+    se = batch_se(vals)
     assert se > 0.0
-    assert se == pytest.approx(math.hypot(_batched_mean(vals.real)[1],
-                                          _batched_mean(vals.imag)[1]), rel=1e-12)
+    assert se == pytest.approx(math.hypot(batch_se(vals.real), batch_se(vals.imag)),
+                               rel=1e-12)
     # the shifted values round at the shift's scale, not the spread's
-    assert _batched_mean(vals + shift)[1] == pytest.approx(
-        se, rel=1e-9, abs=1e-13 * abs(shift))
-    assert _batched_mean(vals * np.exp(1j * phase))[1] == pytest.approx(se, rel=1e-12)
+    assert batch_se(vals + shift) == pytest.approx(se, rel=1e-9, abs=1e-13 * abs(shift))
+    assert batch_se(vals * np.exp(1j * phase)) == pytest.approx(se, rel=1e-12)
 
 
 def _raw_char_poly_batch(N, xs, rng, n_samples):
@@ -340,14 +343,14 @@ def test_recurrence_coeffs_in_place_bitwise(N):
     ([(0.3 + 0.4j, -0.1 + 0.5j), (-0.35 + 0.45j, 0.2 - 0.3j)],
      [(0.2 + 0.6j, -0.3 - 0.5j), (0.25 + 0.6j, 0.6 + 0.2j)])])
 def test_mc_char_ratio_case_axis_matches_one_case_calls(monkeypatch, p, q):
-    # every case reads the same draws, so each gives its one-case call's
-    # bits, here across blocks of 300 draws
+    # every case reads the same draws, so each gives the bits of a call
+    # with its row alone, here across blocks of 300 draws
     monkeypatch.setattr(charpoly, "_BLOCK_BYTES", 0)
     monkeypatch.setattr(charpoly, "_BLOCK_MIN_ROWS", 300)
     cases = mc_char_ratio(16, p, q, 1_000, seed=7)
     assert len(cases) == len(p)
     for (mc, se), pc, qc in zip(cases, p, q):
-        one_mc, one_se = mc_char_ratio(16, pc, qc, 1_000, seed=7)
+        [(one_mc, one_se)] = mc_char_ratio(16, [pc], [qc], 1_000, seed=7)
         assert np.array([mc, se]).view(np.uint64).tolist() == \
             np.array([one_mc, one_se]).view(np.uint64).tolist()
 
@@ -400,7 +403,7 @@ def test_monte_carlo_oracles_survive_determinant_underflow():
     p, q = 0.3 + 0.4j, -0.2 + 0.5j
     raw = _raw_char_poly_batch(2048, [q], substream(3, 0), 50)
     assert np.all(raw == 0)
-    mc, se = mc_char_ratio(2048, [p], [q], 500, seed=3)
+    [(mc, se)] = mc_char_ratio(2048, [[p]], [[q]], 500, seed=3)
     assert np.isfinite(mc) and 0.0 < se < abs(mc)
     for sign in (+1, -1):
         m2, se2 = mc_abs2_moment(2048, q, sign, 500, seed=3)

@@ -25,9 +25,13 @@ from oracles import branch_profile_row
 
 
 def test_emit_csv_roundtrip(tmp_path):
-    path = tmp_path / "out.csv"
+    # records other than a dict are CSV rows: a list, or a generator such as
+    # gen-spectrum's enumerate(...), which writes the same bytes
+    path, gen_path = tmp_path / "out.csv", tmp_path / "gen.csv"
     rows = [[1, 0.1 + 2e-17, -3.5], [2, 1.0 / 3.0, 7.0]]
-    emit(rows, path, "csv", header=["a", "b", "c"])
+    emit(rows, path, header=["a", "b", "c"])
+    emit((row for row in rows), gen_path, header=["a", "b", "c"])
+    assert gen_path.read_bytes() == path.read_bytes()
     with open(path, newline="") as fh:
         back = list(csv.reader(fh))
     assert back[0] == ["a", "b", "c"]
@@ -38,21 +42,24 @@ def test_emit_csv_roundtrip(tmp_path):
 
 def test_emit_empty_records(tmp_path):
     path = tmp_path / "empty.csv"
-    emit([], path, "csv", header=["x", "y"])
+    emit([], path, header=["x", "y"])
     assert path.read_text() == "x,y\n"
 
 
 def test_emit_json(tmp_path):
+    # a dict is written as JSON
     path = tmp_path / "out.json"
-    emit({"a": 1, "b": [0.25, 0.5]}, path, "json")
-    assert json.loads(path.read_text()) == {"a": 1, "b": [0.25, 0.5]}
+    doc = {"b": [0.25, 0.5], "a": 1}
+    emit(doc, path)
+    assert path.read_bytes() == (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+    assert json.loads(path.read_text()) == doc
 
 
 def test_emit_json_refuses_non_native_values(tmp_path):
     # a numpy integer is not native JSON: nothing is written, not even a temp
     path = tmp_path / "out.json"
     with pytest.raises(TypeError):
-        emit({"k": np.int64(1)}, path, "json")
+        emit({"k": np.int64(1)}, path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -292,7 +299,7 @@ def test_emit_leaves_other_temp_files_alone(tmp_path):
     path = tmp_path / "out.csv"
     other = tmp_path / "out.csv.tmp"
     other.write_text("another writer\n")
-    emit([[1]], path, "csv", header=["x"])
+    emit([[1]], path, header=["x"])
     assert path.read_text() == "x\n1\n"
     assert other.read_text() == "another writer\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
@@ -365,8 +372,8 @@ def test_fs_verify_case0_row_is_the_one_case_oracle(tmp_path):
                  "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         row = next(csv.DictReader(fh))
-    mc, se = charpoly.mc_char_ratio(16, (0.3 + 0.4j,), (-0.2 + 0.5j,), 3000,
-                                    task_seed(9, 0))
+    [(mc, se)] = charpoly.mc_char_ratio(16, [(0.3 + 0.4j,)], [(-0.2 + 0.5j,)], 3000,
+                                        task_seed(9, 0))
     assert row["case_id"] == "balanced_l1_case0"
     assert float(row["mc_value"]) == float(mc.real)
     assert float(row["mc_stderr"]) == float(se)
@@ -412,9 +419,9 @@ def test_fs_verify_reports_and_checks_one_z(tmp_path, capsys, monkeypatch, moves
         assert zs == pytest.approx(moves, rel=1e-12) and code == 1
 
 
-def test_branch_verify_is_the_pair_by_pair_sweep(tmp_path):
+def test_branch_verify_is_the_pair_by_pair_sweep(tmp_path, capsys):
     out = tmp_path / "bv.csv"
-    assert main(["branch-verify", "--out", str(out)]) == 0
+    assert main(["branch-verify", "--check", "--out", str(out)]) == 0
     thetas = np.linspace(-math.pi, math.pi, 10001)[1:-1]
     rows, max_c = [], 0.0
     for h in range(26):
@@ -423,10 +430,13 @@ def test_branch_verify_is_the_pair_by_pair_sweep(tmp_path):
             rows.append([h, j, float(np.abs(errors).max())])
             max_c = max(max_c, float(refined.max()))
     ref = tmp_path / "ref.csv"
-    emit(rows, ref, "csv", header=["h", "j", "max_abs_error"])
+    emit(rows, ref, header=["h", "j", "max_abs_error"])
     assert out.read_bytes() == ref.read_bytes()
-    summary, _ = cli._cmd_branch_verify(build_config("branch-verify", {}, {}))
-    assert summary == {"max_abs_error": max(r[2] for r in rows), "refined_constant": max_c}
+    # the checks read the sweep's largest error and refined constant
+    checks = [("uniform_error_bound", max(r[2] for r in rows) <= 1.0),
+              ("refined_constant", max_c <= 10.0)]
+    assert capsys.readouterr().out.splitlines() == [
+        f"check {name}: {'pass' if ok else 'FAIL'}" for name, ok in checks]
 
 
 def test_lowerbound_sim_reports_route_on_stderr(tmp_path, capsys):
@@ -519,7 +529,7 @@ def test_thread_count_invariance(tmp_path):
 
 def test_check_exit_codes(monkeypatch):
     def fake_runner(cfg):
-        return None, [("always_fails", False)]
+        return [("always_fails", False)]
 
     monkeypatch.setitem(cli._RUNNERS, "gen-spectrum", fake_runner)
     cfg = RunConfig(command="gen-spectrum", check=True)

@@ -58,44 +58,38 @@ def test_cheb_grid():
 def test_factor14_constant():
     # no command checks degree 0: its Chebyshev grid does not exist
     with pytest.raises(ValueError):
-        factor14_check(0, cheb_coeffs=[3.0])
+        factor14_check(cheb_coeffs=[3.0])
 
 
 def test_factor14_chebyshev_extremal():
     for N in (8, 64, 256):
         coeffs = np.zeros(N + 1)
         coeffs[-1] = 1.0
-        res = factor14_check(N, cheb_coeffs=coeffs)
-        assert res["max_ratio"] <= 14.0
+        assert factor14_check(cheb_coeffs=coeffs) <= 14.0
 
 
 def test_factor14_random_roots(rng):
     for _ in range(50):
         deg = int(rng.integers(2, 65))
         roots = rng.uniform(-1, 1, deg)
-        res = factor14_check(deg, roots=roots)
-        assert 1.0 <= res["max_ratio"] <= 14.0
+        assert 1.0 <= factor14_check(roots=roots) <= 14.0
 
 
 def test_factor14_interior_peak(rng):
     # clustered roots force a genuine interior maximum between grid points
     deg = 16
     roots = np.full(deg, 0.31)
-    res = factor14_check(deg, roots=roots)
-    assert res["max_ratio"] <= 14.0
+    assert factor14_check(roots=roots) <= 14.0
 
 
 def test_factor14_input_validation():
     with pytest.raises(ValueError):
-        factor14_check(4, roots=[0.1, 0.2], cheb_coeffs=[1, 2, 3, 4, 5])
+        factor14_check(roots=[0.1, 0.2], cheb_coeffs=[1, 2, 3, 4, 5])
     with pytest.raises(ValueError):
-        factor14_check(4, roots=[0.1, 0.2])
-    with pytest.raises(ValueError):
-        factor14_check(4)
-    # Chebyshev coefficients of degree exactly N: N + 1 of them, lead nonzero
-    for coeffs in ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 0.0]):
-        with pytest.raises(ValueError, match="coefficient length"):
-            factor14_check(4, cheb_coeffs=coeffs)
+        factor14_check()
+    # the degree is the coefficient count less one: the last must be nonzero
+    with pytest.raises(ValueError, match="leading Chebyshev coefficient"):
+        factor14_check(cheb_coeffs=[1.0, 2.0, 3.0, 4.0, 0.0])
 
 
 def _criterion_8_families(n_each):
@@ -124,10 +118,9 @@ def test_factor14_matches_unpruned_polish():
     # DCT grid and the cosine-sum polish move the coefficient family slightly
     real, pairs, coeffs = _criterion_8_families(50)
     for roots in real + pairs:
-        assert (factor14_check(len(roots), roots=roots)["max_ratio"]
-                == factor14_unpruned(len(roots), roots=roots))
+        assert factor14_check(roots=roots) == factor14_unpruned(len(roots), roots=roots)
     for c in coeffs[:12] + [np.eye(17)[16], np.eye(65)[64]]:
-        assert factor14_check(len(c) - 1, cheb_coeffs=c)["max_ratio"] == pytest.approx(
+        assert factor14_check(cheb_coeffs=c) == pytest.approx(
             factor14_unpruned(len(c) - 1, cheb_coeffs=c), rel=1e-12, abs=0.0)
 
 
@@ -143,8 +136,7 @@ def test_factor14_roots_bitwise_as_unpruned(re, lift, kind):
         roots = np.concatenate([half, np.conj(half)])
     else:
         roots = re + 1j * lift * np.cos(np.arange(len(re)))
-    assert (factor14_check(len(roots), roots=roots)["max_ratio"]
-            == factor14_unpruned(len(roots), roots=roots))
+    assert factor14_check(roots=roots) == factor14_unpruned(len(roots), roots=roots)
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,7 +164,7 @@ def test_factor14_peak_memory(rng):
     roots = rng.uniform(-1.1, 1.1, 256) + 1j * rng.uniform(-0.3, 0.3, 256)
     tracemalloc.start()
     try:
-        factor14_check(256, roots=roots)
+        factor14_check(roots=roots)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -230,16 +222,19 @@ def test_max_experiment_deterministic_across_threads(N, n_samples, seed, y,
 
 
 @pytest.mark.parametrize("threads,workers,y", [(64, 1, None), (2, 2, 2.0),
-                                                (1, None, 2.0)])
+                                                (1, None, 2.0), (4000, 2, 2.0)])
 def test_max_experiment_worker_count(threads, workers, y):
-    # min(threads, tasks) workers, and no pool at one thread; the mocked
-    # executor maps in-process, so no process starts.  At two threads each
-    # pass is two blocks, the shifted grid's submitted first
-    with mock.patch("concurrent.futures.ProcessPoolExecutor") as pool_cls:
+    # min(threads, CPUs, tasks) workers, and no pool at one thread; the
+    # mocked executor maps in-process, so no process starts.  At two threads,
+    # or any number on two CPUs, each pass is two blocks, the shifted grid's
+    # submitted first, and the columns keep the bytes of one thread
+    n_samples = 1 if workers == 1 else 4
+    ref, _ = max_experiment(8, n_samples, y, 0, threads=1)
+    with mock.patch("os.cpu_count", return_value=2), \
+            mock.patch("concurrent.futures.ProcessPoolExecutor") as pool_cls:
         pool = pool_cls.return_value.__enter__.return_value
         pool.map.side_effect = map
-        columns, _ = max_experiment(8, 1 if workers == 1 else 4, y, 0,
-                                    threads=threads)
+        columns, _ = max_experiment(8, n_samples, y, 0, threads=threads)
     if workers is None:
         pool_cls.assert_not_called()
     else:
@@ -250,6 +245,7 @@ def test_max_experiment_worker_count(threads, workers, y):
         shifts = pool.map.call_args.args[5]
         assert shifts == ((None,) if y is None else (y, y, None, None))
     assert np.isfinite(columns["m_star"]).all()
+    assert _record_array(columns).tobytes() == _record_array(ref).tobytes()
 
 
 def _eigen_logs(eigs, xs):

@@ -202,6 +202,27 @@ def test_every_private_module_name_is_read():
     assert not unread, unread
 
 
+def test_every_parameter_is_read():
+    # a parameter that its function's body never loads is an argument no
+    # caller needs; a name counts as loaded anywhere in the body, nested
+    # functions and lambdas included
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params
+                       if p not in loaded]
+    assert not unread, unread
+
+
 def test_no_module_imports_scipy_integrate():
     # no module in src/ imports scipy: quadrature is an oracle's tool
     # (tests/oracles.py), every formula in src/ is a closed form or a
